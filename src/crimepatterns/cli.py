@@ -54,30 +54,11 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# formatting and hashing helpers
-
-
-def _num(value) -> str:
-    """Shortest-roundtrip decimal text for a float, plain text for ints."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _flag(value) -> str:
-    return "true" if value else "false"
+# hashing and the manifest
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _sha256_text(text: str) -> str:
@@ -93,11 +74,13 @@ def _sha256_file(path: str) -> str:
 
 
 def _emit(out_dir, subcommand, inputs, parameters, payloads) -> None:
-    """Write every artifact plus the manifest, atomically as a group.
+    """Write every artifact plus the manifest, replacing them as a group.
 
     `payloads` maps file name to full text; nothing is written until
-    all computation has finished, and a failure while writing removes
-    whatever was already on disk so no partial run survives.  The
+    all computation has finished.  Each file is first written to a
+    temporary file in `out_dir` and then moved over its target, so a
+    failure while writing removes only the temporary files and leaves
+    a previous run's artifacts and manifest as they were.  The
     manifest is an append-only log, one record per subcommand run, so a
     multi-step pipeline keeps the provenance of every artifact.  Inputs
     that live inside the output directory are recorded relative to it,
@@ -138,77 +121,149 @@ def _emit(out_dir, subcommand, inputs, parameters, payloads) -> None:
         if not isinstance(manifest.get("runs"), list):
             raise ValueError(f"{manifest_path} is not a manifest written by this tool")
     manifest["runs"].append(record)
-    written = []
+    staged = []  # (temporary file, target), manifest last
     try:
-        for name, text in payloads.items():
-            target = os.path.join(out_dir, name)
-            with open(target, "w", encoding="utf-8", newline="") as fh:
+        for name, text in {**payloads, "manifest.json": _json_text(manifest)}.items():
+            temp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+            staged.append((temp, os.path.join(out_dir, name)))
+            with open(temp, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            written.append(target)
-        with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_json_text(manifest))
+        for temp, target in staged:
+            os.replace(temp, target)
     except OSError:
-        for path in written:
+        for temp, _ in staged:
             try:
-                os.unlink(path)
+                os.unlink(temp)
             except OSError:
                 pass
         raise
 
 
 # ---------------------------------------------------------------------------
-# artifact readers and writers
+# the artifact table: one writer and one reader for every CSV artifact
+
+# CSV artifact -> its columns as (name, kind), in file order.
+# `region_series.csv` is not listed: its region columns come from the data.
+ARTIFACTS = {
+    "counts.csv": (("count", "int"),),
+    "series.csv": (("week_start", "date"), ("value", "float")),
+    "tessellation.csv": (
+        ("region_id", "int"),
+        ("lon_min", "float"),
+        ("lat_min", "float"),
+        ("lon_max", "float"),
+        ("lat_max", "float"),
+        ("population", "float"),
+    ),
+    "rejects.csv": (("row", "int"), ("reason", "str")),
+    "lorenz.csv": (("region_share", "float"), ("event_share", "float")),
+    "entropy.csv": (("position", "int"), ("entropy", "float")),
+    "spectrum.csv": (("scale_years", "float"), ("power", "float"), ("significance", "float")),
+    "band.csv": (
+        ("week_start", "date"),
+        ("power", "float"),
+        ("threshold", "float"),
+        ("significant", "bool"),
+        ("coi_valid", "bool"),
+    ),
+    "composed.csv": (("week_start", "date"), ("c_b", "int"), ("regions_valid", "int")),
+    "durations.csv": (("region_id", "int"), ("run_start", "date"), ("run_length_weeks", "int")),
+}
+
+# Artifacts that are complete with a header and no data rows.
+_HEADER_ONLY_OK = frozenset({"durations.csv"})
+
+# Column kind -> (parser of one cell's text, array dtype).  An empty float
+# cell is a gap (NaN).
+_KINDS = {
+    "int": (int, np.int64),
+    "float": (lambda text: np.nan if text == "" else float(text), float),
+    "bool": ({"true": True, "false": False}.__getitem__, bool),
+    "date": (str, "datetime64[D]"),
+    "str": (str, object),
+}
 
 
-def _read_rows(path: str, expected_header: list[str]) -> list[list[str]]:
+def _format(values) -> list[str]:
+    """Cell texts of one column, chosen by its dtype: shortest round-trip
+    repr for floats, true/false for booleans, the ISO date for datetimes,
+    str() for integers and text."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        return [repr(v) for v in a.tolist()]
+    if a.dtype.kind == "b":
+        return ["true" if v else "false" for v in a.tolist()]
+    if a.dtype.kind == "M":
+        return np.datetime_as_string(a, unit="D").tolist()
+    return [str(v) for v in a.tolist()]
+
+
+def _parse(path, column: str, texts, kind: str) -> np.ndarray:
+    parse, dtype = _KINDS[kind]
+    try:
+        return np.array([parse(t) for t in texts], dtype=dtype)
+    except (ValueError, KeyError, OverflowError):
+        raise ValueError(f"{path}: malformed {column} column") from None
+
+
+def _csv_text(header, columns) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(_format(c) for c in columns), strict=True))
+    return buf.getvalue()
+
+
+def _artifact_text(name: str, *columns) -> str:
+    """Text of a CSV artifact from its columns, in table order."""
+    spec = ARTIFACTS[name]
+    typed = [
+        np.asarray(values, dtype=_KINDS[kind][1])
+        for values, (_, kind) in zip(columns, spec, strict=True)
+    ]
+    return _csv_text([column for column, _ in spec], typed)
+
+
+def _read_csv(path, header_only_ok: bool = False) -> tuple[list[str], list[list[str]]]:
+    """Header and per-column cell texts; a file without data rows (unless
+    `header_only_ok`) or with rows of unequal length is an error."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0] != expected_header:
-        raise ValueError(f"{path}: expected columns {','.join(expected_header)}")
-    if len(rows) == 1:
+    if len(rows) < (1 if header_only_ok else 2):
         raise ValueError(f"{path}: no data rows")
-    return rows[1:]
+    header, body = rows[0], rows[1:]
+    if any(len(r) != len(header) for r in body):
+        raise ValueError(f"{path}: ragged rows")
+    return header, [[r[i] for r in body] for i in range(len(header))]
 
 
-def _read_counts(path: str) -> np.ndarray:
-    rows = _read_rows(path, ["count"])
-    try:
-        return np.array([int(r[0]) for r in rows], dtype=np.int64)
-    except (ValueError, IndexError):
-        raise ValueError(f"{path}: counts must be integers, one per row") from None
+def _read_artifact(path, name: str) -> list[np.ndarray]:
+    """Typed columns of a CSV artifact, in table order."""
+    spec = ARTIFACTS[name]
+    header, columns = _read_csv(path, name in _HEADER_ONLY_OK)
+    if header != [column for column, _ in spec]:
+        raise ValueError(f"{path}: expected columns {','.join(c for c, _ in spec)}")
+    return [_parse(path, column, texts, kind) for texts, (column, kind) in zip(columns, spec)]
 
 
-def _cell(text: str) -> float:
-    return np.nan if text == "" else float(text)
-
-
-def _week_grid(labels: list[str], path: str) -> np.ndarray:
-    try:
-        weeks = np.array(labels, dtype="datetime64[D]")
-    except ValueError:
-        raise ValueError(f"{path}: unparseable week_start column") from None
+def _week_grid(path, weeks: np.ndarray) -> np.ndarray:
     if weeks.size > 1 and not (np.diff(weeks) == np.timedelta64(7, "D")).all():
         raise ValueError(f"{path}: week_start must advance by exactly 7 days")
     return weeks
 
 
-def _read_series(path: str) -> TimeSeries:
-    rows = _read_rows(path, ["week_start", "value"])
-    weeks = _week_grid([r[0] for r in rows], path)
-    try:
-        values = np.array([_cell(r[1]) for r in rows])
-    except (ValueError, IndexError):
-        raise ValueError(f"{path}: malformed value column") from None
-    return TimeSeries(fill_gaps(values), WEEK_STEP_YEARS, weeks[0])
+def _region_series_csv(series_set: RegionSeriesSet) -> str:
+    header = ["week_start"]
+    header += [f"region_{rid}" for rid in series_set.region_ids]
+    header += ["city"]
+    return _csv_text(
+        header, [series_set.week_starts, *series_set.counts, series_set.city_totals()]
+    )
 
 
-def _read_region_series(path: str) -> tuple[RegionSeriesSet, np.ndarray]:
+def _read_region_series(path) -> tuple[RegionSeriesSet, np.ndarray]:
     """Wide weekly table -> (region set, city column)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = rows[0]
+    header, columns = _read_csv(path)
     if (
         len(header) < 3
         or header[0] != "week_start"
@@ -220,70 +275,18 @@ def _read_region_series(path: str) -> tuple[RegionSeriesSet, np.ndarray]:
         region_ids = np.array([int(c[len("region_"):]) for c in header[1:-1]])
     except ValueError:
         raise ValueError(f"{path}: malformed region column name") from None
-    body = rows[1:]
-    if not body:
-        raise ValueError(f"{path}: no data rows")
-    if any(len(r) != len(header) for r in body):
-        raise ValueError(f"{path}: ragged rows")
-    weeks = _week_grid([r[0] for r in body], path)
-    try:
-        table = np.array([[_cell(v) for v in r[1:]] for r in body])
-    except ValueError:
-        raise ValueError(f"{path}: malformed numeric cell") from None
-    counts = table[:, :-1].T
-    city = table[:, -1]
-    return RegionSeriesSet(weeks, counts, region_ids), city
+    weeks = _week_grid(path, _parse(path, header[0], columns[0], "date"))
+    cells = [_parse(path, c, texts, "float") for c, texts in zip(header[1:], columns[1:])]
+    return RegionSeriesSet(weeks, np.array(cells[:-1]), region_ids), cells[-1]
 
 
-def _read_pairs(path: str) -> PairedSample:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or "x" not in rows[0] or "y" not in rows[0]:
+def _read_pairs(path) -> PairedSample:
+    """The x and y columns of a CSV that may carry other columns too."""
+    header, columns = _read_csv(path)
+    if "x" not in header or "y" not in header:
         raise ValueError(f"{path}: expected a header with x and y columns")
-    ix, iy = rows[0].index("x"), rows[0].index("y")
-    try:
-        x = [float(r[ix]) for r in rows[1:]]
-        y = [float(r[iy]) for r in rows[1:]]
-    except (ValueError, IndexError):
-        raise ValueError(f"{path}: malformed pair row") from None
-    return PairedSample(np.array(x), np.array(y))
-
-
-def _series_csv(ts: TimeSeries) -> str:
-    weeks = ts.week_starts()
-    rows = [[str(w), _num(v)] for w, v in zip(weeks, ts.values)]
-    return _csv_text(["week_start", "value"], rows)
-
-
-def _region_series_csv(series_set: RegionSeriesSet) -> str:
-    header = ["week_start"]
-    header += [f"region_{rid}" for rid in series_set.region_ids]
-    header += ["city"]
-    city = series_set.city_totals()
-    rows = []
-    for t, week in enumerate(series_set.week_starts):
-        row = [str(week)]
-        row += [_num(v) for v in series_set.counts[:, t]]
-        row.append(_num(city[t]))
-        rows.append(row)
-    return _csv_text(header, rows)
-
-
-def _tessellation_csv(tess) -> str:
-    rows = [
-        [
-            str(r.id),
-            _num(r.lon_min),
-            _num(r.lat_min),
-            _num(r.lon_max),
-            _num(r.lat_max),
-            _num(r.population),
-        ]
-        for r in tess.regions
-    ]
-    return _csv_text(
-        ["region_id", "lon_min", "lat_min", "lon_max", "lat_max", "population"], rows
-    )
+    x, y = (_parse(path, c, columns[header.index(c)], "float") for c in ("x", "y"))
+    return PairedSample(x, y)
 
 
 def _band_arg(text: str) -> tuple:
@@ -300,26 +303,19 @@ def _band_arg(text: str) -> tuple:
 # pipelines shared by subcommands
 
 
-def _load_events(args):
+def _tessellate_events(args):
+    """Parse and filter the events, tessellate the population grid.
+
+    Returns the event table, the tessellation, and the manifest's
+    inputs and parameters for this route."""
     table = parse_events(args.events)
     if args.category is not None:
         table = filter_events(table, category=args.category)
-    return table
-
-
-def _tessellate_events(args):
-    table = _load_events(args)
     cells = parse_population(args.population)
     tess = build_tessellation(cells, args.target_pop)
-    return table, tess
-
-
-def _events_inputs(args) -> dict:
-    return {"events": args.events, "population": args.population}
-
-
-def _events_parameters(args) -> dict:
-    return {"target_pop": args.target_pop, "category": args.category}
+    inputs = {"events": args.events, "population": args.population}
+    parameters = {"target_pop": args.target_pop, "category": args.category}
+    return table, tess, inputs, parameters
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +327,9 @@ def cmd_simulate(args) -> None:
     result = run_scenario(spec)
     payloads = {}
     if spec.kind == "powerlaw_counts":
-        payloads["counts.csv"] = _csv_text(["count"], [[str(int(v))] for v in result])
+        payloads["counts.csv"] = _artifact_text("counts.csv", result)
     elif spec.kind in ("ar1", "seasonal"):
-        payloads["series.csv"] = _series_csv(result)
+        payloads["series.csv"] = _artifact_text("series.csv", result.week_starts(), result.values)
     else:
         payloads["region_series.csv"] = _region_series_csv(result)
     parameters = {
@@ -346,17 +342,22 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_tessellate(args) -> None:
-    table, tess = _tessellate_events(args)
+    table, tess, inputs, parameters = _tessellate_events(args)
     series_set = build_region_series(table, tess)
     payloads = {
-        "tessellation.csv": _tessellation_csv(tess),
+        "tessellation.csv": _artifact_text(
+            "tessellation.csv",
+            *zip(*((r.id, r.lon_min, r.lat_min, r.lon_max, r.lat_max, r.population)
+                   for r in tess.regions)),
+        ),
         "region_series.csv": _region_series_csv(series_set),
     }
     if table.rejections:
-        payloads["rejects.csv"] = _csv_text(
-            ["row", "reason"], [[str(r.row), r.reason] for r in table.rejections]
+        payloads["rejects.csv"] = _artifact_text(
+            "rejects.csv",
+            [r.row for r in table.rejections],
+            [r.reason for r in table.rejections],
         )
-    parameters = _events_parameters(args)
     parameters["stats"] = {
         "n_events": len(table),
         "n_rejected": len(table.rejections),
@@ -364,23 +365,21 @@ def cmd_tessellate(args) -> None:
         "events_outside_area": series_set.meta["events_outside_area"],
         "events_in_partial_weeks": series_set.meta["events_in_partial_weeks"],
     }
-    _emit(args.out, "tessellate", _events_inputs(args), parameters, payloads)
+    _emit(args.out, "tessellate", inputs, parameters, payloads)
 
 
 def cmd_concentrate(args) -> None:
     if (args.counts is None) == (args.events is None):
         raise UsageError("concentrate needs exactly one of --counts or --events")
     if args.counts is not None:
-        counts = _read_counts(args.counts)
+        (counts,) = _read_artifact(args.counts, "counts.csv")
         inputs = {"counts": args.counts}
         parameters = {}
     else:
-        if args.population is None:
+        if args.population is None or args.target_pop is None:
             raise UsageError("--events also needs --population and --target-pop")
-        table, tess = _tessellate_events(args)
+        table, tess, inputs, parameters = _tessellate_events(args)
         counts = assign_events(table, tess).region_counts
-        inputs = _events_inputs(args)
-        parameters = _events_parameters(args)
     curve = lorenz(counts)
     fit = fit_power_law(counts)
     comparisons = {}
@@ -403,10 +402,7 @@ def cmd_concentrate(args) -> None:
     }
     payloads = {
         "fit.json": _json_text(report),
-        "lorenz.csv": _csv_text(
-            ["region_share", "event_share"],
-            [[_num(a), _num(b)] for a, b in curve.points],
-        ),
+        "lorenz.csv": _artifact_text("lorenz.csv", *curve.points.T),
     }
     parameters.update(
         {
@@ -424,9 +420,8 @@ def cmd_ranks(args) -> None:
     series_set, _ = _read_region_series(args.region_series)
     profile = position_entropy(weekly_ranks(series_set))
     payloads = {
-        "entropy.csv": _csv_text(
-            ["position", "entropy"],
-            [[str(i + 1), _num(h)] for i, h in enumerate(profile.h)],
+        "entropy.csv": _artifact_text(
+            "entropy.csv", np.arange(1, len(profile.h) + 1), profile.h
         ),
         "entropy_summary.json": _json_text(
             {
@@ -442,7 +437,8 @@ def cmd_rhythms(args) -> None:
     if (args.series is None) == (args.region_series is None):
         raise UsageError("rhythms needs exactly one of --series or --region-series")
     if args.series is not None:
-        ts = _read_series(args.series)
+        weeks, values = _read_artifact(args.series, "series.csv")
+        ts = TimeSeries(fill_gaps(values), WEEK_STEP_YEARS, _week_grid(args.series, weeks)[0])
         inputs = {"series": args.series}
     else:
         series_set, city = _read_region_series(args.region_series)
@@ -452,21 +448,17 @@ def cmd_rhythms(args) -> None:
     field = cwt(anomaly, required_band=args.band)
     spectrum = global_spectrum(field, args.alpha_level)
     bp = band_power(field, args.band, args.alpha_level)
-    weeks = ts.week_starts()
     payloads = {
-        "spectrum.csv": _csv_text(
-            ["scale_years", "power", "significance"],
-            [
-                [_num(s), _num(p), _num(q)]
-                for s, p, q in zip(spectrum.scales, spectrum.power, spectrum.significance)
-            ],
+        "spectrum.csv": _artifact_text(
+            "spectrum.csv", spectrum.scales, spectrum.power, spectrum.significance
         ),
-        "band.csv": _csv_text(
-            ["week_start", "power", "threshold", "significant", "coi_valid"],
-            [
-                [str(w), _num(p), _num(bp.threshold), _flag(s), _flag(v)]
-                for w, p, s, v in zip(weeks, bp.power, bp.significant, bp.coi_valid)
-            ],
+        "band.csv": _artifact_text(
+            "band.csv",
+            ts.week_starts(),
+            bp.power,
+            np.full(len(bp.power), bp.threshold),
+            bp.significant,
+            bp.coi_valid,
         ),
     }
     parameters = {"band": list(args.band), "alpha_level": args.alpha_level}
@@ -478,19 +470,14 @@ def cmd_composed(args) -> None:
     composed = composed_power(series_set, band=args.band, alpha_level=args.alpha_level)
     runs = significant_durations(composed)
     payloads = {
-        "composed.csv": _csv_text(
-            ["week_start", "c_b", "regions_valid"],
-            [
-                [str(w), str(int(c)), str(int(v))]
-                for w, c, v in zip(composed.week_starts, composed.c_b, composed.regions_valid)
-            ],
+        "composed.csv": _artifact_text(
+            "composed.csv", composed.week_starts, composed.c_b, composed.regions_valid
         ),
-        "durations.csv": _csv_text(
-            ["region_id", "run_start", "run_length_weeks"],
-            [
-                [str(r.region_id), str(composed.week_starts[r.start]), str(r.length)]
-                for r in runs
-            ],
+        "durations.csv": _artifact_text(
+            "durations.csv",
+            [r.region_id for r in runs],
+            composed.week_starts[[r.start for r in runs]],
+            [r.length for r in runs],
         ),
     }
     parameters = {
@@ -554,19 +541,13 @@ def cmd_report(args) -> None:
         with open(present["entropy_summary.json"], encoding="utf-8") as fh:
             summary["mean_h"] = json.load(fh)["mean_h"]
     if "composed.csv" in present:
-        rows = _read_rows(present["composed.csv"], ["week_start", "c_b", "regions_valid"])
-        c_b = np.array([int(r[1]) for r in rows])
-        valid = np.array([int(r[2]) for r in rows])
+        _, c_b, valid = _read_artifact(present["composed.csv"], "composed.csv")
         interior = c_b[valid == valid.max()]
         if interior.size and interior.mean() > 0:
             summary["c_b_cv"] = float(interior.std() / interior.mean())
     if "durations.csv" in present:
-        with open(present["durations.csv"], newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["region_id", "run_start", "run_length_weeks"]:
-            raise ValueError(f"{present['durations.csv']}: unexpected columns")
-        lengths = [int(r[2]) for r in rows[1:]]
-        if lengths:
+        lengths = _read_artifact(present["durations.csv"], "durations.csv")[2]
+        if lengths.size:
             summary["median_dt"] = float(np.median(lengths))
     payloads = {"report.json": _json_text(summary)}
     _emit(args.out, "report", present, {"sources": sorted(present)}, payloads)
@@ -584,19 +565,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, module, help_text):
+        """`module` names the analysis module in `error: <module>: ...`."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, module=module)
         p.add_argument("--out", required=True, help="output directory for artifacts")
         return p
 
-    p = add("tessellate", cmd_tessellate, "build equal-population regions and weekly series")
+    p = add("tessellate", cmd_tessellate, "tessellate",
+            "build equal-population regions and weekly series")
     p.add_argument("--events", required=True)
     p.add_argument("--population", required=True)
     p.add_argument("--target-pop", type=float, required=True, dest="target_pop")
     p.add_argument("--category", default=None)
 
-    p = add("concentrate", cmd_concentrate, "Lorenz/Gini and power-law tail fit")
+    p = add("concentrate", cmd_concentrate, "concentration",
+            "Lorenz/Gini and power-law tail fit")
     p.add_argument("--counts", default=None, help="region totals, one 'count' column")
     p.add_argument("--events", default=None)
     p.add_argument("--population", default=None)
@@ -607,45 +591,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
 
-    p = add("ranks", cmd_ranks, "weekly rank-position entropy per region")
+    p = add("ranks", cmd_ranks, "rankdyn", "weekly rank-position entropy per region")
     p.add_argument("--region-series", required=True, dest="region_series")
 
-    p = add("rhythms", cmd_rhythms, "wavelet spectrum and band power of one series")
+    p = add("rhythms", cmd_rhythms, "rhythms", "wavelet spectrum and band power of one series")
     p.add_argument("--series", default=None, help="week_start,value series")
     p.add_argument("--region-series", default=None, dest="region_series",
                    help="wide weekly table; the city column is analyzed")
     p.add_argument("--band", type=_band_arg, default=CIRCANNUAL_BAND)
     p.add_argument("--alpha-level", type=float, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
 
-    p = add("composed", cmd_composed, "per-week count of regions with a significant band")
+    p = add("composed", cmd_composed, "rhythms",
+            "per-week count of regions with a significant band")
     p.add_argument("--region-series", required=True, dest="region_series")
     p.add_argument("--band", type=_band_arg, default=CIRCANNUAL_BAND)
     p.add_argument("--alpha-level", type=float, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
 
-    p = add("independence", cmd_independence, "Hoeffding D permutation test on x,y pairs")
+    p = add("independence", cmd_independence, "independence",
+            "Hoeffding D permutation test on x,y pairs")
     p.add_argument("--pairs", required=True, help="CSV with x and y columns")
     p.add_argument("--perm", type=int, default=999)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha-level", type=float, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
 
-    p = add("simulate", cmd_simulate, "run a seeded synthetic scenario file")
+    p = add("simulate", cmd_simulate, "synth", "run a seeded synthetic scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON")
 
-    add("report", cmd_report, "aggregate artifacts in --out into report.json")
+    add("report", cmd_report, "report", "aggregate artifacts in --out into report.json")
 
     return parser
-
-
-_ERROR_MODULES = {
-    "tessellate": "tessellate",
-    "concentrate": "concentration",
-    "ranks": "rankdyn",
-    "rhythms": "rhythms",
-    "composed": "rhythms",
-    "independence": "independence",
-    "simulate": "synth",
-    "report": "report",
-}
 
 
 def main(argv=None) -> int:
@@ -657,8 +631,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
-        module = _ERROR_MODULES[args.subcommand]
-        print(f"error: {module}: {exc}", file=sys.stderr)
+        print(f"error: {args.module}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -120,7 +120,8 @@ def parse_events(
     `window`, when given as (start, end), drops events outside
     [start, end) with a per-row rejection note.  Raises ValueError when
     required columns are absent or when more than half of the data rows
-    are unusable.
+    are unusable; rows dropped only for lying outside the window are
+    well formed and do not count toward that limit.
     """
     cols = dict(DEFAULT_EVENT_SCHEMA)
     if schema:
@@ -141,6 +142,7 @@ def parse_events(
         timestamps, lons, lats, cats = [], [], [], []
         rejections: list[RowRejection] = []
         n_rows = 0
+        n_outside_window = 0
         for row in reader:
             n_rows += 1
             ts = parse_timestamp(row.get(cols["timestamp"]) or "")
@@ -161,15 +163,17 @@ def parse_events(
                 continue
             if window is not None and not (w0 <= ts < w1):
                 rejections.append(RowRejection(n_rows, "outside time window"))
+                n_outside_window += 1
                 continue
             timestamps.append(ts)
             lons.append(lon)
             lats.append(lat)
             cats.append(cat)
 
-    if n_rows and len(rejections) > MAX_REJECT_FRACTION * n_rows:
+    n_malformed = len(rejections) - n_outside_window
+    if n_rows and n_malformed > MAX_REJECT_FRACTION * n_rows:
         raise ValueError(
-            f"{len(rejections)} of {n_rows} rows rejected; input looks malformed"
+            f"{n_malformed} of {n_rows} rows rejected; input looks malformed"
         )
 
     table = EventTable(
@@ -287,12 +291,3 @@ def write_events(table: EventTable, path) -> None:
                     table.categories[i],
                 ]
             )
-
-
-def write_rejections(table: EventTable, path) -> None:
-    """Write the per-row rejection log that accompanies a parse."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "reason"])
-        for r in table.rejections:
-            writer.writerow([r.row, r.reason])

@@ -2,11 +2,22 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crimepatterns.cli import main
+from crimepatterns.cli import (
+    ARTIFACTS,
+    _artifact_text,
+    _read_artifact,
+    _read_region_series,
+    _region_series_csv,
+    main,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*argv):
@@ -87,6 +98,14 @@ class TestConcentrate:
         assert run("concentrate", "--counts", "a.csv", "--events", "b.csv",
                    "--out", tmp_path) == 2
         assert "exactly one of" in capsys.readouterr().err
+
+    def test_events_without_target_pop_is_a_usage_error(self, tmp_path, capsys):
+        # The events file does not exist: the usage check must come first.
+        assert run("concentrate", "--events", tmp_path / "nope.csv",
+                   "--population", tmp_path / "pop.csv", "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--target-pop" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRhythms:
@@ -219,6 +238,18 @@ class TestTessellateCommand:
         for row in rows:
             assert sum(int(v) for v in row[1:-1]) == int(row[-1])
 
+    def test_rejected_rows_are_listed(self, tmp_path):
+        events, pop = self.make_inputs(tmp_path)
+        lines = events.read_text().splitlines()
+        lines[7] = "not-a-time" + lines[7][lines[7].index(","):]
+        events.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run("tessellate", "--events", events, "--population", pop,
+                   "--target-pop", 4, "--out", out) == 0
+        assert (out / "rejects.csv").read_text().splitlines() == [
+            "row,reason", "7,bad timestamp",
+        ]
+
     def test_concentrate_via_events_route(self, tmp_path):
         events, pop = self.make_inputs(tmp_path)
         out = tmp_path / "out"
@@ -251,6 +282,21 @@ class TestFailureHandling:
         assert "error: rhythms:" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_failed_write_keeps_the_previous_run(self, tmp_path, capsys):
+        events, pop = TestTessellateCommand().make_inputs(tmp_path)
+        out = tmp_path / "out"
+        argv = ("tessellate", "--events", events, "--population", pop,
+                "--target-pop", 4, "--out", out)
+        assert run(*argv) == 0
+        (out / "region_series.csv").unlink()
+        (out / "region_series.csv").mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert set(before) == {"tessellation.csv", "manifest.json"}
+        assert run(*argv) == 1
+        assert "error: tessellate:" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert after == before
+
     def test_malformed_scenario_is_a_module_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "ar1", "seed": 1}')
@@ -281,3 +327,65 @@ class TestSimulateFormats:
         assert run("simulate", "--scenario", scenario, "--out", out1) == 0
         assert run("simulate", "--scenario", scenario, "--out", out2) == 0
         assert (out1 / "counts.csv").read_bytes() == (out2 / "counts.csv").read_bytes()
+
+
+class TestArtifactTable:
+    @pytest.fixture(scope="class")
+    def bundle(self, wave_pipeline, tmp_path_factory):
+        """Every CSV artifact of the table, by name."""
+        base = tmp_path_factory.mktemp("bundle")
+        out = base / "out"
+        scenario = write_scenario(base / "a.json", "ar1", 5, a=0.5, n=120)
+        assert run("simulate", "--scenario", scenario, "--out", out) == 0
+        events, pop = TestTessellateCommand().make_inputs(base)
+        with open(events, "a") as fh:
+            fh.write("2015-01-05T00:00:00,abc,0.5,theft\n")
+        assert run("tessellate", "--events", events, "--population", pop,
+                   "--target-pop", 4, "--out", out) == 0
+        paths = {p.name: p for p in list(wave_pipeline.iterdir()) + list(out.iterdir())}
+        return {name: paths[name] for name in ARTIFACTS}
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    def test_read_then_write_gives_back_the_bytes(self, bundle, name):
+        written = bundle[name].read_text()
+        assert _artifact_text(name, *_read_artifact(bundle[name], name)) == written
+
+    def test_header_only_durations_round_trip(self, tmp_path):
+        path = tmp_path / "durations.csv"
+        path.write_text("region_id,run_start,run_length_weeks\n")
+        columns = _read_artifact(path, "durations.csv")
+        assert [c.size for c in columns] == [0, 0, 0]
+        assert _artifact_text("durations.csv", *columns) == path.read_text()
+
+    def test_region_series_round_trip(self, wave_pipeline):
+        path = wave_pipeline / "region_series.csv"
+        series_set, _ = _read_region_series(path)
+        assert _region_series_csv(series_set) == path.read_text()
+
+    @pytest.mark.parametrize("text, cause", [
+        ("", "no data rows"),
+        ("week_start,c_b,regions_valid\n", "no data rows"),
+        ("week_start,c_b,regions_valid\n2015-01-05,1\n", "ragged rows"),
+        ("week_start,c_b\n2015-01-05,1\n", "expected columns"),
+        ("week_start,c_b,regions_valid\n2015-01-05,1.5,2\n", "malformed c_b column"),
+    ])
+    def test_bad_files_name_the_path_and_the_cause(self, tmp_path, text, cause):
+        path = tmp_path / "composed.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {cause}"):
+            _read_artifact(path, "composed.csv")
+
+    def test_readme_lists_the_table_columns(self):
+        text = README.read_text()
+        section = text[text.index("### Artifacts"):text.index("## Library")]
+        listed = {}
+        for line in section.splitlines():
+            cells = line.split("|")
+            if len(cells) < 4 or not cells[1].strip().startswith("`"):
+                continue
+            name = re.search(r"`([^`]+)`", cells[1]).group(1)
+            if name.endswith(".csv"):
+                listed[name] = re.search(r"`([^`]+)`", cells[3]).group(1).split(",")
+        assert set(listed) == set(ARTIFACTS) | {"region_series.csv"}
+        for name, spec in ARTIFACTS.items():
+            assert listed[name] == [column for column, _ in spec], name

@@ -10,7 +10,6 @@ from crimepatterns import (
     parse_events,
     parse_population,
     write_events,
-    write_rejections,
 )
 
 
@@ -158,15 +157,20 @@ class TestParseEvents:
         assert len(t) == 1
         assert t.rejections[0].reason == "outside time window"
 
-    def test_rejection_sidecar(self, tmp_path):
-        p = write_csv(
-            tmp_path / "e.csv",
-            ["2015-01-05T10:00:00,1,1,theft", "bad,1,1,theft"],
-        )
-        t = parse_events(p)
-        side = tmp_path / "e.rejects.csv"
-        write_rejections(t, side)
-        assert side.read_text().splitlines() == ["row,reason", "2,bad timestamp"]
+    def test_window_drops_do_not_count_as_malformed(self, tmp_path):
+        day0 = np.datetime64("2015-01-05T10:00:00")
+        rows = [f"{day0 + np.timedelta64(i, 'D')},1,1,theft" for i in range(1000)]
+        p = write_csv(tmp_path / "e.csv", rows)
+        t = parse_events(p, window=("2015-01-05", "2015-04-15"))
+        assert len(t) == 100
+        assert len(t.rejections) == 900
+        assert {r.reason for r in t.rejections} == {"outside time window"}
+
+    def test_malformed_rows_still_count_under_a_window(self, tmp_path):
+        rows = ["not-a-date,1,1,theft"] * 3 + ["2015-01-05T10:00:00,1,1,theft"] * 2
+        p = write_csv(tmp_path / "e.csv", rows)
+        with pytest.raises(ValueError, match="3 of 5 rows rejected"):
+            parse_events(p, window=("2015-01-01", "2016-01-01"))
 
 
 class TestParsePopulation:
