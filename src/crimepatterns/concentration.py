@@ -10,13 +10,12 @@ goodness-of-fit bootstrap.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import zeta
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr, zeta
 
 MIN_TAIL_SIZE = 10
 MIN_OBSERVATIONS = 50
@@ -26,6 +25,9 @@ DEFAULT_SIGNIFICANCE = 0.05
 _ALPHA_LO = 1.0 + 1e-6
 _ALPHA_HI = 30.0
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_KS_BLOCK = 1 << 20  # (cutoff, value) pairs per zeta call of the KS scan
+_KS_PROBE = 8  # leading tail values whose gaps bound a tail's KS distance
+_TABLE_SIZE = 100_000  # support points of the sampler's inverse-CDF table
 
 
 @dataclass
@@ -88,32 +90,66 @@ def _zeta_log_likelihood(alpha, log_mean, q):
     return alpha * log_mean + np.log(zeta(alpha, q))
 
 
-def _alpha_mle(log_means: np.ndarray, qs: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Golden-section minimum of the (convex) negative log-likelihood,
-    run for every candidate cutoff at once."""
-    lo = np.full(log_means.shape, _ALPHA_LO)
-    hi = np.full(log_means.shape, _ALPHA_HI)
+def _golden_min(objective, shape, tol: float = 1e-6) -> np.ndarray:
+    """Golden-section minimum of a unimodal objective of an exponent in
+    (1, 30], run elementwise over arrays of the given shape."""
+    lo = np.full(shape, _ALPHA_LO)
+    hi = np.full(shape, _ALPHA_HI)
     while (hi - lo).max() > tol:
         x1 = hi - _GOLDEN * (hi - lo)
         x2 = lo + _GOLDEN * (hi - lo)
-        keep_low = _zeta_log_likelihood(x1, log_means, qs) <= _zeta_log_likelihood(
-            x2, log_means, qs
-        )
+        keep_low = objective(x1) <= objective(x2)
         hi = np.where(keep_low, x2, hi)
         lo = np.where(keep_low, lo, x1)
     return 0.5 * (lo + hi)
 
 
-def _tail_ks(values, tail_counts, alpha, xmin):
-    """KS distance between the empirical tail CDF and the fitted zeta CDF.
+def _ks_rows(values, multiplicity, tail_n, starts, alphas, qs, width=None) -> np.ndarray:
+    """Largest gap between the empirical CDF of the tail values[start:]
+    and the fitted zeta(alpha, q) CDF, over the tail's first `width`
+    values (all of them when None), for every (start, alpha, q) at once.
 
-    Both CDFs are right-continuous step functions jumping at the same
-    integer support, so the supremum of their difference is attained at
-    an observed value and no left-limit term is needed."""
-    n = tail_counts.sum()
-    ecdf = np.cumsum(tail_counts) / n
-    fitted = 1.0 - zeta(alpha, values + 1.0) / zeta(alpha, float(xmin))
-    return float(np.abs(ecdf - fitted).max())
+    Over the whole tail this is the KS distance: both CDFs are
+    right-continuous step functions jumping at the same integer support,
+    so the supremum of their difference is attained at an observed value
+    and no left-limit term is needed.  One zeta call covers the
+    (cutoff, tail value) pairs, in row blocks of about _KS_BLOCK pairs."""
+    cum = np.cumsum(multiplicity)
+    below = cum - multiplicity  # observations under each distinct value
+    norms = zeta(alphas, qs)
+    positions = np.arange(values.size)
+    gaps = np.empty(starts.size)
+    n_blocks = -(-starts.size * values.size // _KS_BLOCK)
+    for block in np.array_split(np.arange(starts.size), n_blocks):
+        inside = positions >= starts[block, None]
+        if width is not None:
+            inside &= positions < starts[block, None] + width
+        rows, cols = np.nonzero(inside)
+        rows = block[rows]
+        c = starts[rows]
+        ecdf = (cum[cols] - below[c]) / tail_n[c]
+        fitted = 1.0 - zeta(alphas[rows], values[cols] + 1.0) / norms[rows]
+        row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        gaps[block] = np.maximum.reduceat(np.abs(ecdf - fitted), row_starts)
+    return gaps
+
+
+def _best_ks(values, multiplicity, tail_n, starts, alphas, qs):
+    """Index of the tail with the smallest KS distance (the first on
+    ties) and that distance.
+
+    A tail's gap over its first _KS_PROBE values bounds its KS distance
+    from below, so only tails whose bound does not exceed the KS distance
+    of the tail with the smallest bound can win; only those are scanned
+    in full.  The result is the argmin of every tail's KS distance."""
+    tails = (values, multiplicity, tail_n)
+    lower = _ks_rows(*tails, starts, alphas, qs, width=_KS_PROBE)
+    first = [int(np.argmin(lower))]
+    upper = _ks_rows(*tails, starts[first], alphas[first], qs[first])[0]
+    kept = np.flatnonzero(lower <= upper)
+    ks = _ks_rows(*tails, starts[kept], alphas[kept], qs[kept])
+    best = int(np.argmin(ks))
+    return int(kept[best]), float(ks[best])
 
 
 def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
@@ -152,45 +188,34 @@ def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
             raise ValueError(
                 f"tail above xmin={xmin} holds fewer than {MIN_TAIL_SIZE} observations"
             )
-        n_tail = int(tail_n[start])
-        log_mean = tail_logsum[start] / n_tail
-        alpha = float(_alpha_mle(np.array([log_mean]), np.array([float(xmin)]))[0])
-        ks = _tail_ks(values[start:], multiplicity[start:], alpha, xmin)
-        loglik = -n_tail * _zeta_log_likelihood(alpha, log_mean, float(xmin))
-        return PowerLawFit(alpha, int(xmin), ks, n_tail, float(loglik))
-
-    candidates = np.nonzero(tail_n >= MIN_TAIL_SIZE)[0]
-    candidates = candidates[candidates < values.size - 1]  # need >= 2 distinct values
-    if candidates.size == 0:
-        raise ValueError(
-            f"no cutoff leaves a tail of at least {MIN_TAIL_SIZE} observations"
-        )
+        candidates = np.array([start])
+        qs = np.array([float(xmin)])
+    else:
+        candidates = np.nonzero(tail_n >= MIN_TAIL_SIZE)[0]
+        candidates = candidates[candidates < values.size - 1]  # need >= 2 distinct values
+        if candidates.size == 0:
+            raise ValueError(
+                f"no cutoff leaves a tail of at least {MIN_TAIL_SIZE} observations"
+            )
+        qs = values[candidates]
     log_means = tail_logsum[candidates] / tail_n[candidates]
-    alphas = _alpha_mle(log_means, values[candidates])
-    ks = np.array(
-        [
-            _tail_ks(values[c:], multiplicity[c:], a, values[c])
-            for c, a in zip(candidates, alphas)
-        ]
-    )
-    best = int(np.argmin(ks))  # first minimum = smallest cutoff
-    c = candidates[best]
-    n_tail = int(tail_n[c])
-    loglik = -n_tail * _zeta_log_likelihood(alphas[best], log_means[best], values[c])
-    return PowerLawFit(
-        float(alphas[best]), int(values[c]), float(ks[best]), n_tail, float(loglik)
-    )
+    alphas = _golden_min(lambda a: _zeta_log_likelihood(a, log_means, qs), qs.shape)
+    best, ks = _best_ks(values, multiplicity, tail_n, candidates, alphas, qs)
+    n_tail = int(tail_n[candidates[best]])
+    loglik = -n_tail * _zeta_log_likelihood(alphas[best], log_means[best], qs[best])
+    return PowerLawFit(float(alphas[best]), int(qs[best]), ks, n_tail, float(loglik))
 
 
 def _powerlaw_pointwise_loglik(x, alpha, xmin):
     return -alpha * np.log(x) - np.log(zeta(alpha, float(xmin)))
 
 
-def _geometric_tail_loglik(x, xmin):
-    """Pointwise log-likelihood of the discrete exponential (geometric)
-    MLE on the tail: p(x) = (1-q) q**(x-xmin)."""
+def _geometric_tail_loglik(x, weights, xmin):
+    """Log-likelihood at each distinct tail value x (observed `weights`
+    times) of the discrete exponential (geometric) MLE on the tail:
+    p(x) = (1-q) q**(x-xmin)."""
     shifted = x - xmin
-    m = shifted.mean()
+    m = (weights * shifted).sum() / weights.sum()
     if m == 0:
         return np.zeros(x.size)  # degenerate: all mass at xmin
     q = m / (1.0 + m)
@@ -210,19 +235,44 @@ def _lognormal_cell_logprobs(x, xmin, mu, sigma):
     cell = np.empty_like(za)
     left = zb <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ub, lb = norm.logcdf(zb[left]), norm.logcdf(za[left])
+        ub, lb = log_ndtr(zb[left]), log_ndtr(za[left])
         cell[left] = ub + np.log1p(-np.exp(lb - ub))
-        ua, va = norm.logsf(za[~left]), norm.logsf(zb[~left])
+        ua, va = log_ndtr(-za[~left]), log_ndtr(-zb[~left])
         cell[~left] = ua + np.log1p(-np.exp(va - ua))
-    tail = norm.logsf((np.log(xmin - 0.5) - mu) / sigma)
+    tail = log_ndtr((mu - np.log(xmin - 0.5)) / sigma)
     return cell - tail
 
 
-def _lognormal_tail_loglik(x, xmin):
-    """Pointwise log-likelihood of the discretized-lognormal MLE on the
-    tail.  Raises when the optimizer fails to converge."""
+def _power_law_limit_loglik(x, weights, xmin) -> float:
+    """Largest log-likelihood of the lognormal's power-law limit
+    (mu -> -inf and sigma -> inf with mu / sigma**2 fixed): the continuous
+    density t**-beta discretized to the same cells [x-1/2, x+1/2] and
+    truncated at xmin - 1/2, maximized over beta."""
+    lo, hi = np.log(x - 0.5), np.log(x + 0.5)
+    base = np.log(xmin - 0.5)
+
+    def negative_loglik(beta):
+        e = 1.0 - np.asarray(beta)[..., None]
+        cells = e * (lo - base) + np.log1p(-np.exp(e * (hi - lo)))
+        return -(weights * cells).sum(axis=-1)
+
+    return float(-negative_loglik(_golden_min(negative_loglik, ())))
+
+
+def _lognormal_tail_loglik(x, weights, xmin):
+    """Log-likelihood at each distinct tail value x (observed `weights`
+    times) of the discretized-lognormal MLE on the tail.
+
+    Returns None when the optimizer fails to converge, or when its best
+    fit does not beat the power-law limit of the lognormal family: the
+    MLE then runs off to that boundary (mu -> -inf, sigma -> inf) and
+    no interior lognormal is there to compare with."""
+    from scipy.optimize import minimize
+
     logs = np.log(x)
-    start = np.array([logs.mean(), max(logs.std(), 0.1)])
+    n = weights.sum()
+    mean = (weights * logs).sum() / n
+    sd = np.sqrt((weights * (logs - mean) ** 2).sum() / n)
 
     def objective(params):
         mu, sigma = params[0], abs(params[1])
@@ -231,12 +281,14 @@ def _lognormal_tail_loglik(x, xmin):
         ll = _lognormal_cell_logprobs(x, xmin, mu, sigma)
         if not np.all(np.isfinite(ll)):
             return 1e12
-        return -ll.sum()
+        return -(weights * ll).sum()
 
-    result = minimize(objective, start, method="Nelder-Mead",
+    result = minimize(objective, np.array([mean, max(sd, 0.1)]), method="Nelder-Mead",
                       options={"xatol": 1e-8, "fatol": 1e-8, "maxiter": 2000})
     if not result.success or not np.isfinite(result.fun) or result.fun >= 1e12:
-        raise ValueError("lognormal MLE did not converge")
+        return None
+    if -result.fun <= _power_law_limit_loglik(x, weights, xmin):
+        return None
     mu, sigma = result.x[0], abs(result.x[1])
     return _lognormal_cell_logprobs(x, xmin, mu, sigma)
 
@@ -250,28 +302,34 @@ def likelihood_ratio(
     """Vuong-normalized log-likelihood ratio of the fitted power law
     against an alternative tail model, on the same tail x >= xmin.
 
+    Both models are evaluated once per distinct tail value; the sum and
+    the variance of the pointwise ratio are weighted by multiplicity.
     A positive statistic favors the power law.  The verdict is
     "inconclusive" when the two-sided normal p-value exceeds
-    `significance`, which keeps sign noise from being over-read.
+    `significance`, which keeps sign noise from being over-read, and
+    (statistic 0, p 1) when the lognormal MLE has no interior optimum.
     """
     x = np.asarray(counts)
     x = x[x >= fit.xmin].astype(float)
     if x.size != fit.n_tail:
         raise ValueError("counts do not match the fitted tail")
-    pl = _powerlaw_pointwise_loglik(x, fit.alpha, fit.xmin)
+    values, weights = np.unique(x, return_counts=True)
     if alternative == "exponential":
-        alt = _geometric_tail_loglik(x, fit.xmin)
+        alt = _geometric_tail_loglik(values, weights, fit.xmin)
     elif alternative == "lognormal":
-        alt = _lognormal_tail_loglik(x, fit.xmin)
+        alt = _lognormal_tail_loglik(values, weights, fit.xmin)
     else:
         raise ValueError(f"unknown alternative '{alternative}'")
-    diff = pl - alt
-    total = diff.sum()
-    sd = diff.std()
-    if sd == 0 or x.size < 2:
-        return LikelihoodRatioResult(alternative, 0.0, 1.0, "inconclusive")
+    inconclusive = LikelihoodRatioResult(alternative, 0.0, 1.0, "inconclusive")
+    if alt is None or x.size < 2:
+        return inconclusive
+    diff = _powerlaw_pointwise_loglik(values, fit.alpha, fit.xmin) - alt
+    if diff.min() == diff.max():  # no spread to normalize by
+        return inconclusive
+    total = (weights * diff).sum()
+    sd = np.sqrt((weights * (diff - total / x.size) ** 2).sum() / x.size)
     statistic = total / (sd * np.sqrt(x.size))
-    p_value = 2.0 * norm.sf(abs(statistic))
+    p_value = 2.0 * ndtr(-abs(statistic))
     if p_value > significance:
         favored = "inconclusive"
     else:
@@ -279,25 +337,34 @@ def likelihood_ratio(
     return LikelihoodRatioResult(alternative, float(statistic), float(p_value), favored)
 
 
+@functools.lru_cache(maxsize=8)
+def _cdf_table(alpha: float, xmin: int):
+    """Inverse-CDF table of the first _TABLE_SIZE support points and the
+    normalizer zeta(alpha, xmin); read-only, shared by every draw."""
+    support = np.arange(xmin, xmin + _TABLE_SIZE, dtype=float)
+    normalizer = zeta(alpha, float(xmin))
+    cdf = np.cumsum(support**-alpha) / normalizer
+    cdf.flags.writeable = False
+    return cdf, normalizer
+
+
 def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw from the discrete power law by inverse-CDF lookup.
 
     A cumulative table covers the first 100000 support points; draws
     falling beyond it (rare for any alpha > 1 of interest) are resolved
-    exactly by bisection on the zeta tail.
+    exactly by bisection on the zeta tail.  The table is built once per
+    (alpha, xmin) and reused across calls.
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     if xmin < 1:
         raise ValueError("xmin must be at least 1")
-    table_size = 100_000
-    support = np.arange(xmin, xmin + table_size, dtype=float)
-    normalizer = zeta(alpha, float(xmin))
-    cdf = np.cumsum(support**-alpha) / normalizer
+    cdf, normalizer = _cdf_table(alpha, xmin)
     u = rng.random(size)
     draws = xmin + np.searchsorted(cdf, u, side="left")
-    for i in np.nonzero(draws == xmin + table_size)[0]:
-        draws[i] = _tail_quantile(u[i], alpha, normalizer, xmin + table_size)
+    for i in np.nonzero(draws == xmin + _TABLE_SIZE)[0]:
+        draws[i] = _tail_quantile(u[i], alpha, normalizer, xmin + _TABLE_SIZE)
     return draws.astype(np.int64)
 
 
@@ -327,7 +394,7 @@ def _gof_replicate(args) -> bool:
     try:
         refit = fit_power_law(synthetic)
     except ValueError:
-        return True  # degenerate replicate counts against the model
+        return False  # a replicate that cannot be refit counts against the model
     return refit.ks_statistic > observed_ks
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 MIN_PAIRS = 5
 MIN_PERMUTATIONS = 999
@@ -48,6 +47,12 @@ def _relations(v: np.ndarray):
     return v[None, :] < v[:, None], v[None, :] == v[:, None]
 
 
+def _midranks(lt, eq) -> np.ndarray:
+    """Marginal midranks from the relation matrices: values below, plus
+    half of the ties (self included) plus one half."""
+    return lt.sum(-1) + 0.5 * (eq.sum(-1) + 1)
+
+
 def _bivariate_ranks(xlt, xeq, ylt, yeq) -> np.ndarray:
     """Q_i: points strictly southwest of point i, with ties on a single
     coordinate worth 1/2 and double ties 1/4 (self excluded).  Works on
@@ -80,9 +85,7 @@ def hoeffding_d(sample: PairedSample) -> float:
     xlt, xeq = _relations(sample.x)
     ylt, yeq = _relations(sample.y)
     q = _bivariate_ranks(xlt, xeq, ylt, yeq)
-    r = rankdata(sample.x)
-    s = rankdata(sample.y)
-    return float(_d_from_ranks(q, r, s, n))
+    return float(_d_from_ranks(q, _midranks(xlt, xeq), _midranks(ylt, yeq), n))
 
 
 def hoeffding_test(
@@ -102,8 +105,8 @@ def hoeffding_test(
     n = len(sample)
     xlt, xeq = _relations(sample.x)
     ylt, yeq = _relations(sample.y)
-    r = rankdata(sample.x)
-    s = rankdata(sample.y)
+    r = _midranks(xlt, xeq)
+    s = _midranks(ylt, yeq)
     d_obs = _d_from_ranks(_bivariate_ranks(xlt, xeq, ylt, yeq), r, s, n)
 
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 
 @dataclass
@@ -99,5 +98,7 @@ def entropy_vs_rank_shape(profile: EntropyProfile) -> RankShapeSummary:
     if np.allclose(top, top[0]):
         correlation = 0.0
     else:
+        from scipy.stats import spearmanr
+
         correlation = float(spearmanr(np.arange(k), top).statistic)
     return RankShapeSummary(correlation=correlation, top_k=k, h_top=top.copy())

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .series import TimeSeries, WEEK_STEP_YEARS
 
@@ -284,7 +284,7 @@ def global_spectrum(
     background = field.series_variance * _red_noise_spectrum(field.lag1, field.dt, periods)
     n_avg = np.maximum(n - field.scales / field.dt, 1.0)
     dof = DOFMIN * np.sqrt(1.0 + (n_avg * field.dt / (GAMMA_DECORR * field.scales)) ** 2)
-    q = chi2.ppf(1.0 - alpha_level, dof)
+    q = 2.0 * gammaincinv(dof / 2.0, 1.0 - alpha_level)  # chi-squared quantile
     significance = background * q / dof
     return GlobalSpectrum(
         scales=field.scales.copy(),
@@ -327,7 +327,7 @@ def band_power(
     dof = DOFMIN * (n_avg * s_avg / s_mid) * np.sqrt(1.0 + (n_avg * field.dj / DJ0) ** 2)
     background = _red_noise_spectrum(field.lag1, field.dt, s * FOURIER_FACTOR)
     p_avg = s_avg * (background / s).sum()
-    q = chi2.ppf(1.0 - alpha_level, dof)
+    q = 2.0 * gammaincinv(dof / 2.0, 1.0 - alpha_level)  # chi-squared quantile
     threshold = (
         (field.dj * field.dt / (CDELTA * s_avg))
         * field.series_variance

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .concentration import sample_power_law
 from .series import (
@@ -53,6 +52,8 @@ def gen_ar1(a: float, n: int, seed: int, burn_in: int = 1000) -> TimeSeries:
         raise ValueError("a must lie in [0, 1)")
     if n < 1:
         raise ValueError("n must be positive")
+    from scipy.signal import lfilter
+
     innovations = _rng(seed).standard_normal(burn_in + n)
     x = lfilter([1.0], [1.0, -a], innovations)
     return TimeSeries(x[burn_in:], WEEK_STEP_YEARS, DEFAULT_WEEK_ORIGIN)

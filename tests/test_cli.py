@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +109,19 @@ class TestConcentrate:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "--target-pop" in err
         assert not (tmp_path / "o").exists()
+
+
+    def test_lognormal_at_its_power_law_limit_still_writes_the_fit(self, tmp_path):
+        # The lognormal MLE on this tail runs off to its power-law limit.
+        scenario = write_scenario(
+            tmp_path / "pl.json", "powerlaw_counts", 8, alpha=2.5, xmin=1, n=200
+        )
+        out = tmp_path / "out"
+        assert run("simulate", "--scenario", scenario, "--out", out) == 0
+        assert run("concentrate", "--counts", out / "counts.csv", "--boot", 100,
+                   "--out", out) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["lr_lognormal"] == {"stat": 0.0, "p": 1.0, "favored": "inconclusive"}
 
 
 class TestRhythms:
@@ -307,6 +323,28 @@ class TestFailureHandling:
         assert run("concentrate", "--counts", tmp_path / "nope.csv",
                    "--out", tmp_path / "o") == 1
         assert "error: concentration:" in capsys.readouterr().err
+
+
+def test_import_and_report_leave_scipy_stats_optimize_signal_unloaded(tmp_path):
+    (tmp_path / "fit.json").write_text(json.dumps({"gini": 0.5, "alpha": 2.5}))
+    code = (
+        "import json, sys\n"
+        "import crimepatterns.cli\n"
+        "assert crimepatterns.cli.main(['report', '--out', sys.argv[1]]) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    heavy = [m for m in loaded
+             if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"],
+                                     ["scipy", "signal"])]
+    assert heavy == []
+    assert json.loads((tmp_path / "report.json").read_text())["alpha"] == 2.5
 
 
 class TestSimulateFormats:

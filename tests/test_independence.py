@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from crimepatterns import PairedSample, hoeffding_d, hoeffding_test
+from crimepatterns.independence import _midranks, _relations
 
 
 def hoeffding_brute(x, y):
@@ -67,6 +69,12 @@ class TestHoeffdingD:
             s = PairedSample(g.uniform(size=1000), g.uniform(size=1000))
             small += abs(hoeffding_d(s)) < 0.01
         assert small >= 95
+
+    def test_midranks_match_rankdata_on_tied_data(self):
+        rng = np.random.default_rng(11)
+        for n in (5, 12, 40):
+            v = rng.integers(0, 4, size=n).astype(float)
+            assert np.array_equal(_midranks(*_relations(v)), rankdata(v))
 
     def test_sample_too_small_is_an_error(self):
         with pytest.raises(ValueError):
