@@ -354,9 +354,7 @@ def cmd_tessellate(args) -> None:
     }
     if table.rejections:
         payloads["rejects.csv"] = _artifact_text(
-            "rejects.csv",
-            [r.row for r in table.rejections],
-            [r.reason for r in table.rejections],
+            "rejects.csv", *zip(*((r.row, r.reason) for r in table.rejections))
         )
     parameters["stats"] = {
         "n_events": len(table),
@@ -468,16 +466,13 @@ def cmd_rhythms(args) -> None:
 def cmd_composed(args) -> None:
     series_set, _ = _read_region_series(args.region_series)
     composed = composed_power(series_set, band=args.band, alpha_level=args.alpha_level)
-    runs = significant_durations(composed)
+    region_ids, starts, lengths = significant_durations(composed)
     payloads = {
         "composed.csv": _artifact_text(
             "composed.csv", composed.week_starts, composed.c_b, composed.regions_valid
         ),
         "durations.csv": _artifact_text(
-            "durations.csv",
-            [r.region_id for r in runs],
-            composed.week_starts[[r.start for r in runs]],
-            [r.length for r in runs],
+            "durations.csv", region_ids, composed.week_starts[starts], lengths
         ),
     }
     parameters = {
@@ -524,14 +519,8 @@ def cmd_report(args) -> None:
             "no upstream artifacts in the output directory; missing "
             + ", ".join(missing)
         )
-    summary = {
-        "gini": None,
-        "alpha": None,
-        "mean_h": None,
-        "c_b_cv": None,
-        "median_dt": None,
-        "missing": missing,
-    }
+    summary = dict.fromkeys(("gini", "alpha", "mean_h", "c_b_cv", "median_dt"))
+    summary["missing"] = missing
     if "fit.json" in present:
         with open(present["fit.json"], encoding="utf-8") as fh:
             fit = json.load(fh)

@@ -364,7 +364,12 @@ def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generato
     u = rng.random(size)
     draws = xmin + np.searchsorted(cdf, u, side="left")
     for i in np.nonzero(draws == xmin + _TABLE_SIZE)[0]:
-        draws[i] = _tail_quantile(u[i], alpha, normalizer, xmin + _TABLE_SIZE)
+        draw = _tail_quantile(u[i], alpha, normalizer, xmin + _TABLE_SIZE)
+        if draw > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"power-law draw exceeds the int64 range; alpha {alpha} is too close to 1"
+            )
+        draws[i] = draw
     return draws.astype(np.int64)
 
 

@@ -39,16 +39,19 @@ DEFAULT_ALPHA_LEVEL = 0.05
 DEFAULT_DJ = 0.1
 DEFAULT_MAX_SCALE_YEARS = 4.0
 MAX_FILL_GAP = 2
+COMPOSED_BLOCK_ROWS = 64  # regions per batched transform; bounds its memory
+FLAT_SERIES = "series has no variance after trend removal"
 
 
 @dataclass
 class WaveletField:
     """A CWT and the facts needed to test it against red noise.
 
-    `coefficients` has shape (n_scales, n_times); `coi_scale[t]` is the
-    largest scale free of edge effects at time t (e-folding distance of
-    the wavelet's envelope).  `series_variance` and `lag1` describe the
-    analyzed series and parameterize the null spectrum.
+    `coefficients` has shape (..., n_scales, n_times), one leading index
+    per analyzed series; `coi_scale[t]` is the largest scale free of
+    edge effects at time t (e-folding distance of the wavelet's
+    envelope).  `series_variance` and `lag1` describe each analyzed
+    series and parameterize its null spectrum.
     """
 
     coefficients: np.ndarray
@@ -56,13 +59,13 @@ class WaveletField:
     coi_scale: np.ndarray
     dt: float
     dj: float
-    series_variance: float
-    lag1: float
+    series_variance: float | np.ndarray
+    lag1: float | np.ndarray
     t0: np.datetime64 | None = None
 
     @property
     def n_times(self) -> int:
-        return self.coefficients.shape[1]
+        return self.coefficients.shape[-1]
 
     @property
     def periods(self) -> np.ndarray:
@@ -94,12 +97,12 @@ class GlobalSpectrum:
 
 @dataclass
 class BandPower:
-    """Scale-averaged power over one band, against a single red-noise
-    threshold.  `significant` is already masked by COI validity."""
+    """Scale-averaged power over one band, against a red-noise threshold
+    per series.  `significant` is already masked by COI validity."""
 
     band: tuple
     power: np.ndarray
-    threshold: float
+    threshold: float | np.ndarray
     significant: np.ndarray
     coi_valid: np.ndarray
     t0: np.datetime64 | None = None
@@ -116,15 +119,6 @@ class ComposedPower:
     region_ids: np.ndarray
     masks: np.ndarray
     rejected: list = field(default_factory=list)
-
-
-@dataclass
-class DurationRun:
-    """A maximal run of consecutive significant weeks in one region."""
-
-    region_id: int
-    start: int
-    length: int
 
 
 def fill_gaps(values, max_gap: int = MAX_FILL_GAP) -> np.ndarray:
@@ -149,67 +143,58 @@ def fill_gaps(values, max_gap: int = MAX_FILL_GAP) -> np.ndarray:
     return v
 
 
+def _standardized_residuals(y: np.ndarray, window: int):
+    """Residuals from a centered moving average along the last axis of
+    `y`, scaled to unit variance, and the mask of rows that are constant
+    up to rounding after trend removal (left as zeros).  The window is
+    clipped at the series edges (shorter, asymmetric averages there),
+    which keeps the output length equal to the input length."""
+    n = y.shape[-1]
+    csum = np.concatenate([np.zeros(y.shape[:-1] + (1,)), np.cumsum(y, axis=-1)], axis=-1)
+    lo = np.maximum(np.arange(n) - window // 2, 0)
+    hi = np.minimum(np.arange(n) + window // 2, n - 1)
+    residual = y - (csum[..., hi + 1] - csum[..., lo]) / (hi - lo + 1)
+    sd = residual.std(axis=-1, keepdims=True)
+    flat = sd <= 1e-12 * (1.0 + np.abs(y).max(axis=-1, keepdims=True))
+    standardized = np.divide(residual, sd, out=np.zeros_like(residual), where=~flat)
+    return standardized, flat[..., 0]
+
+
 def detrend(series: TimeSeries, window: int = DEFAULT_TREND_WINDOW) -> TimeSeries:
     """Subtract a centered moving average and scale to unit variance.
 
-    The window is clipped at the series edges (shorter, asymmetric
-    averages there), which keeps the output length equal to the input
-    length.  Needs two years of weekly data; a series that is constant
-    up to rounding after trend removal is an error because it cannot be
+    Needs two years of weekly data; a series that is constant up to
+    rounding after trend removal is an error because it cannot be
     standardized.
     """
     y = series.values
-    n = y.size
-    if n < MIN_DETREND_LENGTH:
+    if y.size < MIN_DETREND_LENGTH:
         raise ValueError(f"detrending needs at least {MIN_DETREND_LENGTH} samples")
     if window < 3 or window % 2 == 0:
         raise ValueError("window must be an odd integer of at least 3")
     if np.isnan(y).any():
         raise ValueError("series has missing values; fill gaps first")
-    half = window // 2
-    csum = np.concatenate([[0.0], np.cumsum(y)])
-    lo = np.maximum(np.arange(n) - half, 0)
-    hi = np.minimum(np.arange(n) + half, n - 1)
-    trend = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
-    residual = y - trend
-    sd = residual.std()
-    if sd <= 1e-12 * (1.0 + np.abs(y).max()):
-        raise ValueError("series has no variance after trend removal")
-    return TimeSeries(residual / sd, series.dt, series.t0)
+    anomaly, flat = _standardized_residuals(y, window)
+    if flat:
+        raise ValueError(FLAT_SERIES)
+    return TimeSeries(anomaly, series.dt, series.t0)
 
 
-def lag1_autocorrelation(values) -> float:
-    """Sample lag-1 autocorrelation, clipped to [0, 1) for use as a red
-    noise parameter."""
+def lag1_autocorrelation(values):
+    """Sample lag-1 autocorrelation along the last axis, clipped to
+    [0, 1) for use as a red noise parameter."""
     x = np.asarray(values, dtype=float)
-    x = x - x.mean()
-    denom = (x * x).sum()
-    if denom == 0:
-        return 0.0
-    a = (x[1:] * x[:-1]).sum() / denom
-    return float(min(max(a, 0.0), 0.999999))
+    x = x - x.mean(axis=-1, keepdims=True)
+    denom = (x * x).sum(axis=-1)
+    a = (x[..., 1:] * x[..., :-1]).sum(axis=-1)
+    a = np.divide(a, denom, out=np.zeros_like(denom), where=denom != 0)
+    return np.clip(a, 0.0, 0.999999)
 
 
-def cwt(
-    series: TimeSeries,
-    s0: float | None = None,
-    dj: float = DEFAULT_DJ,
-    max_scale_years: float = DEFAULT_MAX_SCALE_YEARS,
-    required_band: tuple | None = CIRCANNUAL_BAND,
-) -> WaveletField:
-    """Continuous Morlet (omega0 = 6) wavelet transform.
-
-    Scales form the dyadic grid s0 * 2**(j*dj); the default s0 is two
-    sampling steps.  The transform is computed in the frequency domain
-    with zero padding to the next power of two, which both speeds up
-    the FFT and suppresses wraparound.  `required_band` asserts that
-    the grid brackets a band of interest before doing any work.
-    """
-    y = series.values
-    n = y.size
-    dt = series.dt
-    if np.isnan(y).any():
-        raise ValueError("series has missing values; fill gaps first")
+def _scale_grid(dt, s0, dj, max_scale_years, required_band) -> np.ndarray:
+    """The dyadic scale grid s0 * 2**(j*dj) up to `max_scale_years`; the
+    default s0 is two sampling steps.  `required_band` asserts that the
+    grid brackets a band of interest."""
     if s0 is None:
         s0 = 2.0 * dt
     if not (s0 > 0 and dj > 0):
@@ -224,15 +209,21 @@ def cwt(
                 f"scale grid [{scales[0]:.3f}, {scales[-1]:.3f}] does not cover "
                 f"the band {required_band}"
             )
+    return scales
 
-    variance = float(y.var())
-    lag1 = lag1_autocorrelation(y)
-    x = y - y.mean()
+
+def _wavelet_field(y, scales, dt=WEEK_STEP_YEARS, dj=DEFAULT_DJ, t0=None) -> WaveletField:
+    """Morlet (omega0 = 6) transform of each series along the last axis
+    of `y`, at `scales`.  The transform is computed in the frequency
+    domain with zero padding to the next power of two, which both speeds
+    up the FFT and suppresses wraparound."""
+    n = y.shape[-1]
+    x = y - y.mean(axis=-1, keepdims=True)
     nfft = 1 << int(n - 1).bit_length()
     if nfft == n:
         nfft *= 2  # always pad, even when n is a power of two
     omega = 2.0 * np.pi * np.fft.fftfreq(nfft, d=dt)
-    spectrum = np.fft.fft(x, nfft)
+    spectrum = np.fft.fft(x, nfft, axis=-1)
     # Frequency-domain daughters with unit-energy normalization.
     arg = scales[:, None] * omega[None, :]
     daughters = (
@@ -241,23 +232,37 @@ def cwt(
         * np.exp(-0.5 * (arg - MORLET_OMEGA0) ** 2)
         * (omega[None, :] > 0)
     )
-    coefficients = np.fft.ifft(spectrum[None, :] * daughters, axis=1)[:, :n]
+    coefficients = np.fft.ifft(spectrum[..., None, :] * daughters, axis=-1)[..., :n]
 
     steps_from_edge = np.minimum(np.arange(n), np.arange(n)[::-1])
-    coi_scale = dt * steps_from_edge / np.sqrt(2.0)
     return WaveletField(
         coefficients=coefficients,
         scales=scales,
-        coi_scale=coi_scale,
+        coi_scale=dt * steps_from_edge / np.sqrt(2.0),
         dt=dt,
         dj=dj,
-        series_variance=variance,
-        lag1=lag1,
-        t0=series.t0,
+        series_variance=y.var(axis=-1),
+        lag1=lag1_autocorrelation(y),
+        t0=t0,
     )
 
 
-def _red_noise_spectrum(lag1: float, dt: float, periods: np.ndarray) -> np.ndarray:
+def cwt(
+    series: TimeSeries,
+    s0: float | None = None,
+    dj: float = DEFAULT_DJ,
+    max_scale_years: float = DEFAULT_MAX_SCALE_YEARS,
+    required_band: tuple | None = CIRCANNUAL_BAND,
+) -> WaveletField:
+    """Continuous Morlet (omega0 = 6) wavelet transform on the dyadic
+    scale grid, which is checked before any work is done."""
+    if np.isnan(series.values).any():
+        raise ValueError("series has missing values; fill gaps first")
+    scales = _scale_grid(series.dt, s0, dj, max_scale_years, required_band)
+    return _wavelet_field(series.values, scales, series.dt, dj, series.t0)
+
+
+def _red_noise_spectrum(lag1: float | np.ndarray, dt: float, periods: np.ndarray) -> np.ndarray:
     """Normalized AR(1) spectrum at the Fourier periods of the scales."""
     freq = dt / periods  # cycles per sampling step
     return (1.0 - lag1**2) / (
@@ -279,7 +284,7 @@ def global_spectrum(
     if not 0 < alpha_level < 1:
         raise ValueError("alpha_level must be inside (0, 1)")
     n = field.n_times
-    power = field.power().mean(axis=1)
+    power = field.power().mean(axis=-1)
     periods = field.periods
     background = field.series_variance * _red_noise_spectrum(field.lag1, field.dt, periods)
     n_avg = np.maximum(n - field.scales / field.dt, 1.0)
@@ -295,12 +300,26 @@ def global_spectrum(
     )
 
 
+def _band_scales(scales: np.ndarray, band: tuple, alpha_level: float) -> np.ndarray:
+    """Check `band` and `alpha_level`; the mask of `scales` in the band."""
+    if not 0 < alpha_level < 1:
+        raise ValueError("alpha_level must be inside (0, 1)")
+    lo, hi = band
+    if not 0 < lo < hi:
+        raise ValueError("band must satisfy 0 < low < high")
+    selected = (scales >= lo) & (scales <= hi)
+    if not selected.any():
+        raise ValueError(f"band {band} does not intersect the scale grid")
+    return selected
+
+
 def band_power(
     field: WaveletField,
     band: tuple = CIRCANNUAL_BAND,
     alpha_level: float = DEFAULT_ALPHA_LEVEL,
 ) -> BandPower:
-    """Scale-averaged power over `band` and its red-noise threshold.
+    """Scale-averaged power over `band` and its red-noise threshold,
+    per series of `field`.
 
     The average is the scale-weighted sum (dj * dt / Cdelta) * sum of
     power / scale, tested as a chi-squared variable whose degrees of
@@ -309,24 +328,18 @@ def band_power(
     scale in the band are reported in `coi_valid` and masked out of
     `significant`.
     """
-    if not 0 < alpha_level < 1:
-        raise ValueError("alpha_level must be inside (0, 1)")
-    lo, hi = band
-    if not 0 < lo < hi:
-        raise ValueError("band must satisfy 0 < low < high")
-    selected = (field.scales >= lo) & (field.scales <= hi)
-    if not selected.any():
-        raise ValueError(f"band {band} does not intersect the scale grid")
+    selected = _band_scales(field.scales, band, alpha_level)
     s = field.scales[selected]
-    power = field.power()[selected]
-    averaged = (field.dj * field.dt / CDELTA) * (power / s[:, None]).sum(axis=0)
+    power = field.power()[..., selected, :]
+    averaged = (field.dj * field.dt / CDELTA) * (power / s[:, None]).sum(axis=-2)
 
     n_avg = int(selected.sum())
     s_avg = 1.0 / (1.0 / s).sum()
     s_mid = float(np.exp(0.5 * (np.log(s[0]) + np.log(s[-1]))))
     dof = DOFMIN * (n_avg * s_avg / s_mid) * np.sqrt(1.0 + (n_avg * field.dj / DJ0) ** 2)
-    background = _red_noise_spectrum(field.lag1, field.dt, s * FOURIER_FACTOR)
-    p_avg = s_avg * (background / s).sum()
+    lag1 = np.asarray(field.lag1)[..., None]  # one row of scales per series
+    background = _red_noise_spectrum(lag1, field.dt, s * FOURIER_FACTOR)
+    p_avg = s_avg * (background / s).sum(axis=-1)
     q = 2.0 * gammaincinv(dof / 2.0, 1.0 - alpha_level)  # chi-squared quantile
     threshold = (
         (field.dj * field.dt / (CDELTA * s_avg))
@@ -336,11 +349,11 @@ def band_power(
         / dof
     )
     coi_valid = field.coi_scale >= s[-1]
-    significant = (averaged > threshold) & coi_valid
+    significant = (averaged > threshold[..., None]) & coi_valid
     return BandPower(
-        band=(float(lo), float(hi)),
+        band=(float(band[0]), float(band[1])),
         power=averaged,
-        threshold=float(threshold),
+        threshold=threshold,
         significant=significant,
         coi_valid=coi_valid,
         t0=field.t0,
@@ -372,65 +385,63 @@ def composed_power(
     series_set,
     band: tuple = CIRCANNUAL_BAND,
     alpha_level: float = DEFAULT_ALPHA_LEVEL,
-    trend_window: int = DEFAULT_TREND_WINDOW,
-    max_gap: int = MAX_FILL_GAP,
 ) -> ComposedPower:
     """Week-by-week count of regions with significant band power.
 
-    Every region series is gap-filled, detrended and transformed
-    independently; c_b[t] is the number of regions significant at week
-    t, and regions_valid[t] how many of them had a COI-valid band
-    there.  Regions whose series cannot be analyzed (too gappy, or flat
-    after detrending) are skipped and listed in `rejected`; fewer than
-    two analyzable regions is an error.
+    Each region is tested as `fill_gaps`, `detrend`, `cwt` and
+    `band_power` test one series, but transformed at the band's scales
+    only, COMPOSED_BLOCK_ROWS regions at a time.  c_b[t] is the number of
+    regions significant at week t, regions_valid[t] how many had a
+    COI-valid band there.  A bad band or alpha level fails before any
+    region is read; regions that are too gappy or flat after detrending
+    are listed in `rejected`; fewer than two analyzable regions is an
+    error.
     """
     n_regions, n_weeks = series_set.counts.shape
     if n_weeks < MIN_DETREND_LENGTH:
         raise ValueError(f"composed power needs at least {MIN_DETREND_LENGTH} weeks")
-    masks, valids, kept = [], [], []
-    rejected: list[tuple[int, str]] = []
+    scales = _scale_grid(WEEK_STEP_YEARS, None, DEFAULT_DJ, DEFAULT_MAX_SCALE_YEARS, band)
+    scales = scales[_band_scales(scales, band, alpha_level)]
+    values = series_set.counts.astype(float)
+    reasons: dict[int, str] = {}
     for i in range(n_regions):
-        region_id = int(series_set.region_ids[i])
         try:
-            values = fill_gaps(series_set.counts[i].astype(float), max_gap)
-            anomaly = detrend(
-                TimeSeries(values, WEEK_STEP_YEARS, series_set.week_starts[0]),
-                window=trend_window,
-            )
-            bp = band_power(cwt(anomaly, required_band=band), band, alpha_level)
+            values[i] = fill_gaps(values[i])
         except ValueError as exc:
-            rejected.append((region_id, str(exc)))
-            continue
-        masks.append(bp.significant)
-        valids.append(bp.coi_valid)
-        kept.append(region_id)
-    if len(kept) < 2:
+            reasons[i] = str(exc)
+    filled = np.setdiff1d(np.arange(n_regions), np.fromiter(reasons, dtype=np.intp))
+    anomalies, flat = _standardized_residuals(values[filled], DEFAULT_TREND_WINDOW)
+    reasons.update(dict.fromkeys(filled[flat].tolist(), FLAT_SERIES))
+    kept, anomalies = filled[~flat], anomalies[~flat]
+    if kept.size < 2:
         raise ValueError("fewer than two regions could be analyzed")
-    mask_matrix = np.array(masks)
+    masks = []
+    for a in range(0, kept.size, COMPOSED_BLOCK_ROWS):
+        block = anomalies[a:a + COMPOSED_BLOCK_ROWS]
+        bp = band_power(_wavelet_field(block, scales), band, alpha_level)
+        masks.append(bp.significant)
+    masks = np.concatenate(masks)
     return ComposedPower(
-        c_b=mask_matrix.sum(axis=0).astype(np.int64),
-        regions_valid=np.array(valids).sum(axis=0).astype(np.int64),
+        c_b=masks.sum(axis=0).astype(np.int64),
+        regions_valid=kept.size * bp.coi_valid.astype(np.int64),
         week_starts=series_set.week_starts.copy(),
         band=(float(band[0]), float(band[1])),
-        region_ids=np.array(kept, dtype=np.int64),
-        masks=mask_matrix,
-        rejected=rejected,
+        region_ids=series_set.region_ids[kept],
+        masks=masks,
+        rejected=[(int(series_set.region_ids[i]), reasons[i]) for i in sorted(reasons)],
     )
 
 
-def significant_durations(composed: ComposedPower) -> list[DurationRun]:
+def significant_durations(composed: ComposedPower):
     """Maximal runs of consecutive significant weeks, per region.
 
-    COI-invalid weeks are never significant, so runs terminate at the
-    cone boundary by construction.  Runs come out sorted by region and
-    start week.
+    Returns (region ids, start week indices, lengths) as arrays, one
+    entry per run, sorted by region and start week.  COI-invalid weeks
+    are never significant, so runs terminate at the cone boundary by
+    construction.
     """
-    runs: list[DurationRun] = []
-    for row, region_id in zip(composed.masks, composed.region_ids):
-        flags = np.concatenate([[0], row.astype(np.int8), [0]])
-        edges = np.diff(flags)
-        starts = np.nonzero(edges == 1)[0]
-        ends = np.nonzero(edges == -1)[0]
-        for a, b in zip(starts, ends):
-            runs.append(DurationRun(int(region_id), int(a), int(b - a)))
-    return runs
+    masks = np.asarray(composed.masks, dtype=np.int8)
+    edges = np.diff(np.pad(masks, ((0, 0), (1, 1))), axis=-1)
+    rows, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1]
+    return composed.region_ids[rows], starts, ends - starts

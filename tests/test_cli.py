@@ -280,6 +280,35 @@ class TestTessellateCommand:
 
 
 class TestFailureHandling:
+    @pytest.mark.parametrize(
+        "flags, cause",
+        [
+            (("--band", "5:6"), "scale grid [0.038, 4.286] does not cover the band (5.0, 6.0)"),
+            (("--band", "1.1:0.8"), "band must satisfy 0 < low < high"),
+            (("--alpha-level", "1.5"), "alpha_level must be inside (0, 1)"),
+        ],
+    )
+    def test_bad_composed_band_or_alpha_names_the_cause(self, tmp_path, capsys, flags, cause):
+        scenario = write_scenario(
+            tmp_path / "w.json", "traveling_wave_city", 3,
+            n_regions=4, n_weeks=156, window_weeks=52,
+        )
+        assert run("simulate", "--scenario", scenario, "--out", tmp_path) == 0
+        assert run("composed", "--region-series", tmp_path / "region_series.csv",
+                   *flags, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"error: rhythms: {cause}" in err
+        assert "fewer than two" not in err
+
+    def test_power_law_draw_past_int64_is_a_structured_error(self, tmp_path, capsys):
+        scenario = write_scenario(
+            tmp_path / "pl.json", "powerlaw_counts", 0, alpha=1.125, xmin=1, n=27
+        )
+        assert run("simulate", "--scenario", scenario, "--out", tmp_path / "out") == 1
+        assert "error: synth: power-law draw exceeds the int64 range" in (
+            capsys.readouterr().err
+        )
+
     def test_unknown_subcommand_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run("frobnicate", "--out", "x")

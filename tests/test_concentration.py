@@ -188,6 +188,24 @@ class TestFitPowerLaw:
         assert all(a > b for a, b in zip(ginis, ginis[1:]))
 
 
+class TestSamplePowerLaw:
+    def test_draws_past_the_table_solve_the_tail_quantile(self):
+        alpha, xmin = 1.3, 1
+        u = np.random.default_rng(1).random(3000)
+        draws = sample_power_law(alpha, xmin, 3000, np.random.default_rng(1))
+        tail = draws > xmin + 100_000
+        assert draws.dtype == np.int64 and tail.sum() > 10
+        norm = zeta(alpha, float(xmin))
+        for x, ui in zip(draws[tail], u[tail]):
+            survival_at = zeta(alpha, float(x)) / norm  # P(X >= x)
+            survival_after = zeta(alpha, float(x + 1)) / norm  # P(X > x)
+            assert survival_after <= 1.0 - ui < survival_at
+
+    def test_draw_past_the_int64_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="exceeds the int64 range"):
+            gen_powerlaw_counts(1.125, 1, 27, 0)
+
+
 class TestLikelihoodRatio:
     def test_power_law_data_favors_power_law(self):
         x = gen_powerlaw_counts(2.5, 1, 10_000, 21)

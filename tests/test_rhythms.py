@@ -21,7 +21,7 @@ from crimepatterns import (
     significant_durations,
     week_starts_from,
 )
-from crimepatterns.rhythms import CDELTA, ComposedPower
+from crimepatterns.rhythms import CDELTA, COMPOSED_BLOCK_ROWS, ComposedPower
 
 DT = 1.0 / 52
 
@@ -391,6 +391,60 @@ class TestComposedPower:
             composed_power(city)
 
 
+def per_region_composed(city, band, alpha_level):
+    """Composed power the long way: every region through the single-series
+    pipeline on its own full scale grid."""
+    masks, valids, kept, rejected = [], [], [], []
+    for region_id, row in zip(city.region_ids, city.counts):
+        try:
+            anomaly = detrend(TimeSeries(fill_gaps(row.astype(float)), DT))
+            bp = band_power(cwt(anomaly, required_band=band), band, alpha_level)
+        except ValueError as exc:
+            rejected.append((int(region_id), str(exc)))
+            continue
+        masks.append(bp.significant)
+        valids.append(bp.coi_valid)
+        kept.append(region_id)
+    masks = np.array(masks)
+    return masks, masks.sum(axis=0), np.array(valids).sum(axis=0), np.array(kept), rejected
+
+
+class TestComposedPowerOracle:
+    @pytest.mark.parametrize("band, alpha_level", [((0.8, 1.1), 0.05), ((0.5, 2.0), 0.1)])
+    def test_matches_the_per_region_pipeline(self, band, alpha_level):
+        n_regions = COMPOSED_BLOCK_ROWS + 7  # two blocks, the last one partial
+        city = gen_traveling_wave_city(
+            n_regions, 364, 104, amplitude=3.0, noise_sd=1.0, seed=17
+        )
+        counts = city.counts.astype(float)
+        counts[4, 150:152] = np.nan  # filled
+        counts[9, 200:203] = np.nan  # rejected: too long a gap
+        counts[20] = 6.0  # rejected: flat
+        city = RegionSeriesSet(city.week_starts, counts, city.region_ids)
+        masks, c_b, valid, kept, rejected = per_region_composed(city, band, alpha_level)
+        cp = composed_power(city, band=band, alpha_level=alpha_level)
+        assert np.array_equal(cp.masks, masks)
+        assert np.array_equal(cp.c_b, c_b)
+        assert np.array_equal(cp.regions_valid, valid)
+        assert np.array_equal(cp.region_ids, kept)
+        assert cp.rejected == rejected
+        assert [rid for rid, _ in rejected] == [9, 20]
+        assert masks.any() and 4 in kept
+
+    @pytest.mark.parametrize(
+        "band, alpha_level, message",
+        [
+            ((5.0, 6.0), 0.05, "does not cover"),
+            ((1.1, 0.8), 0.05, "0 < low < high"),
+            ((0.8, 1.1), 1.5, "alpha_level"),
+        ],
+    )
+    def test_bad_band_or_alpha_names_the_cause(self, band, alpha_level, message):
+        city = gen_traveling_wave_city(4, 156, 52, seed=3)
+        with pytest.raises(ValueError, match=message):
+            composed_power(city, band=band, alpha_level=alpha_level)
+
+
 def make_composed(mask_rows, region_ids):
     masks = np.asarray(mask_rows, dtype=bool)
     n = masks.shape[1]
@@ -405,34 +459,37 @@ def make_composed(mask_rows, region_ids):
     )
 
 
+def assert_runs(runs, region_ids, starts, lengths):
+    for got, want in zip(runs, (region_ids, starts, lengths)):
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, want)
+
+
 class TestSignificantDurations:
     def test_split_run_yields_two_lengths(self):
         runs = significant_durations(make_composed([[1, 1, 0, 1, 1]], [7]))
-        assert [(r.region_id, r.start, r.length) for r in runs] == [(7, 0, 2), (7, 3, 2)]
+        assert_runs(runs, [7, 7], [0, 3], [2, 2])
 
     def test_unbroken_run_spans_the_series(self):
         runs = significant_durations(make_composed([[1] * 6], [3]))
-        assert [(r.region_id, r.start, r.length) for r in runs] == [(3, 0, 6)]
+        assert_runs(runs, [3], [0], [6])
 
     def test_no_significance_no_runs(self):
-        assert significant_durations(make_composed([[0] * 5], [0])) == []
+        runs = significant_durations(make_composed([[0] * 5], [0]))
+        assert_runs(runs, [], [], [])
 
     def test_regions_come_out_in_order(self):
         runs = significant_durations(
             make_composed([[0, 1, 1, 0, 0], [1, 0, 0, 0, 1]], [3, 9])
         )
-        assert [(r.region_id, r.start, r.length) for r in runs] == [
-            (3, 1, 2),
-            (9, 0, 1),
-            (9, 4, 1),
-        ]
+        assert_runs(runs, [3, 9, 9], [1, 0, 4], [2, 1, 1])
 
     def test_run_lengths_account_for_every_significant_week(self):
         city = gen_traveling_wave_city(
             40, 520, 156, amplitude=5.0, noise_sd=1.0, seed=2024
         )
         cp = composed_power(city)
-        runs = significant_durations(cp)
-        assert sum(r.length for r in runs) == int(cp.masks.sum())
-        assert all(r.length >= 1 for r in runs)
-        assert np.median([r.length for r in runs]) <= 0.5 * 520
+        _, _, lengths = significant_durations(cp)
+        assert lengths.sum() == int(cp.masks.sum())
+        assert (lengths >= 1).all()
+        assert np.median(lengths) <= 0.5 * 520
