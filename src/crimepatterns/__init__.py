@@ -19,13 +19,10 @@ from .concentration import sample_power_law
 from .independence import PairedSample, hoeffding_d, hoeffding_test
 from .ingest import (
     EventTable,
-    PopulationCell,
     RowRejection,
-    dedupe_events,
     filter_events,
     parse_events,
     parse_population,
-    write_events,
 )
 from .rankdyn import (
     EntropyProfile,
@@ -94,7 +91,6 @@ __all__ = [
     "LikelihoodRatioResult",
     "LorenzCurve",
     "PairedSample",
-    "PopulationCell",
     "PowerLawFit",
     "RankMatrix",
     "RankShapeSummary",
@@ -113,7 +109,6 @@ __all__ = [
     "build_tessellation",
     "composed_power",
     "cwt",
-    "dedupe_events",
     "detrend",
     "entropy_vs_rank_shape",
     "fill_gaps",
@@ -141,5 +136,4 @@ __all__ = [
     "significant_durations",
     "week_starts_from",
     "weekly_ranks",
-    "write_events",
 ]

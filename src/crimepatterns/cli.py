@@ -29,7 +29,7 @@ import scipy
 from . import __version__
 from .concentration import fit_power_law, gof_bootstrap, likelihood_ratio, lorenz
 from .independence import PairedSample, hoeffding_d, hoeffding_test
-from .ingest import filter_events, parse_events, parse_population
+from .ingest import filter_events, parse_events, parse_population, read_csv
 from .rankdyn import position_entropy, weekly_ranks
 from .rhythms import (
     CIRCANNUAL_BAND,
@@ -173,15 +173,8 @@ ARTIFACTS = {
 # Artifacts that are complete with a header and no data rows.
 _HEADER_ONLY_OK = frozenset({"durations.csv"})
 
-# Column kind -> (parser of one cell's text, array dtype).  An empty float
-# cell is a gap (NaN).
-_KINDS = {
-    "int": (int, np.int64),
-    "float": (lambda text: np.nan if text == "" else float(text), float),
-    "bool": ({"true": True, "false": False}.__getitem__, bool),
-    "date": (str, "datetime64[D]"),
-    "str": (str, object),
-}
+# Column kind -> the dtype its values are written from.
+_DTYPES = {"int": np.int64, "float": float, "bool": bool, "date": "datetime64[D]", "str": object}
 
 
 def _format(values) -> list[str]:
@@ -198,14 +191,6 @@ def _format(values) -> list[str]:
     return [str(v) for v in a.tolist()]
 
 
-def _parse(path, column: str, texts, kind: str) -> np.ndarray:
-    parse, dtype = _KINDS[kind]
-    try:
-        return np.array([parse(t) for t in texts], dtype=dtype)
-    except (ValueError, KeyError, OverflowError):
-        raise ValueError(f"{path}: malformed {column} column") from None
-
-
 def _csv_text(header, columns) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -218,32 +203,23 @@ def _artifact_text(name: str, *columns) -> str:
     """Text of a CSV artifact from its columns, in table order."""
     spec = ARTIFACTS[name]
     typed = [
-        np.asarray(values, dtype=_KINDS[kind][1])
+        np.asarray(values, dtype=_DTYPES[kind])
         for values, (_, kind) in zip(columns, spec, strict=True)
     ]
     return _csv_text([column for column, _ in spec], typed)
 
 
-def _read_csv(path, header_only_ok: bool = False) -> tuple[list[str], list[list[str]]]:
-    """Header and per-column cell texts; a file without data rows (unless
-    `header_only_ok`) or with rows of unequal length is an error."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < (1 if header_only_ok else 2):
-        raise ValueError(f"{path}: no data rows")
-    header, body = rows[0], rows[1:]
-    if any(len(r) != len(header) for r in body):
-        raise ValueError(f"{path}: ragged rows")
-    return header, [[r[i] for r in body] for i in range(len(header))]
-
-
 def _read_artifact(path, name: str) -> list[np.ndarray]:
     """Typed columns of a CSV artifact, in table order."""
     spec = ARTIFACTS[name]
-    header, columns = _read_csv(path, name in _HEADER_ONLY_OK)
-    if header != [column for column, _ in spec]:
-        raise ValueError(f"{path}: expected columns {','.join(c for c, _ in spec)}")
-    return [_parse(path, column, texts, kind) for texts, (column, kind) in zip(columns, spec)]
+
+    def groups(header):
+        if header != [column for column, _ in spec]:
+            raise ValueError(f"{path}: expected columns {','.join(c for c, _ in spec)}")
+        return [(kind, [i]) for i, (_, kind) in enumerate(spec)]
+
+    _, columns = read_csv(path, groups, name in _HEADER_ONLY_OK)
+    return [values for (values,) in columns]
 
 
 def _week_grid(path, weeks: np.ndarray) -> np.ndarray:
@@ -263,29 +239,34 @@ def _region_series_csv(series_set: RegionSeriesSet) -> str:
 
 def _read_region_series(path) -> tuple[RegionSeriesSet, np.ndarray]:
     """Wide weekly table -> (region set, city column)."""
-    header, columns = _read_csv(path)
-    if (
-        len(header) < 3
-        or header[0] != "week_start"
-        or header[-1] != "city"
-        or not all(c.startswith("region_") for c in header[1:-1])
-    ):
-        raise ValueError(f"{path}: expected week_start,region_<id>...,city columns")
+
+    def groups(header):
+        if (
+            len(header) < 3
+            or header[0] != "week_start"
+            or header[-1] != "city"
+            or not all(c.startswith("region_") for c in header[1:-1])
+        ):
+            raise ValueError(f"{path}: expected week_start,region_<id>...,city columns")
+        return [("date", [0]), ("float", range(1, len(header)))]
+
+    header, ((weeks,), values) = read_csv(path, groups)
     try:
         region_ids = np.array([int(c[len("region_"):]) for c in header[1:-1]])
     except ValueError:
         raise ValueError(f"{path}: malformed region column name") from None
-    weeks = _week_grid(path, _parse(path, header[0], columns[0], "date"))
-    cells = [_parse(path, c, texts, "float") for c, texts in zip(header[1:], columns[1:])]
-    return RegionSeriesSet(weeks, np.array(cells[:-1]), region_ids), cells[-1]
+    return RegionSeriesSet(_week_grid(path, weeks), values[:-1], region_ids), values[-1]
 
 
 def _read_pairs(path) -> PairedSample:
     """The x and y columns of a CSV that may carry other columns too."""
-    header, columns = _read_csv(path)
-    if "x" not in header or "y" not in header:
-        raise ValueError(f"{path}: expected a header with x and y columns")
-    x, y = (_parse(path, c, columns[header.index(c)], "float") for c in ("x", "y"))
+
+    def groups(header):
+        if "x" not in header or "y" not in header:
+            raise ValueError(f"{path}: expected a header with x and y columns")
+        return [("float", [header.index("x"), header.index("y")])]
+
+    _, ((x, y),) = read_csv(path, groups)
     return PairedSample(x, y)
 
 
@@ -297,6 +278,20 @@ def _band_arg(text: str) -> tuple:
             f"band must look like 0.8:1.1, got {text!r}"
         ) from None
     return (lo, hi)
+
+
+def _alpha(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be inside (0, 1), got {text!r}")
+    return value
+
+
+def _workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +306,7 @@ def _tessellate_events(args):
     table = parse_events(args.events)
     if args.category is not None:
         table = filter_events(table, category=args.category)
-    cells = parse_population(args.population)
-    tess = build_tessellation(cells, args.target_pop)
+    tess = build_tessellation(parse_population(args.population), args.target_pop)
     inputs = {"events": args.events, "population": args.population}
     parameters = {"target_pop": args.target_pop, "category": args.category}
     return table, tess, inputs, parameters
@@ -575,10 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", default=None)
     p.add_argument("--target-pop", type=float, default=None, dest="target_pop")
     p.add_argument("--category", default=None)
-    p.add_argument("--alpha-level", type=float, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
+    p.add_argument("--alpha-level", type=_alpha, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
     p.add_argument("--boot", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
 
     p = add("ranks", cmd_ranks, "rankdyn", "weekly rank-position entropy per region")
     p.add_argument("--region-series", required=True, dest="region_series")
@@ -588,20 +582,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region-series", default=None, dest="region_series",
                    help="wide weekly table; the city column is analyzed")
     p.add_argument("--band", type=_band_arg, default=CIRCANNUAL_BAND)
-    p.add_argument("--alpha-level", type=float, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
+    p.add_argument("--alpha-level", type=_alpha, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
 
     p = add("composed", cmd_composed, "rhythms",
             "per-week count of regions with a significant band")
     p.add_argument("--region-series", required=True, dest="region_series")
     p.add_argument("--band", type=_band_arg, default=CIRCANNUAL_BAND)
-    p.add_argument("--alpha-level", type=float, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
+    p.add_argument("--alpha-level", type=_alpha, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
 
     p = add("independence", cmd_independence, "independence",
             "Hoeffding D permutation test on x,y pairs")
     p.add_argument("--pairs", required=True, help="CSV with x and y columns")
     p.add_argument("--perm", type=int, default=999)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha-level", type=float, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
+    p.add_argument("--alpha-level", type=_alpha, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
 
     p = add("simulate", cmd_simulate, "synth", "run a seeded synthetic scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON")
@@ -619,7 +613,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, csv.Error) as exc:
         print(f"error: {args.module}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,10 +1,11 @@
-"""Parsing, validation and canonical serialization of input tables.
+"""Reading of CSV files, and validation of the input tables.
 
-Two kinds of input exist: point events (timestamp, lon, lat, category)
-and population cells (lon, lat, population).  Parsing is forgiving row
-by row but strict in aggregate: individual bad rows are set aside with
-a reason, and the whole file is rejected when more than half of its
-rows are unusable.
+Every CSV file is read by one reader: a csv.reader pass in blocks of
+READ_BLOCK_ROWS rows, whose cells are cast column by column (`cast`)
+before the next block is read.  Point events (timestamp, lon, lat,
+category) are checked row by row: a bad row is set aside with a reason,
+and a file whose rows are mostly malformed is rejected.  Population cells
+(lon, lat, population) must all be valid.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain, islice, zip_longest
 
 import numpy as np
 
@@ -26,6 +28,13 @@ DEFAULT_EVENT_SCHEMA = {
 
 MAX_REJECT_FRACTION = 0.5
 
+# Data rows per block; it bounds how many rows are held as Python strings.
+READ_BLOCK_ROWS = 16384
+
+# Why parse_events sets a row aside, in the order the reasons are checked.
+REJECTION_REASONS = ("bad timestamp", "bad coordinate", "coordinate out of range",
+                     "empty category", "outside time window")
+
 
 @dataclass
 class RowRejection:
@@ -33,13 +42,6 @@ class RowRejection:
 
     row: int
     reason: str
-
-
-@dataclass
-class PopulationCell:
-    lon: float
-    lat: float
-    population: float
 
 
 @dataclass
@@ -81,7 +83,8 @@ class EventTable:
 
 
 def parse_timestamp(text: str) -> np.datetime64 | None:
-    """ISO-8601 to UTC datetime64[s]; None when unparseable.
+    """ISO-8601 to UTC datetime64[s]; None when unparseable or when the
+    time in UTC falls outside years 1-9999.
 
     Accepts a trailing 'Z' and explicit offsets.  Sub-second digits are
     truncated to whole seconds.
@@ -93,27 +96,164 @@ def parse_timestamp(text: str) -> np.datetime64 | None:
         t = t[:-1] + "+00:00"
     try:
         dt = datetime.fromisoformat(t)
-    except ValueError:
+        if dt.tzinfo is not None:
+            dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    except (ValueError, OverflowError):
         return None
-    if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
     return np.datetime64(dt.replace(microsecond=0), "s")
 
 
-def _parse_float(text: str) -> float | None:
+# ---------------------------------------------------------------------------
+# the reader and the column caster
+
+
+def _blocks(path, ragged_ok: bool = False):
+    """Yield a CSV file's header, then its data rows in blocks of at most
+    READ_BLOCK_ROWS rows, each a list of column tuples.  Blank lines are
+    skipped.  A NUL character is an error (numpy strings cannot hold a
+    trailing one), and so are ragged rows, unless `ragged_ok`: then short
+    rows are padded with empty cells and cells past the header dropped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        yield header
+        while chunk := list(islice(rows, READ_BLOCK_ROWS)):
+            block = list(filter(None, chunk))
+            if "\x00" in "".join(chain.from_iterable(block)):
+                raise ValueError(f"{path}: NUL character in a cell")
+            if set(map(len, block)) - {len(header)} and not ragged_ok:
+                raise ValueError(f"{path}: ragged rows")
+            columns = list(zip_longest(*block, fillvalue=""))[: len(header)]
+            if block:
+                yield columns + [("",) * len(block)] * (len(header) - len(columns))
+
+
+def _convert(columns, dtype, fill) -> tuple[np.ndarray, np.ndarray]:
+    """np.array(columns, dtype) for equal-length columns of cell text, with
+    `fill` where a cell does not convert, and the mask of those cells.
+    Only a part holding such a cell is split, in halves, down to that cell."""
     try:
-        v = float(text)
-    except (TypeError, ValueError):
-        return None
-    return v if np.isfinite(v) else None
+        values = np.array(columns, dtype=dtype)
+        return values, np.zeros(values.shape, dtype=bool)
+    except (ValueError, OverflowError):
+        if len(columns) == len(columns[0]) == 1:
+            return np.full((1, 1), fill, dtype=dtype), np.ones((1, 1), dtype=bool)
+    axis = 0 if len(columns) > 1 else 1
+    h = len(columns) // 2 or len(columns[0]) // 2
+    halves = (columns[:h], columns[h:]) if axis == 0 else ([columns[0][:h]], [columns[0][h:]])
+    parts = [_convert(half, dtype, fill) for half in halves]
+    return tuple(np.concatenate(p, axis=axis) for p in zip(*parts))
 
 
-def parse_events(
-    path,
-    schema: dict | None = None,
-    delimiter: str = ",",
-    window: tuple | None = None,
-) -> EventTable:
+def _timestamps(cells) -> np.ndarray:
+    """parse_timestamp of each cell as datetime64[s], NaT where it gives None.
+
+    Cells shaped YYYY-MM-DDTHH:MM:SS[.f][Z|±HH:MM], with one to six
+    fraction digits, convert as one vector: numpy reads the first 19
+    characters, which must print back unchanged with a year from 2 to 9998
+    (so 2014-02-30 and hour 24 do not pass).  Every other cell goes
+    through parse_timestamp.
+    """
+    text = np.array(cells, dtype=str)
+    n, width = text.size, text.dtype.itemsize // 4
+    c = np.zeros((n, max(width, 26)), dtype=np.int32)  # code points
+    c[:, :width] = text.view(np.uint32).reshape(n, width)
+    rows, length = np.arange(n), np.char.str_len(text)
+    o = length - 6  # where a ±HH:MM offset would start
+    zone = c[rows[:, None], o[:, None] + [1, 2, 4, 5]] - ord("0")
+    minutes = zone @ [600, 60, 10, 1]  # Python takes any offset under 24 h
+    offset = ((length >= 25) & np.isin(c[rows, o], [ord("+"), ord("-")]) & (minutes < 1440)
+              & (c[rows, o + 3] == ord(":")) & ((zone >= 0) & (zone <= 9)).all(axis=1))
+    end = length - np.where(offset, 6, np.isin(c[rows, length - 1], [ord("Z"), ord("z")]))
+    fraction = ((c[:, 20:26] >= ord("0")) & (c[:, 20:26] <= ord("9"))
+                | (np.arange(20, 26) >= end[:, None])).all(axis=1)
+    shaped = (end == 19) | ((c[:, 19] == ord(".")) & (end >= 21) & (end <= 26) & fraction)
+    idx = np.flatnonzero(shaped)
+    head = text[idx].astype("U19")
+    (stamp,), _ = _convert([head], "datetime64[s]", "NaT")
+    good = ((np.datetime_as_string(stamp) == head) & (stamp >= np.datetime64("0002"))
+            & (stamp < np.datetime64("9999")))
+    keep = idx[good]
+    shift = np.where(c[keep, o[keep]] == ord("-"), -60, 60) * offset[keep] * minutes[keep]
+    out = np.full(n, np.datetime64("NaT"), dtype="datetime64[s]")
+    out[keep] = stamp[good] - shift.astype("timedelta64[s]")
+    rest = np.setdiff1d(rows, keep, assume_unique=True)
+    out[rest] = np.array([parse_timestamp(cells[i]) for i in rest], dtype="datetime64[s]")
+    return out
+
+
+# Column kind -> (dtype, value of a rejected cell) for np.array on cell text.
+_CONVERSIONS = {"int": (np.int64, 0), "float": (float, np.nan), "date": ("datetime64[D]", "NaT"),
+                "bool": (object, None), "str": (object, None)}
+
+
+def cast(columns, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-length columns of cell text as one (columns, rows) array of
+    `kind`, and per cell 0 if accepted, 1 if malformed, 2 if a non-finite
+    float.  int and date cells convert as numpy reads text (int() for
+    int), float cells by float(), an empty one being a NaN gap; a rejected
+    cell holds 0, NaN or NaT.  bool cells read true or false, str cells are
+    kept, and a timestamp cell is parse_timestamp of its text.
+    """
+    if kind == "timestamp":
+        values = np.array([_timestamps(column) for column in columns])
+        return values, np.isnat(values)
+    values, rejected = _convert(columns, *_CONVERSIONS[kind])
+    if kind == "bool":
+        values, rejected = values == "true", (values != "true") & (values != "false")
+    elif kind == "float":
+        failed = np.nonzero(rejected)
+        rejected = np.int8(2) * ~np.isfinite(values)
+        rejected[failed] = [columns[j][i] != "" for j, i in zip(*failed)]
+    return values, rejected
+
+
+def read_csv(path, groups, header_only_ok: bool = False):
+    """Header and typed column groups of a CSV file.
+
+    `groups(header)` checks the header and names the columns to read as
+    (kind, column indices) pairs; each comes back as one (columns, rows)
+    array from `cast`.  A file without data rows (unless `header_only_ok`),
+    with ragged rows or with a cell its kind rejects is a ValueError
+    `<path>: <cause>`.
+    """
+    blocks = _blocks(path)
+    header = next(blocks)
+    if not header:
+        raise ValueError(f"{path}: no data rows")
+    wanted = groups(header)
+    parts = [[cast([()] * len(index), kind)[0]] for kind, index in wanted]
+    for block in blocks:
+        for part, (kind, index) in zip(parts, wanted):
+            values, rejected = cast([block[i] for i in index], kind)
+            if rejected.any():
+                j, i = np.argwhere(rejected)[0]
+                cause = ("malformed {} column", "non-finite value in {}")[rejected[j, i] - 1]
+                raise ValueError(f"{path}: " + cause.format(header[index[j]]))
+            part.append(values)
+    if len(parts[0]) == 1 and not header_only_ok:
+        raise ValueError(f"{path}: no data rows")
+    block = None  # frees the last block's cells before the copy below
+    return header, [np.concatenate(part, axis=1) for part in parts]
+
+
+# ---------------------------------------------------------------------------
+# events and population
+
+
+def _input_blocks(path, names, what):
+    """The blocks of an input CSV, ragged rows allowed, and the index of
+    each named column (of equal names the last, as csv.DictReader has it)."""
+    blocks = _blocks(path, ragged_ok=True)
+    header = next(blocks)
+    missing = [c for c in names if c not in header]
+    if missing:
+        raise ValueError(f"{what} file lacks required columns: {missing}")
+    index = {name: i for i, name in enumerate(header)}
+    return blocks, [index[c] for c in names]
+
+
+def parse_events(path, schema: dict | None = None, window: tuple | None = None) -> EventTable:
     """Read an event CSV into an EventTable.
 
     `schema` remaps canonical field names to the file's column names.
@@ -129,97 +269,63 @@ def parse_events(
         if unknown:
             raise ValueError(f"schema maps unknown fields: {sorted(unknown)}")
         cols.update(schema)
+    blocks, (t, x, y, k) = _input_blocks(path, list(cols.values()), "event")
+    w0, w1 = (np.datetime64(w, "s") for w in window or (-(2**63) + 1, 2**63 - 1))
+    kept = [(np.zeros(0, "datetime64[s]"), np.zeros(0), np.zeros(0), np.zeros(0, object))]
+    rejections, n_rows = [], 0
+    for block in blocks:
+        (ts,), _ = cast([block[t]], "timestamp")
+        (lon, lat), _ = cast([block[x], block[y]], "float")
+        cat = np.char.strip(np.array(block[k], dtype=str))
+        reason = np.select(  # 1 + the first of REJECTION_REASONS that applies
+            [np.isnat(ts), ~(np.isfinite(lon) & np.isfinite(lat)),
+             ~((np.abs(lon) <= 180.0) & (np.abs(lat) <= 90.0)), cat == "",
+             ~((ts >= w0) & (ts < w1))],
+            [1, 2, 3, 4, 5], 0)
+        good = reason == 0
+        names, which = np.unique(cat[good], return_inverse=True)  # one str object per name
+        kept.append((ts[good], lon[good], lat[good], names.astype(object)[which]))
+        bad = np.flatnonzero(~good)
+        rejections += [RowRejection(n_rows + 1 + i, REJECTION_REASONS[r - 1])
+                       for i, r in zip(bad.tolist(), reason[bad].tolist())]
+        n_rows += ts.size
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        header = reader.fieldnames or []
-        missing = [v for v in cols.values() if v not in header]
-        if missing:
-            raise ValueError(f"event file lacks required columns: {missing}")
-
-        if window is not None:
-            w0, w1 = (np.datetime64(w, "s") for w in window)
-        timestamps, lons, lats, cats = [], [], [], []
-        rejections: list[RowRejection] = []
-        n_rows = 0
-        n_outside_window = 0
-        for row in reader:
-            n_rows += 1
-            ts = parse_timestamp(row.get(cols["timestamp"]) or "")
-            if ts is None:
-                rejections.append(RowRejection(n_rows, "bad timestamp"))
-                continue
-            lon = _parse_float(row.get(cols["lon"]))
-            lat = _parse_float(row.get(cols["lat"]))
-            if lon is None or lat is None:
-                rejections.append(RowRejection(n_rows, "bad coordinate"))
-                continue
-            if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
-                rejections.append(RowRejection(n_rows, "coordinate out of range"))
-                continue
-            cat = (row.get(cols["category"]) or "").strip()
-            if not cat:
-                rejections.append(RowRejection(n_rows, "empty category"))
-                continue
-            if window is not None and not (w0 <= ts < w1):
-                rejections.append(RowRejection(n_rows, "outside time window"))
-                n_outside_window += 1
-                continue
-            timestamps.append(ts)
-            lons.append(lon)
-            lats.append(lat)
-            cats.append(cat)
-
-    n_malformed = len(rejections) - n_outside_window
+    n_malformed = sum(r.reason != "outside time window" for r in rejections)
     if n_rows and n_malformed > MAX_REJECT_FRACTION * n_rows:
         raise ValueError(
             f"{n_malformed} of {n_rows} rows rejected; input looks malformed"
         )
-
-    table = EventTable(
-        np.array(timestamps, dtype="datetime64[s]"),
-        np.array(lons, dtype=float),
-        np.array(lats, dtype=float),
-        np.array(cats, dtype=object),
-        source_id=str(path),
-        rejections=rejections,
-    )
-    order = np.argsort(table.timestamps, kind="stable")
-    return table.take(order)
+    table = EventTable(*map(np.concatenate, zip(*kept)), str(path), rejections)
+    return table.take(np.argsort(table.timestamps, kind="stable"))
 
 
-def parse_population(path, delimiter: str = ",") -> list[PopulationCell]:
-    """Read population cells (columns lon, lat, population).
+def parse_population(path) -> np.ndarray:
+    """Read population cells (columns lon, lat, population) as an (n, 3)
+    array of lon, lat and population.
 
-    Hard errors: missing columns, unparseable numbers, negative
-    population, duplicated cell coordinates, or an empty table.
+    Hard errors: missing columns, an empty table, zero total population,
+    and, at the first row with one, an unparseable number, a negative
+    population or a duplicated cell.
     """
-    cells: list[PopulationCell] = []
-    seen: set[tuple[float, float]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        header = reader.fieldnames or []
-        missing = [c for c in ("lon", "lat", "population") if c not in header]
-        if missing:
-            raise ValueError(f"population file lacks required columns: {missing}")
-        for i, row in enumerate(reader, start=1):
-            lon = _parse_float(row.get("lon"))
-            lat = _parse_float(row.get("lat"))
-            pop = _parse_float(row.get("population"))
-            if lon is None or lat is None or pop is None:
-                raise ValueError(f"population row {i}: unparseable value")
-            if pop < 0:
-                raise ValueError(f"population row {i}: negative population")
-            key = (lon, lat)
-            if key in seen:
-                raise ValueError(f"population row {i}: duplicate cell at {key}")
-            seen.add(key)
-            cells.append(PopulationCell(lon, lat, pop))
-    if not cells:
+    blocks, index = _input_blocks(path, ["lon", "lat", "population"], "population")
+    parts = [cast([block[i] for i in index], "float")[0] for block in blocks]
+    if not parts:
         raise ValueError("population file has no data rows")
-    if not any(c.population > 0 for c in cells):
+    lon, lat, pop = cells = np.concatenate(parts, axis=1)
+    # Equal cells (-0.0 equals 0.0) sort together in file order; all but
+    # the first of them are duplicates.
+    order = np.lexsort((lat, lon))
+    duplicate = np.zeros(lon.size, dtype=bool)
+    duplicate[order[1:][(cells[:2, order[1:]] == cells[:2, order[:-1]]).all(axis=0)]] = True
+    reason = np.select([~np.isfinite(cells).all(axis=0), pop < 0, duplicate], [1, 2, 3], 0)
+    if reason.any():
+        i = np.flatnonzero(reason)[0]
+        cause = ("unparseable value", "negative population",
+                 f"duplicate cell at {(float(lon[i]), float(lat[i]))}")[reason[i] - 1]
+        raise ValueError(f"population row {i + 1}: {cause}")
+    if not (pop > 0).any():
         raise ValueError("zero total population")
-    return cells
+    return cells.T
 
 
 def filter_events(
@@ -235,7 +341,7 @@ def filter_events(
     """
     mask = np.ones(len(table), dtype=bool)
     if category is not None:
-        mask &= np.array([c == category for c in table.categories], dtype=bool)
+        mask &= table.categories == category
     if window is not None:
         w0, w1 = (np.datetime64(w, "s") for w in window)
         if w1 <= w0:
@@ -252,42 +358,3 @@ def filter_events(
             & (table.lats <= lat1)
         )
     return table.take(np.nonzero(mask)[0])
-
-
-def dedupe_events(table: EventTable) -> EventTable:
-    """Drop exact duplicates of (timestamp, lon, lat, category), keeping
-    the first occurrence in timestamp order."""
-    seen: set[tuple] = set()
-    keep = np.zeros(len(table), dtype=bool)
-    for i in range(len(table)):
-        key = (
-            table.timestamps[i].astype(np.int64),
-            table.lons[i],
-            table.lats[i],
-            table.categories[i],
-        )
-        if key not in seen:
-            seen.add(key)
-            keep[i] = True
-    return table.take(np.nonzero(keep)[0])
-
-
-def _format_float(v: float) -> str:
-    return repr(float(v))
-
-
-def write_events(table: EventTable, path) -> None:
-    """Serialize to the canonical event CSV (UTC timestamps, no offset
-    suffix).  parse_events(write_events(t)) reproduces t exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "lon", "lat", "category"])
-        for i in range(len(table)):
-            writer.writerow(
-                [
-                    str(table.timestamps[i]),
-                    _format_float(table.lons[i]),
-                    _format_float(table.lats[i]),
-                    table.categories[i],
-                ]
-            )

@@ -52,7 +52,8 @@ class RankShapeSummary:
 def weekly_ranks(series_set) -> RankMatrix:
     """Rank regions within each week of a RegionSeriesSet.
 
-    Requires at least two regions and two weeks.  A stable argsort on
+    Requires at least two regions and two weeks, and a value for every
+    region in every week (a NaN gap is an error).  A stable argsort on
     the negated counts realizes the descending-count, ascending-id tie
     rule, because rows are stored in ascending id order.
     """
@@ -62,6 +63,9 @@ def weekly_ranks(series_set) -> RankMatrix:
         raise ValueError("ranking needs at least two regions")
     if series_set.n_weeks < 2:
         raise ValueError("ranking needs at least two weeks")
+    gaps = np.isnan(counts).any(axis=1)
+    if gaps.any():
+        raise ValueError(f"region {region_ids[gaps][0]} has a gap; ranking needs every week")
     order = np.argsort(-counts.T, axis=1, kind="stable")
     return RankMatrix(ranks=region_ids[order], region_ids=region_ids.copy())
 

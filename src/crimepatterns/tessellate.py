@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import EventTable, PopulationCell
+from .ingest import EventTable
 from .series import RegionSeriesSet, WEEK_STEP_YEARS, monday_on_or_before
 
 _SECONDS_PER_WEEK = 7 * 86400
@@ -101,8 +101,11 @@ def _best_boundary(coords: np.ndarray, pops: np.ndarray):
     return boundary, low_mask, left[j], pops.sum() - left[j]
 
 
-def build_tessellation(cells: list[PopulationCell], target_pop: float) -> Tessellation:
+def build_tessellation(cells, target_pop: float) -> Tessellation:
     """Bisect the cell grid into regions of roughly `target_pop` people.
+
+    `cells` is an (n, 3) array of lon, lat and population per cell, as
+    parse_population returns it.
 
     Splitting prefers the longer axis of the current rectangle and falls
     back to the other axis when the longer one is degenerate or would
@@ -112,13 +115,14 @@ def build_tessellation(cells: list[PopulationCell], target_pop: float) -> Tessel
     assigned in row-major order of the region centres (south to north,
     then west to east).
     """
-    if not cells:
+    cells = np.asarray(cells, dtype=float)
+    if not cells.size:
         raise ValueError("no population cells supplied")
+    if cells.ndim != 2 or cells.shape[1] != 3:
+        raise ValueError("cells must be an (n, 3) array of lon, lat, population")
+    lons, lats, pops = cells.T
     if not target_pop > 0:
         raise ValueError("target population must be positive")
-    lons = np.array([c.lon for c in cells], dtype=float)
-    lats = np.array([c.lat for c in cells], dtype=float)
-    pops = np.array([c.population for c in cells], dtype=float)
     if np.any(pops < 0):
         raise ValueError("negative cell population")
     total = pops.sum()
@@ -126,7 +130,7 @@ def build_tessellation(cells: list[PopulationCell], target_pop: float) -> Tessel
         raise ValueError("total population is zero")
 
     bbox = (lons.min(), lats.min(), lons.max(), lats.max())
-    root = _Node(rect=bbox, cell_index=np.arange(len(cells)))
+    root = _Node(rect=bbox, cell_index=np.arange(lons.size))
     leaves: list[_Node] = []
     stack = [root]
     while stack:

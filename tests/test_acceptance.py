@@ -11,7 +11,6 @@ import numpy as np
 from crimepatterns import (
     FOURIER_FACTOR,
     PairedSample,
-    PopulationCell,
     RegionSeriesSet,
     TimeSeries,
     band_power,
@@ -182,24 +181,20 @@ def test_09_city_stationary_while_regions_travel():
 
 
 def test_10_tessellation_population_balance():
-    uniform = [
-        PopulationCell(i / 64, j / 64, 1.0) for i in range(64) for j in range(64)
-    ]
+    uniform = np.array([(i / 64, j / 64, 1.0) for i in range(64) for j in range(64)])
     tess = build_tessellation(uniform, target_pop=256)
     assert tess.n_regions == 16
     assert (tess.populations() == 256.0).all()
 
     rng = np.random.default_rng(1234)
-    cells = []
+    blocks = []
     for center in rng.uniform(-1.0, 1.0, size=(5, 2)):
         points = center + 0.08 * rng.normal(size=(400, 2))
         weights = rng.lognormal(0.0, 1.0, size=400)
-        cells += [
-            PopulationCell(float(lon), float(lat), float(w))
-            for (lon, lat), w in zip(points, weights)
-        ]
-    total = sum(c.population for c in cells)
-    max_cell = max(c.population for c in cells)
+        blocks.append(np.column_stack((points, weights)))
+    cells = np.concatenate(blocks)
+    total = sum(cells[:, 2].tolist())
+    max_cell = cells[:, 2].max()
     for divisor in (11.3, 7.7, 23.6):
         tess = build_tessellation(cells, target_pop=total / divisor)
         populations = tess.populations()

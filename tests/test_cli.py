@@ -17,6 +17,7 @@ from crimepatterns.cli import (
     _read_artifact,
     _read_region_series,
     _region_series_csv,
+    build_parser,
     main,
 )
 
@@ -285,7 +286,6 @@ class TestFailureHandling:
         [
             (("--band", "5:6"), "scale grid [0.038, 4.286] does not cover the band (5.0, 6.0)"),
             (("--band", "1.1:0.8"), "band must satisfy 0 < low < high"),
-            (("--alpha-level", "1.5"), "alpha_level must be inside (0, 1)"),
         ],
     )
     def test_bad_composed_band_or_alpha_names_the_cause(self, tmp_path, capsys, flags, cause):
@@ -308,6 +308,43 @@ class TestFailureHandling:
         assert "error: synth: power-law draw exceeds the int64 range" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("subcommand, flags", [
+        ("concentrate", ("--counts", "c.csv")),
+        ("independence", ("--pairs", "p.csv")),
+        ("rhythms", ("--series", "s.csv")),
+        ("composed", ("--region-series", "r.csv")),
+    ])
+    @pytest.mark.parametrize("level", ["1.5", "7", "1", "0", "nan", "x"])
+    def test_bad_alpha_level_is_a_usage_error(self, subcommand, flags, level, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([subcommand, *flags, "--alpha-level", level,
+                                       "--out", "o"])
+        assert exc.value.code == 2
+        assert "--alpha-level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "1.5"])
+    def test_workers_below_one_is_a_usage_error(self, workers, capsys):
+        # Checked through the parser only, so no worker process starts.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["concentrate", "--counts", "c.csv",
+                                       "--workers", workers, "--out", "o"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_valid_alpha_level_and_workers_parse(self):
+        args = build_parser().parse_args(["concentrate", "--counts", "c.csv",
+                                          "--alpha-level", "0.01", "--workers", "2",
+                                          "--out", "o"])
+        assert (args.alpha_level, args.workers) == (0.01, 2)
+
+    def test_huge_csv_field_is_a_structured_error(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("count\n" + "7" * 200_000 + "\n")
+        assert run("concentrate", "--counts", counts, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: concentration: field larger than field limit")
+        assert "Traceback" not in err
 
     def test_unknown_subcommand_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -352,6 +389,67 @@ class TestFailureHandling:
         assert run("concentrate", "--counts", tmp_path / "nope.csv",
                    "--out", tmp_path / "o") == 1
         assert "error: concentration:" in capsys.readouterr().err
+
+
+class TestRegionSeriesValues:
+    """Region-series cells must be finite; an empty cell is a gap."""
+
+    @pytest.fixture
+    def series(self, tmp_path):
+        scenario = write_scenario(
+            tmp_path / "w.json", "traveling_wave_city", 3,
+            n_regions=6, n_weeks=156, window_weeks=52,
+        )
+        assert run("simulate", "--scenario", scenario, "--out", tmp_path) == 0
+        return tmp_path / "region_series.csv"
+
+    def edit(self, path, row, column, text):
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[column] = text
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("subcommand, module", [
+        ("ranks", "rankdyn"), ("rhythms", "rhythms"), ("composed", "rhythms"),
+    ])
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_cell_is_rejected(self, series, tmp_path, capsys,
+                                         subcommand, module, text):
+        self.edit(series, 40, 3, text)
+        out = tmp_path / "out"
+        assert run(subcommand, "--region-series", series, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {module}: {series}: non-finite value in region_2\n"
+        assert not out.exists()
+
+    def test_non_finite_city_cell_is_rejected(self, series, tmp_path, capsys):
+        self.edit(series, 40, -1, "inf")
+        assert run("rhythms", "--region-series", series, "--out", tmp_path / "o") == 1
+        assert "non-finite value in city" in capsys.readouterr().err
+
+    def test_ranks_rejects_a_gap(self, series, tmp_path, capsys):
+        self.edit(series, 40, 3, "")
+        assert run("ranks", "--region-series", series, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err.startswith("error: rankdyn: region 2 has a gap")
+
+    def test_rhythms_and_composed_fill_short_gaps_and_composed_rejects_long_ones(
+            self, series, tmp_path):
+        for row in (40, 41):
+            self.edit(series, row, -1, "")
+            self.edit(series, row, 2, "")
+        for row in (60, 61, 62):
+            self.edit(series, row, 3, "")
+        out = tmp_path / "out"
+        assert run("rhythms", "--region-series", series, "--out", out) == 0
+        assert run("composed", "--region-series", series, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        rejected = manifest["runs"][-1]["parameters"]["rejected_regions"]
+        assert [rid for rid, _ in rejected] == [2]
+
+    def test_negative_values_are_valid(self, series, tmp_path):
+        self.edit(series, 40, 3, "-3.5")
+        assert run("ranks", "--region-series", series, "--out", tmp_path / "o") == 0
 
 
 def test_import_and_report_leave_scipy_stats_optimize_signal_unloaded(tmp_path):

@@ -1,16 +1,23 @@
-"""Parsing, validation and canonical round-tripping of input tables."""
+"""Parsing and validation of input tables, and the block-wise CSV reader."""
+
+import csv
+import io
+import re
+from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crimepatterns import (
     EventTable,
-    dedupe_events,
     filter_events,
     parse_events,
     parse_population,
-    write_events,
 )
+from crimepatterns import ingest
+from crimepatterns.ingest import cast, parse_timestamp, read_csv
 
 
 def write_csv(path, rows, header="timestamp,lon,lat,category"):
@@ -145,6 +152,18 @@ class TestParseEvents:
         # rejection rows are 1-based over data rows
         assert sorted(r.row for r in t.rejections) == [2, 3, 4, 5]
 
+    def test_timestamp_past_the_calendar_is_a_bad_timestamp(self, tmp_path):
+        good = "2015-01-05T10:00:00,1,1,theft"
+        p = write_csv(
+            tmp_path / "e.csv",
+            ["0001-01-01T00:00:00+01:00,1,1,theft", "9999-12-31T23:00:00-02:00,1,1,theft",
+             good, good, good],
+        )
+        t = parse_events(p)
+        assert len(t) == 3
+        assert [(r.row, r.reason) for r in t.rejections] == [
+            (1, "bad timestamp"), (2, "bad timestamp")]
+
     def test_window_rejects_out_of_study_rows(self, tmp_path):
         p = write_csv(
             tmp_path / "e.csv",
@@ -181,8 +200,8 @@ class TestParsePopulation:
             header="lon,lat,population",
         )
         cells = parse_population(p)
-        assert len(cells) == 4
-        assert sum(c.population for c in cells) == 400
+        assert cells.shape == (4, 3)
+        assert cells[:, 2].sum() == 400
 
     def test_negative_population_is_an_error(self, tmp_path):
         p = write_csv(
@@ -273,33 +292,307 @@ class TestFilterEvents:
             filter_events(self.table, bbox=(1.0, 1.0, 0.0, 2.0))
 
 
-def test_write_parse_roundtrip_is_idempotent(tmp_path):
-    table = make_table(
-        ["2015-03-01T04:05:06", "2015-03-02T07:08:09"],
-        lons=[12.123456789, -0.25],
-        lats=[-41.5, 89.0],
-        cats=["theft", "robbery"],
-    )
-    p1 = tmp_path / "one.csv"
-    p2 = tmp_path / "two.csv"
-    write_events(table, p1)
-    t1 = parse_events(p1)
-    write_events(t1, p2)
-    t2 = parse_events(p2)
-    assert p1.read_text() == p2.read_text()
-    assert np.array_equal(t1.timestamps, t2.timestamps)
-    assert np.array_equal(t1.lons, t2.lons)
-    assert np.array_equal(t1.lats, t2.lats)
-    assert list(t1.categories) == list(t2.categories)
+# ---------------------------------------------------------------------------
+# the per-row parsers the block-wise reader replaced, kept as references
 
 
-def test_dedupe_keeps_first_of_identical_tuples():
-    table = make_table(
-        ["2015-01-05T00:00:00"] * 3 + ["2015-01-06T00:00:00"],
-        lons=[1.0, 1.0, 2.0, 1.0],
-        lats=[1.0, 1.0, 1.0, 1.0],
+def _reference_float(text):
+    try:
+        v = float(text)
+    except (TypeError, ValueError):
+        return None
+    return v if np.isfinite(v) else None
+
+
+def reference_parse_events(path, window=None):
+    """One DictReader row and one parse_timestamp call at a time."""
+    cols = dict(ingest.DEFAULT_EVENT_SCHEMA)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [v for v in cols.values() if v not in header]
+        if missing:
+            raise ValueError(f"event file lacks required columns: {missing}")
+        if window is not None:
+            w0, w1 = (np.datetime64(w, "s") for w in window)
+        timestamps, lons, lats, cats, rejections = [], [], [], [], []
+        n_rows = n_outside_window = 0
+        for row in reader:
+            n_rows += 1
+            ts = parse_timestamp(row.get(cols["timestamp"]) or "")
+            if ts is None:
+                rejections.append((n_rows, "bad timestamp"))
+                continue
+            lon = _reference_float(row.get(cols["lon"]))
+            lat = _reference_float(row.get(cols["lat"]))
+            if lon is None or lat is None:
+                rejections.append((n_rows, "bad coordinate"))
+                continue
+            if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+                rejections.append((n_rows, "coordinate out of range"))
+                continue
+            cat = (row.get(cols["category"]) or "").strip()
+            if not cat:
+                rejections.append((n_rows, "empty category"))
+                continue
+            if window is not None and not (w0 <= ts < w1):
+                rejections.append((n_rows, "outside time window"))
+                n_outside_window += 1
+                continue
+            timestamps.append(ts)
+            lons.append(lon)
+            lats.append(lat)
+            cats.append(cat)
+    n_malformed = len(rejections) - n_outside_window
+    if n_rows and n_malformed > ingest.MAX_REJECT_FRACTION * n_rows:
+        raise ValueError(f"{n_malformed} of {n_rows} rows rejected; input looks malformed")
+    order = np.argsort(np.array(timestamps, dtype="datetime64[s]"), kind="stable")
+    return [
+        np.array(timestamps, dtype="datetime64[s]")[order],
+        np.array(lons, dtype=float)[order],
+        np.array(lats, dtype=float)[order],
+        [cats[i] for i in order],
+        rejections,
+    ]
+
+
+def reference_parse_population(path):
+    """One DictReader row at a time, one cell tuple per row."""
+    cells, seen = [], set()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in ("lon", "lat", "population") if c not in header]
+        if missing:
+            raise ValueError(f"population file lacks required columns: {missing}")
+        for i, row in enumerate(reader, start=1):
+            lon = _reference_float(row.get("lon"))
+            lat = _reference_float(row.get("lat"))
+            pop = _reference_float(row.get("population"))
+            if lon is None or lat is None or pop is None:
+                raise ValueError(f"population row {i}: unparseable value")
+            if pop < 0:
+                raise ValueError(f"population row {i}: negative population")
+            key = (lon, lat)
+            if key in seen:
+                raise ValueError(f"population row {i}: duplicate cell at {key}")
+            seen.add(key)
+            cells.append((lon, lat, pop))
+    if not cells:
+        raise ValueError("population file has no data rows")
+    if not any(c[2] > 0 for c in cells):
+        raise ValueError("zero total population")
+    return np.array(cells, dtype=float)
+
+
+def outcome(parse, *args):
+    """The parse's result, or the type and text of the error it raises."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def padded(text):
+    return st.tuples(st.sampled_from(["", " ", "\t", " "]),
+                     st.sampled_from(["", " ", " "])).map(
+        lambda pad: pad[0] + text + pad[1])
+
+
+def two_digits(lo, hi):
+    return st.integers(lo, hi).map("{:02d}".format)
+
+
+canonical_stamps = st.builds(
+    lambda y, mo, d, sep, h, mi, s, frac, zone: (
+        f"{y:04d}-{mo}-{d}{sep}{h}:{mi}:{s}{frac}{zone}"),
+    st.sampled_from([1, 2, 1999, 2014, 2015, 2016, 2020, 9998, 9999]),
+    two_digits(0, 13),
+    two_digits(0, 32),
+    st.sampled_from(["T", "T", "T", " ", "t"]),
+    two_digits(0, 24),
+    two_digits(0, 60),
+    two_digits(0, 60),
+    st.sampled_from(["", "", ".5", ".123", ".123456", ".1234567", "."]),
+    st.one_of(
+        st.sampled_from(["", "", "Z", "z", "+00:00", "-00:00"]),
+        st.builds(lambda sign, h, m: f"{sign}{h}:{m}",
+                  st.sampled_from("+-"), two_digits(0, 24), two_digits(0, 61)),
+    ),
+)
+other_stamps = st.sampled_from([
+    "20140105T100000", "2014-W02-1", "2014-01-05 10:00:00", "2014-01-05",
+    "2014-01-05T10", "2014-02-30T10:00:00", "2014-01-05T24:00:00", "yesterday",
+    "", "2014-01-05T10:00:00,5", "2014-01-05T10:00:00+01:00:30",
+    "0001-01-01T00:00:00", "2014-01-05T10:00:00+0100", "2014-01-05T10:00:00Zjunk",
+    "２014-01-05T10:00:00",
+])
+stamps = st.one_of(canonical_stamps, other_stamps).flatmap(padded)
+coordinates = st.one_of(
+    st.floats(-200, 200).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e500", "1_0", "", " 12.5 ", "abc",
+                     "١٢", "180", "-90.0", "90.000001", "-0.0"]),
+)
+categories = st.sampled_from(["theft", "", "   ", " robbery ", " x ",
+                              "a,b", 'say "x"', " y"])
+good_stamps = st.builds(
+    lambda dt, frac, zone: dt.replace(microsecond=0).isoformat() + frac + zone,
+    st.datetimes(datetime(2013, 1, 1), datetime(2017, 12, 31)),
+    st.sampled_from(["", ".5", ".123456"]),
+    st.sampled_from(["", "Z", "+05:30", "-06:00"]),
+)
+good_rows = st.tuples(
+    good_stamps, st.floats(-180, 180).map(repr), st.floats(-90, 90).map(repr),
+    st.sampled_from(["theft", " robbery "]),
+).map(list)
+event_rows = st.one_of(
+    good_rows,
+    good_rows,
+    good_rows,
+    st.tuples(stamps, coordinates, coordinates, categories).map(list),
+    st.lists(st.sampled_from(["2015-01-05T10:00:00", "1.5", "theft"]), max_size=6),
+)
+
+
+def write_rows(path, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+
+
+class TestBlockReaderOracle:
+    """The block-wise parsers equal the per-row ones kept above: the same
+    arrays, the same rejections, the same error messages, with rows on
+    both sides of block boundaries."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.lists(event_rows, max_size=40),
+        st.sampled_from([None, ("2014-06-01", "2016-01-01"), ("1999-01-01", "2000-01-01")]),
+        st.sampled_from([1, 2, 3, 7, ingest.READ_BLOCK_ROWS]),
     )
-    out = dedupe_events(table)
-    assert len(out) == 3  # one exact duplicate dropped
-    again = dedupe_events(out)
-    assert np.array_equal(again.lons, out.lons)
+    def test_parse_events_equals_the_per_row_parser(self, tmp_path_factory, rows, window,
+                                                    block_rows):
+        path = tmp_path_factory.mktemp("events") / "e.csv"
+        write_rows(path, ["timestamp", "lon", "lat", "category"], rows)
+        expected = outcome(reference_parse_events, path, window)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "READ_BLOCK_ROWS", block_rows)
+            got = outcome(parse_events, path, None, window)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        ts, lons, lats, cats, rejections = expected
+        assert np.array_equal(got.timestamps, ts)
+        assert np.array_equal(got.lons, lons) and np.array_equal(got.lats, lats)
+        assert list(got.categories) == cats
+        assert [(r.row, r.reason) for r in got.rejections] == rejections
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(["0", "0.0", "-0.0", "1", "2.5"]),
+                          st.sampled_from(["0", "-0.0", "1", "1e0"]),
+                          st.sampled_from(["5", "0", "-1", "", "nan", "inf", "1e500", "x",
+                                           " 7 ", "1_0"])).map(list),
+                st.lists(st.sampled_from(["1", "2"]), max_size=4),
+            ),
+            max_size=12,
+        ),
+        st.sampled_from([["lon", "lat", "population"], ["population", "lat", "lon", "extra"],
+                         ["lon", "lat"]]),
+        st.sampled_from([1, 2, 5, ingest.READ_BLOCK_ROWS]),
+    )
+    def test_parse_population_equals_the_per_row_parser(self, tmp_path_factory, rows, header,
+                                                        block_rows):
+        path = tmp_path_factory.mktemp("pop") / "p.csv"
+        write_rows(path, header, rows)
+        expected = outcome(reference_parse_population, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "READ_BLOCK_ROWS", block_rows)
+            got = outcome(parse_population, path)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got.shape == expected.shape and np.array_equal(got, expected)
+
+    def test_blank_lines_and_ragged_rows_match(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text(
+            "timestamp,lon,lat,category\n\n2015-01-05T10:00:00,1,1,theft\n"
+            "2015-01-06T10:00:00,1,1\n2015-01-07T10:00:00,2,2,theft,extra\n\n"
+            "2015-01-08T10:00:00\n2015-01-09T10:00:00,3,3,x\n"
+        )
+        ts, lons, _, cats, rejections = reference_parse_events(path)
+        got = parse_events(path)
+        assert np.array_equal(got.timestamps, ts) and list(got.categories) == cats
+        assert [(r.row, r.reason) for r in got.rejections] == rejections == [
+            (2, "empty category"), (4, "bad coordinate")]
+
+    def test_nul_character_is_an_error(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("timestamp,lon,lat,category\n2015-01-05T10:00:00\x00,1,1,theft\n")
+        with pytest.raises(ValueError, match="NUL character"):
+            parse_events(path)
+
+    def test_no_data_rows_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("timestamp,lon,lat,category\n")
+        got = parse_events(path)
+        assert len(got) == 0 and got.rejections == []
+        path.write_text("")
+        with pytest.raises(ValueError, match="lacks required columns"):
+            parse_events(path)
+
+
+class TestCast:
+    def test_timestamp_vector_route_equals_parse_timestamp(self):
+        rng = np.random.default_rng(5)
+        seconds = rng.integers(-2_000_000_000, 4_000_000_000, 3000)
+        texts = np.datetime_as_string(seconds.astype("datetime64[s]")).tolist()
+        zones = ["", "Z", "+05:30", "-06:00", ".25", ".999999-01:00"]
+        cells = [t + zones[i % len(zones)] for i, t in enumerate(texts)]
+        (got,), rejected = cast([cells], "timestamp")
+        expected = np.array([parse_timestamp(c) for c in cells], dtype="datetime64[s]")
+        assert np.array_equal(got, expected) and not rejected.any()
+
+    def test_float_gaps_and_rejections(self):
+        values, rejected = cast([("1.5", "", "nan", "x", "-inf", " 2 ")], "float")
+        assert np.array_equal(values[0], [1.5, np.nan, np.nan, np.nan, -np.inf, 2.0],
+                              equal_nan=True)
+        assert rejected[0].tolist() == [0, 0, 2, 1, 2, 0]
+
+    def test_other_kinds(self):
+        ints, bad = cast([("1", "x", "99999999999999999999")], "int")
+        assert ints.tolist() == [[1, 0, 0]] and bad.tolist() == [[False, True, True]]
+        flags, bad = cast([("true", "false", "True")], "bool")
+        assert flags.tolist() == [[True, False, False]] and bad.tolist() == [[False, False, True]]
+        dates, bad = cast([("2015-01-05", "")], "date")
+        assert str(dates[0, 0]) == "2015-01-05" and np.isnat(dates[0, 1]) and not bad.any()
+        texts, bad = cast([(" a ", "")], "str")
+        assert texts.tolist() == [[" a ", ""]] and not bad.any()
+
+    def test_read_csv_blocks_give_the_whole_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "READ_BLOCK_ROWS", 3)
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n" + "".join(f"{i},{i / 2}\n" for i in range(10)))
+        header, (ints, floats) = read_csv(path, lambda h: [("int", [0]), ("float", [1])])
+        assert header == ["a", "b"]
+        assert ints.tolist() == [list(range(10))]
+        assert floats.tolist() == [[i / 2 for i in range(10)]]
+
+    @pytest.mark.parametrize("body, cause", [
+        ("a,b\n1,x\n", "malformed b column"),
+        ("a,b\n1,inf\n", "non-finite value in b"),
+        ("a,b\n1,2\n1\n", "ragged rows"),
+        ("a,b\n", "no data rows"),
+    ])
+    def test_read_csv_errors_name_the_path_and_cause(self, tmp_path, body, cause):
+        path = tmp_path / "t.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {cause}$"):
+            read_csv(path, lambda h: [("int", [0]), ("float", [1])])
+

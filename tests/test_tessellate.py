@@ -5,7 +5,6 @@ import pytest
 
 from crimepatterns import (
     EventTable,
-    PopulationCell,
     assign_events,
     build_region_series,
     build_tessellation,
@@ -16,10 +15,7 @@ def grid_cells(nx, ny, pop=1.0):
     lon, lat = np.meshgrid(
         np.linspace(0.0, 1.0, nx), np.linspace(0.0, 1.0, ny), indexing="ij"
     )
-    return [
-        PopulationCell(float(a), float(b), pop)
-        for a, b in zip(lon.ravel(), lat.ravel())
-    ]
+    return np.column_stack((lon.ravel(), lat.ravel(), np.full(lon.size, pop)))
 
 
 def make_events(timestamps, lons, lats, category="theft"):
@@ -35,12 +31,12 @@ def make_events(timestamps, lons, lats, category="theft"):
 
 class TestBuildTessellation:
     def test_four_corner_cells_split_symmetrically(self):
-        cells = [
-            PopulationCell(0.0, 0.0, 100.0),
-            PopulationCell(1.0, 0.0, 100.0),
-            PopulationCell(0.0, 1.0, 100.0),
-            PopulationCell(1.0, 1.0, 100.0),
-        ]
+        cells = np.array([
+            [0.0, 0.0, 100.0],
+            [1.0, 0.0, 100.0],
+            [0.0, 1.0, 100.0],
+            [1.0, 1.0, 100.0],
+        ])
         tess = build_tessellation(cells, 100.0)
         assert tess.n_regions == 4
         assert np.all(tess.populations() == 100.0)
@@ -56,7 +52,7 @@ class TestBuildTessellation:
 
     def test_indivisible_single_cell_warns_and_degenerates(self):
         with pytest.warns(UserWarning):
-            tess = build_tessellation([PopulationCell(0.0, 0.0, 500.0)], 100.0)
+            tess = build_tessellation(np.array([[0.0, 0.0, 500.0]]), 100.0)
         assert tess.n_regions == 1
         assert tess.regions[0].population == 500.0
 
@@ -70,13 +66,10 @@ class TestBuildTessellation:
 
     def test_population_is_conserved_exactly(self):
         rng = np.random.default_rng(8)
-        cells = [
-            PopulationCell(float(x), float(y), float(p))
-            for x, y, p in zip(
-                rng.uniform(size=300), rng.uniform(size=300), rng.lognormal(0, 1, 300)
-            )
-        ]
-        total = sum(c.population for c in cells)
+        cells = np.column_stack(
+            (rng.uniform(size=300), rng.uniform(size=300), rng.lognormal(0, 1, 300))
+        )
+        total = sum(cells[:, 2].tolist())
         tess = build_tessellation(cells, total / 9.7)
         assert tess.populations().sum() == pytest.approx(total, abs=1e-9)
 
@@ -84,9 +77,9 @@ class TestBuildTessellation:
         tess = build_tessellation(grid_cells(16, 16), 32.0)
         # every cell centroid is covered, and by exactly one region
         # except on shared boundaries
-        for cell in grid_cells(16, 16):
+        for lon, lat, _ in grid_cells(16, 16):
             owners = [
-                r.id for r in tess.regions if r.contains(cell.lon, cell.lat)
+                r.id for r in tess.regions if r.contains(lon, lat)
             ]
             assert len(owners) >= 1
         area = sum(
@@ -97,7 +90,7 @@ class TestBuildTessellation:
     def test_ids_are_row_major_and_deterministic(self):
         cells = grid_cells(8, 8)
         t1 = build_tessellation(cells, 16.0)
-        t2 = build_tessellation(list(cells), 16.0)
+        t2 = build_tessellation(cells.copy(), 16.0)
         assert [r.id for r in t1.regions] == list(range(t1.n_regions))
         for a, b in zip(t1.regions, t2.regions):
             assert (a.id, a.lon_min, a.lat_min, a.lon_max, a.lat_max) == (
@@ -119,10 +112,7 @@ class TestBuildTessellation:
         centers = rng.uniform(-1, 1, size=(5, 2))
         pts = np.vstack([c + 0.08 * rng.normal(size=(400, 2)) for c in centers])
         pops = rng.lognormal(0.0, 1.0, size=pts.shape[0])
-        cells = [
-            PopulationCell(float(x), float(y), float(p))
-            for (x, y), p in zip(pts, pops)
-        ]
+        cells = np.column_stack((pts, pops))
         tess = build_tessellation(cells, pops.sum() / 11.3)
         spread = tess.populations().max() - tess.populations().min()
         assert spread <= 2.0 * pops.max()
