@@ -29,7 +29,7 @@ import scipy
 from . import __version__
 from .concentration import fit_power_law, gof_bootstrap, likelihood_ratio, lorenz
 from .independence import PairedSample, hoeffding_d, hoeffding_test
-from .ingest import filter_events, parse_events, parse_population, read_csv
+from .ingest import COLUMN_KINDS, filter_events, parse_events, parse_population, read_csv
 from .rankdyn import position_entropy, weekly_ranks
 from .rhythms import (
     CIRCANNUAL_BAND,
@@ -173,10 +173,6 @@ ARTIFACTS = {
 # Artifacts that are complete with a header and no data rows.
 _HEADER_ONLY_OK = frozenset({"durations.csv"})
 
-# Column kind -> the dtype its values are written from.
-_DTYPES = {"int": np.int64, "float": float, "bool": bool, "date": "datetime64[D]", "str": object}
-
-
 def _format(values) -> list[str]:
     """Cell texts of one column, chosen by its dtype: shortest round-trip
     repr for floats, true/false for booleans, the ISO date for datetimes,
@@ -203,7 +199,7 @@ def _artifact_text(name: str, *columns) -> str:
     """Text of a CSV artifact from its columns, in table order."""
     spec = ARTIFACTS[name]
     typed = [
-        np.asarray(values, dtype=_DTYPES[kind])
+        np.asarray(values, dtype=COLUMN_KINDS[kind][0])
         for values, (_, kind) in zip(columns, spec, strict=True)
     ]
     return _csv_text([column for column, _ in spec], typed)
@@ -211,15 +207,14 @@ def _artifact_text(name: str, *columns) -> str:
 
 def _read_artifact(path, name: str) -> list[np.ndarray]:
     """Typed columns of a CSV artifact, in table order."""
-    spec = ARTIFACTS[name]
+    names, kinds = zip(*ARTIFACTS[name])
 
-    def groups(header):
-        if header != [column for column, _ in spec]:
-            raise ValueError(f"{path}: expected columns {','.join(c for c, _ in spec)}")
-        return [(kind, [i]) for i, (_, kind) in enumerate(spec)]
+    def columns(header):
+        if header != list(names):
+            raise ValueError(f"{path}: expected columns {','.join(names)}")
+        return range(len(names))
 
-    _, columns = read_csv(path, groups, name in _HEADER_ONLY_OK)
-    return [values for (values,) in columns]
+    return read_csv(path, columns, kinds, name in _HEADER_ONLY_OK)[1]
 
 
 def _week_grid(path, weeks: np.ndarray) -> np.ndarray:
@@ -240,7 +235,7 @@ def _region_series_csv(series_set: RegionSeriesSet) -> str:
 def _read_region_series(path) -> tuple[RegionSeriesSet, np.ndarray]:
     """Wide weekly table -> (region set, city column)."""
 
-    def groups(header):
+    def columns(header):
         if (
             len(header) < 3
             or header[0] != "week_start"
@@ -248,26 +243,25 @@ def _read_region_series(path) -> tuple[RegionSeriesSet, np.ndarray]:
             or not all(c.startswith("region_") for c in header[1:-1])
         ):
             raise ValueError(f"{path}: expected week_start,region_<id>...,city columns")
-        return [("date", [0]), ("float", range(1, len(header)))]
+        return range(len(header))
 
-    header, ((weeks,), values) = read_csv(path, groups)
+    header, (weeks, *values) = read_csv(path, columns, ["date", "float"])
     try:
         region_ids = np.array([int(c[len("region_"):]) for c in header[1:-1]])
     except ValueError:
         raise ValueError(f"{path}: malformed region column name") from None
-    return RegionSeriesSet(_week_grid(path, weeks), values[:-1], region_ids), values[-1]
+    return RegionSeriesSet(_week_grid(path, weeks), np.array(values[:-1]), region_ids), values[-1]
 
 
 def _read_pairs(path) -> PairedSample:
     """The x and y columns of a CSV that may carry other columns too."""
 
-    def groups(header):
+    def columns(header):
         if "x" not in header or "y" not in header:
             raise ValueError(f"{path}: expected a header with x and y columns")
-        return [("float", [header.index("x"), header.index("y")])]
+        return header.index("x"), header.index("y")
 
-    _, ((x, y),) = read_csv(path, groups)
-    return PairedSample(x, y)
+    return PairedSample(*read_csv(path, columns, ["float"])[1])
 
 
 def _band_arg(text: str) -> tuple:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, islice, zip_longest
+from itertools import islice, zip_longest
 
 import numpy as np
 
@@ -109,40 +109,35 @@ def parse_timestamp(text: str) -> np.datetime64 | None:
 
 def _blocks(path, ragged_ok: bool = False):
     """Yield a CSV file's header, then its data rows in blocks of at most
-    READ_BLOCK_ROWS rows, each a list of column tuples.  Blank lines are
-    skipped.  A NUL character is an error (numpy strings cannot hold a
-    trailing one), and so are ragged rows, unless `ragged_ok`: then short
-    rows are padded with empty cells and cells past the header dropped."""
+    READ_BLOCK_ROWS rows, each a list of column lists.  Blank lines are
+    skipped.  Ragged rows are an error unless `ragged_ok`: then short rows
+    are padded with empty cells and cells past the header dropped."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         header = next(rows, [])
         yield header
         while chunk := list(islice(rows, READ_BLOCK_ROWS)):
             block = list(filter(None, chunk))
-            if "\x00" in "".join(chain.from_iterable(block)):
-                raise ValueError(f"{path}: NUL character in a cell")
             if set(map(len, block)) - {len(header)} and not ragged_ok:
                 raise ValueError(f"{path}: ragged rows")
-            columns = list(zip_longest(*block, fillvalue=""))[: len(header)]
+            columns = list(map(list, islice(zip_longest(*block, fillvalue=""), len(header))))
             if block:
-                yield columns + [("",) * len(block)] * (len(header) - len(columns))
+                yield columns + [[""] * len(block)] * (len(header) - len(columns))
 
 
-def _convert(columns, dtype, fill) -> tuple[np.ndarray, np.ndarray]:
-    """np.array(columns, dtype) for equal-length columns of cell text, with
-    `fill` where a cell does not convert, and the mask of those cells.
-    Only a part holding such a cell is split, in halves, down to that cell."""
+def _convert(cells, dtype, fill) -> tuple[np.ndarray, np.ndarray]:
+    """np.array(cells, dtype) for a column of cell text, with `fill` where
+    a cell does not convert, and the mask of those cells.  Only a part
+    holding such a cell is split, in halves, down to that cell."""
     try:
-        values = np.array(columns, dtype=dtype)
+        values = np.array(cells, dtype=dtype)
         return values, np.zeros(values.shape, dtype=bool)
     except (ValueError, OverflowError):
-        if len(columns) == len(columns[0]) == 1:
-            return np.full((1, 1), fill, dtype=dtype), np.ones((1, 1), dtype=bool)
-    axis = 0 if len(columns) > 1 else 1
-    h = len(columns) // 2 or len(columns[0]) // 2
-    halves = (columns[:h], columns[h:]) if axis == 0 else ([columns[0][:h]], [columns[0][h:]])
-    parts = [_convert(half, dtype, fill) for half in halves]
-    return tuple(np.concatenate(p, axis=axis) for p in zip(*parts))
+        if len(cells) == 1:
+            return np.full(1, fill, dtype=dtype), np.ones(1, dtype=bool)
+    h = len(cells) // 2
+    parts = _convert(cells[:h], dtype, fill), _convert(cells[h:], dtype, fill)
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _timestamps(cells) -> np.ndarray:
@@ -152,13 +147,15 @@ def _timestamps(cells) -> np.ndarray:
     fraction digits, convert as one vector: numpy reads the first 19
     characters, which must print back unchanged with a year from 2 to 9998
     (so 2014-02-30 and hour 24 do not pass).  Every other cell goes
-    through parse_timestamp.
+    through parse_timestamp, and so does each one longer than that
+    shape's 32 characters or ending in a NUL (fixed-width numpy strings
+    would cut the first and drop the NUL of the second).
     """
-    text = np.array(cells, dtype=str)
-    n, width = text.size, text.dtype.itemsize // 4
-    c = np.zeros((n, max(width, 26)), dtype=np.int32)  # code points
-    c[:, :width] = text.view(np.uint32).reshape(n, width)
+    n = len(cells)
+    text = np.array(cells, dtype=object).astype("U32")
+    c = text.view(np.int32).reshape(n, 32)  # code points
     rows, length = np.arange(n), np.char.str_len(text)
+    whole = length == np.fromiter(map(len, cells), int, n)
     o = length - 6  # where a ±HH:MM offset would start
     zone = c[rows[:, None], o[:, None] + [1, 2, 4, 5]] - ord("0")
     minutes = zone @ [600, 60, 10, 1]  # Python takes any offset under 24 h
@@ -167,10 +164,10 @@ def _timestamps(cells) -> np.ndarray:
     end = length - np.where(offset, 6, np.isin(c[rows, length - 1], [ord("Z"), ord("z")]))
     fraction = ((c[:, 20:26] >= ord("0")) & (c[:, 20:26] <= ord("9"))
                 | (np.arange(20, 26) >= end[:, None])).all(axis=1)
-    shaped = (end == 19) | ((c[:, 19] == ord(".")) & (end >= 21) & (end <= 26) & fraction)
+    shaped = whole & ((end == 19) | (c[:, 19] == ord(".")) & (end >= 21) & (end <= 26) & fraction)
     idx = np.flatnonzero(shaped)
     head = text[idx].astype("U19")
-    (stamp,), _ = _convert([head], "datetime64[s]", "NaT")
+    stamp, _ = _convert(head, "datetime64[s]", "NaT")
     good = ((np.datetime_as_string(stamp) == head) & (stamp >= np.datetime64("0002"))
             & (stamp < np.datetime64("9999")))
     keep = idx[good]
@@ -182,59 +179,74 @@ def _timestamps(cells) -> np.ndarray:
     return out
 
 
-# Column kind -> (dtype, value of a rejected cell) for np.array on cell text.
-_CONVERSIONS = {"int": (np.int64, 0), "float": (float, np.nan), "date": ("datetime64[D]", "NaT"),
-                "bool": (object, None), "str": (object, None)}
+# Column kind -> (dtype its values are written from, dtype its cell text
+# is read as, value of a cell that does not convert).
+COLUMN_KINDS = {
+    "int": (np.int64, np.int64, 0),
+    "float": (float, float, np.nan),
+    "bool": (bool, object, None),
+    "date": ("datetime64[D]", "datetime64[D]", "NaT"),
+    "str": (object, object, None),
+}
 
 
-def cast(columns, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-length columns of cell text as one (columns, rows) array of
-    `kind`, and per cell 0 if accepted, 1 if malformed, 2 if a non-finite
-    float.  int and date cells convert as numpy reads text (int() for
-    int), float cells by float(), an empty one being a NaN gap; a rejected
-    cell holds 0, NaN or NaT.  bool cells read true or false, str cells are
-    kept, and a timestamp cell is parse_timestamp of its text.
+def cast(cells, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """A column of cell text as an array of `kind`, and the mask of the
+    cells it rejects.  int and date cells convert as numpy reads text,
+    float cells by float(): an empty one is a NaN gap, a non-finite one is
+    rejected.  A cell that does not convert holds 0, NaN or NaT.  bool
+    cells read true or false, str cells are kept, and a timestamp cell is
+    parse_timestamp of its text.
     """
     if kind == "timestamp":
-        values = np.array([_timestamps(column) for column in columns])
+        values = _timestamps(cells)
         return values, np.isnat(values)
-    values, rejected = _convert(columns, *_CONVERSIONS[kind])
+    values, rejected = _convert(cells, *COLUMN_KINDS[kind][1:])
     if kind == "bool":
-        values, rejected = values == "true", (values != "true") & (values != "false")
-    elif kind == "float":
-        failed = np.nonzero(rejected)
-        rejected = np.int8(2) * ~np.isfinite(values)
-        rejected[failed] = [columns[j][i] != "" for j, i in zip(*failed)]
+        return values == "true", (values != "true") & (values != "false")
+    if kind == "float":
+        rejected = ~np.isfinite(values)
+        rejected[rejected] = [cells[i] != "" for i in np.flatnonzero(rejected)]
     return values, rejected
 
 
-def read_csv(path, groups, header_only_ok: bool = False):
-    """Header and typed column groups of a CSV file.
+def _rejection(path, column: str, text: str, kind: str) -> ValueError:
+    """The error for a cell of `column` that `cast` rejected as `kind`."""
+    try:
+        finite = kind != "float" or np.isfinite(float(text))
+    except ValueError:
+        finite = True
+    cause = f"malformed {column} column" if finite else f"non-finite value in {column}"
+    return ValueError(f"{path}: {cause}")
 
-    `groups(header)` checks the header and names the columns to read as
-    (kind, column indices) pairs; each comes back as one (columns, rows)
-    array from `cast`.  A file without data rows (unless `header_only_ok`),
-    with ragged rows or with a cell its kind rejects is a ValueError
-    `<path>: <cause>`.
+
+def read_csv(path, columns, kinds, header_only_ok: bool = False):
+    """The header of a CSV file and, one array each, the columns at the
+    indices `columns(header)` gives.
+
+    `columns(header)` raises a ValueError for a header the caller does not
+    accept.  The j-th column read is cast to kinds[j]; the last kind
+    stands for any further ones.  A file without data rows (unless
+    `header_only_ok`), with ragged rows or with a cell its kind rejects is
+    a ValueError `<path>: <cause>`.
     """
     blocks = _blocks(path)
     header = next(blocks)
     if not header:
         raise ValueError(f"{path}: no data rows")
-    wanted = groups(header)
-    parts = [[cast([()] * len(index), kind)[0]] for kind, index in wanted]
+    index = list(columns(header))
+    kinds = [kinds[min(j, len(kinds) - 1)] for j in range(len(index))]
+    parts = [[cast((), kind)[0]] for kind in kinds]
     for block in blocks:
-        for part, (kind, index) in zip(parts, wanted):
-            values, rejected = cast([block[i] for i in index], kind)
+        for part, j, kind in zip(parts, index, kinds):
+            values, rejected = cast(block[j], kind)
             if rejected.any():
-                j, i = np.argwhere(rejected)[0]
-                cause = ("malformed {} column", "non-finite value in {}")[rejected[j, i] - 1]
-                raise ValueError(f"{path}: " + cause.format(header[index[j]]))
+                raise _rejection(path, header[j], block[j][np.argmax(rejected)], kind)
             part.append(values)
     if len(parts[0]) == 1 and not header_only_ok:
         raise ValueError(f"{path}: no data rows")
-    block = None  # frees the last block's cells before the copy below
-    return header, [np.concatenate(part, axis=1) for part in parts]
+    block = None  # frees the last block's cells before the copies below
+    return header, [np.concatenate(part) for part in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +286,17 @@ def parse_events(path, schema: dict | None = None, window: tuple | None = None) 
     kept = [(np.zeros(0, "datetime64[s]"), np.zeros(0), np.zeros(0), np.zeros(0, object))]
     rejections, n_rows = [], 0
     for block in blocks:
-        (ts,), _ = cast([block[t]], "timestamp")
-        (lon, lat), _ = cast([block[x], block[y]], "float")
-        cat = np.char.strip(np.array(block[k], dtype=str))
+        ts = cast(block[t], "timestamp")[0]
+        lon, lat = (cast(block[i], "float")[0] for i in (x, y))
+        names, inverse = np.unique(np.array(block[k], dtype=object), return_inverse=True)
+        cat = np.array([name.strip() for name in names.tolist()], dtype=object)[inverse]
         reason = np.select(  # 1 + the first of REJECTION_REASONS that applies
             [np.isnat(ts), ~(np.isfinite(lon) & np.isfinite(lat)),
              ~((np.abs(lon) <= 180.0) & (np.abs(lat) <= 90.0)), cat == "",
              ~((ts >= w0) & (ts < w1))],
             [1, 2, 3, 4, 5], 0)
         good = reason == 0
-        names, which = np.unique(cat[good], return_inverse=True)  # one str object per name
-        kept.append((ts[good], lon[good], lat[good], names.astype(object)[which]))
+        kept.append((ts[good], lon[good], lat[good], cat[good]))
         bad = np.flatnonzero(~good)
         rejections += [RowRejection(n_rows + 1 + i, REJECTION_REASONS[r - 1])
                        for i, r in zip(bad.tolist(), reason[bad].tolist())]
@@ -308,7 +320,7 @@ def parse_population(path) -> np.ndarray:
     population or a duplicated cell.
     """
     blocks, index = _input_blocks(path, ["lon", "lat", "population"], "population")
-    parts = [cast([block[i] for i in index], "float")[0] for block in blocks]
+    parts = [[cast(block[i], "float")[0] for i in index] for block in blocks]
     if not parts:
         raise ValueError("population file has no data rows")
     lon, lat, pop = cells = np.concatenate(parts, axis=1)

@@ -3,6 +3,7 @@
 import csv
 import io
 import re
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -425,16 +426,19 @@ other_stamps = st.sampled_from([
     "2014-01-05T10", "2014-02-30T10:00:00", "2014-01-05T24:00:00", "yesterday",
     "", "2014-01-05T10:00:00,5", "2014-01-05T10:00:00+01:00:30",
     "0001-01-01T00:00:00", "2014-01-05T10:00:00+0100", "2014-01-05T10:00:00Zjunk",
-    "２014-01-05T10:00:00",
+    "２014-01-05T10:00:00", "2014-01-05T10:00:00\x00", "2014-01-05T10:00\x00:00",
+    "\x002014-01-05T10:00:00", "2014-01-05T10:00:00" + " " * 20,
+    "2014-01-05T10:00:00.123456789012345678", "2014-01-05T10:00:00+01:00" + "0" * 40,
 ])
 stamps = st.one_of(canonical_stamps, other_stamps).flatmap(padded)
 coordinates = st.one_of(
     st.floats(-200, 200).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "1e500", "1_0", "", " 12.5 ", "abc",
-                     "١٢", "180", "-90.0", "90.000001", "-0.0"]),
+                     "١٢", "180", "-90.0", "90.000001", "-0.0", "1\x00", "\x00",
+                     "1" * 40]),
 )
 categories = st.sampled_from(["theft", "", "   ", " robbery ", " x ",
-                              "a,b", 'say "x"', " y"])
+                              "a,b", 'say "x"', "theft\x00", " \x00 ", "z" * 40, " y"])
 good_stamps = st.builds(
     lambda dt, frac, zone: dt.replace(microsecond=0).isoformat() + frac + zone,
     st.datetimes(datetime(2013, 1, 1), datetime(2017, 12, 31)),
@@ -497,7 +501,7 @@ class TestBlockReaderOracle:
                 st.tuples(st.sampled_from(["0", "0.0", "-0.0", "1", "2.5"]),
                           st.sampled_from(["0", "-0.0", "1", "1e0"]),
                           st.sampled_from(["5", "0", "-1", "", "nan", "inf", "1e500", "x",
-                                           " 7 ", "1_0"])).map(list),
+                                           " 7 ", "1_0", "1\x00"])).map(list),
                 st.lists(st.sampled_from(["1", "2"]), max_size=4),
             ),
             max_size=12,
@@ -532,11 +536,39 @@ class TestBlockReaderOracle:
         assert [(r.row, r.reason) for r in got.rejections] == rejections == [
             (2, "empty category"), (4, "bad coordinate")]
 
-    def test_nul_character_is_an_error(self, tmp_path):
+    def test_nul_characters_are_judged_cell_by_cell(self, tmp_path):
         path = tmp_path / "e.csv"
-        path.write_text("timestamp,lon,lat,category\n2015-01-05T10:00:00\x00,1,1,theft\n")
-        with pytest.raises(ValueError, match="NUL character"):
-            parse_events(path)
+        path.write_text(
+            "timestamp,lon,lat,category\n2015-01-05T10:00:00\x00,1,1,theft\n"
+            "2015-01-05\x00,1,1,theft\n2015-01-06T10:00:00,1\x00,1,theft\n"
+            "2015-01-07T10:00:00,2,2,theft\x00\n2015-01-08T10:00:00,3,3,theft\n"
+        )
+        ts, lons, _, cats, rejections = reference_parse_events(path)
+        got = parse_events(path)
+        assert np.array_equal(got.timestamps, ts) and list(got.categories) == cats
+        assert np.array_equal(got.lons, lons)
+        assert [(r.row, r.reason) for r in got.rejections] == rejections == [
+            (2, "bad timestamp"), (3, "bad coordinate")]
+        assert "theft\x00" in cats
+
+    def test_huge_cells_keep_arrays_narrow(self, tmp_path):
+        """One 100,000-character timestamp and one such category among
+        thousands of rows: no array is as wide as the longest cell."""
+        rows = [["2015-01-05T10:00:00", "1.5", "2.5", "theft"]] * 3000
+        rows[10] = ["2015-01-05T10:00:00" + " " * 100_000, "1", "1", "theft"]
+        rows[20] = ["2015-01-05T10:00:00", "1", "1", "theft" + "x" * 100_000]
+        path = tmp_path / "e.csv"
+        write_rows(path, ["timestamp", "lon", "lat", "category"], rows)
+        ts, lons, _, cats, rejections = reference_parse_events(path)
+        tracemalloc.start()
+        try:
+            got = parse_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.timestamps, ts) and list(got.categories) == cats
+        assert np.array_equal(got.lons, lons) and got.rejections == [] == rejections
+        assert peak < 50 * 2**20
 
     def test_no_data_rows_is_an_empty_table(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -555,38 +587,41 @@ class TestCast:
         texts = np.datetime_as_string(seconds.astype("datetime64[s]")).tolist()
         zones = ["", "Z", "+05:30", "-06:00", ".25", ".999999-01:00"]
         cells = [t + zones[i % len(zones)] for i, t in enumerate(texts)]
-        (got,), rejected = cast([cells], "timestamp")
+        got, rejected = cast(cells, "timestamp")
         expected = np.array([parse_timestamp(c) for c in cells], dtype="datetime64[s]")
         assert np.array_equal(got, expected) and not rejected.any()
 
     def test_float_gaps_and_rejections(self):
-        values, rejected = cast([("1.5", "", "nan", "x", "-inf", " 2 ")], "float")
-        assert np.array_equal(values[0], [1.5, np.nan, np.nan, np.nan, -np.inf, 2.0],
+        values, rejected = cast(("1.5", "", "nan", "x", "-inf", " 2 ", "1\x00"), "float")
+        assert np.array_equal(values, [1.5, np.nan, np.nan, np.nan, -np.inf, 2.0, np.nan],
                               equal_nan=True)
-        assert rejected[0].tolist() == [0, 0, 2, 1, 2, 0]
+        assert rejected.tolist() == [False, False, True, True, True, False, True]
 
     def test_other_kinds(self):
-        ints, bad = cast([("1", "x", "99999999999999999999")], "int")
-        assert ints.tolist() == [[1, 0, 0]] and bad.tolist() == [[False, True, True]]
-        flags, bad = cast([("true", "false", "True")], "bool")
-        assert flags.tolist() == [[True, False, False]] and bad.tolist() == [[False, False, True]]
-        dates, bad = cast([("2015-01-05", "")], "date")
-        assert str(dates[0, 0]) == "2015-01-05" and np.isnat(dates[0, 1]) and not bad.any()
-        texts, bad = cast([(" a ", "")], "str")
-        assert texts.tolist() == [[" a ", ""]] and not bad.any()
+        ints, bad = cast(("1", "x", "99999999999999999999"), "int")
+        assert ints.tolist() == [1, 0, 0] and bad.tolist() == [False, True, True]
+        flags, bad = cast(("true", "false", "True"), "bool")
+        assert flags.tolist() == [True, False, False] and bad.tolist() == [False, False, True]
+        dates, bad = cast(("2015-01-05", ""), "date")
+        assert str(dates[0]) == "2015-01-05" and np.isnat(dates[1]) and not bad.any()
+        texts, bad = cast((" a ", ""), "str")
+        assert texts.tolist() == [" a ", ""] and not bad.any()
 
     def test_read_csv_blocks_give_the_whole_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "READ_BLOCK_ROWS", 3)
         path = tmp_path / "t.csv"
         path.write_text("a,b\n" + "".join(f"{i},{i / 2}\n" for i in range(10)))
-        header, (ints, floats) = read_csv(path, lambda h: [("int", [0]), ("float", [1])])
+        header, (ints, floats) = read_csv(path, lambda h: [0, 1], ["int", "float"])
         assert header == ["a", "b"]
-        assert ints.tolist() == [list(range(10))]
-        assert floats.tolist() == [[i / 2 for i in range(10)]]
+        assert ints.tolist() == list(range(10))
+        assert floats.tolist() == [i / 2 for i in range(10)]
 
     @pytest.mark.parametrize("body, cause", [
         ("a,b\n1,x\n", "malformed b column"),
         ("a,b\n1,inf\n", "non-finite value in b"),
+        ("a,b\n1,nan\n", "non-finite value in b"),
+        ("a,b\n1,2\x00\n", "malformed b column"),
+        ("a,b\n1\x00,2\n", "malformed a column"),
         ("a,b\n1,2\n1\n", "ragged rows"),
         ("a,b\n", "no data rows"),
     ])
@@ -594,5 +629,5 @@ class TestCast:
         path = tmp_path / "t.csv"
         path.write_text(body)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {cause}$"):
-            read_csv(path, lambda h: [("int", [0]), ("float", [1])])
+            read_csv(path, lambda h: [0, 1], ["int", "float"])
 
