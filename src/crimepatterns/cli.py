@@ -8,7 +8,8 @@ parameters, so identical invocations produce identical artifacts; the
 only non-reproducible manifest field is the creation timestamp.
 
 Exit codes: 0 success, 1 module or I/O failure (structured message on
-stderr), 2 usage errors.
+stderr), 2 usage errors, 3 any other exception (an internal fault,
+reported as one `error: <module>: internal: <type>: <message>` line).
 """
 
 from __future__ import annotations
@@ -278,6 +279,13 @@ def _alpha(text: str) -> float:
     value = float(text)  # argparse reports a ValueError as an invalid value
     if not 0 < value < 1:
         raise argparse.ArgumentTypeError(f"must be inside (0, 1), got {text!r}")
+    return value
+
+
+def _target_pop(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text!r}")
     return value
 
 
@@ -553,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
             "build equal-population regions and weekly series")
     p.add_argument("--events", required=True)
     p.add_argument("--population", required=True)
-    p.add_argument("--target-pop", type=float, required=True, dest="target_pop")
+    p.add_argument("--target-pop", type=_target_pop, required=True, dest="target_pop")
     p.add_argument("--category", default=None)
 
     p = add("concentrate", cmd_concentrate, "concentration",
@@ -561,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default=None, help="region totals, one 'count' column")
     p.add_argument("--events", default=None)
     p.add_argument("--population", default=None)
-    p.add_argument("--target-pop", type=float, default=None, dest="target_pop")
+    p.add_argument("--target-pop", type=_target_pop, default=None, dest="target_pop")
     p.add_argument("--category", default=None)
     p.add_argument("--alpha-level", type=_alpha, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
     p.add_argument("--boot", type=int, default=1000)
@@ -610,6 +618,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, OverflowError, csv.Error) as exc:
         print(f"error: {args.module}: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"error: {args.module}: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

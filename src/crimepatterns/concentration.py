@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, zeta
 
 MIN_TAIL_SIZE = 10
 MIN_OBSERVATIONS = 50
@@ -87,6 +86,8 @@ def lorenz(counts) -> LorenzCurve:
 
 def _zeta_log_likelihood(alpha, log_mean, q):
     """Negative mean log-likelihood of a zeta(alpha, q) tail, up to sign."""
+    from scipy.special import zeta
+
     return alpha * log_mean + np.log(zeta(alpha, q))
 
 
@@ -114,6 +115,8 @@ def _ks_rows(values, multiplicity, tail_n, starts, alphas, qs, width=None) -> np
     so the supremum of their difference is attained at an observed value
     and no left-limit term is needed.  One zeta call covers the
     (cutoff, tail value) pairs, in row blocks of about _KS_BLOCK pairs."""
+    from scipy.special import zeta
+
     cum = np.cumsum(multiplicity)
     below = cum - multiplicity  # observations under each distinct value
     norms = zeta(alphas, qs)
@@ -207,6 +210,8 @@ def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
 
 
 def _powerlaw_pointwise_loglik(x, alpha, xmin):
+    from scipy.special import zeta
+
     return -alpha * np.log(x) - np.log(zeta(alpha, float(xmin)))
 
 
@@ -230,6 +235,8 @@ def _lognormal_cell_logprobs(x, xmin, mu, sigma):
     Cell mass is taken as a CDF difference left of the median and a
     survival-function difference right of it; one-sided differences
     underflow to zero deep in the opposite tail."""
+    from scipy.special import log_ndtr
+
     za = (np.log(x - 0.5) - mu) / sigma
     zb = (np.log(x + 0.5) - mu) / sigma
     cell = np.empty_like(za)
@@ -309,6 +316,8 @@ def likelihood_ratio(
     `significance`, which keeps sign noise from being over-read, and
     (statistic 0, p 1) when the lognormal MLE has no interior optimum.
     """
+    from scipy.special import ndtr
+
     x = np.asarray(counts)
     x = x[x >= fit.xmin].astype(float)
     if x.size != fit.n_tail:
@@ -341,6 +350,8 @@ def likelihood_ratio(
 def _cdf_table(alpha: float, xmin: int):
     """Inverse-CDF table of the first _TABLE_SIZE support points and the
     normalizer zeta(alpha, xmin); read-only, shared by every draw."""
+    from scipy.special import zeta
+
     support = np.arange(xmin, xmin + _TABLE_SIZE, dtype=float)
     normalizer = zeta(alpha, float(xmin))
     cdf = np.cumsum(support**-alpha) / normalizer
@@ -375,6 +386,8 @@ def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generato
 
 def _tail_quantile(u, alpha, normalizer, lo):
     """Smallest x >= lo with survival zeta(alpha, x+1)/normalizer <= 1-u."""
+    from scipy.special import zeta
+
     target = (1.0 - u) * normalizer
     hi = lo
     while zeta(alpha, float(hi + 1)) > target:

@@ -15,6 +15,7 @@ import numpy as np
 
 MIN_PAIRS = 5
 MIN_PERMUTATIONS = 999
+_CHUNK_BYTES = 4_000_000  # int8 order scores gathered per permutation chunk
 
 
 @dataclass
@@ -41,29 +42,30 @@ class PairedSample:
         return self.x.size
 
 
-def _relations(v: np.ndarray):
-    """Pairwise strict-less and equal matrices; entry [i, j] compares
-    v[j] against v[i]."""
-    return v[None, :] < v[:, None], v[None, :] == v[:, None]
+def _relations(v: np.ndarray) -> np.ndarray:
+    """Pairwise order scores as int8: entry [i, j] is 2 when v[j] < v[i],
+    1 when they tie (the diagonal included) and 0 when v[j] > v[i]."""
+    return 2 * (v[None, :] < v[:, None]).astype(np.int8) + (v[None, :] == v[:, None])
 
 
-def _midranks(lt, eq) -> np.ndarray:
-    """Marginal midranks from the relation matrices: values below, plus
-    half of the ties (self included) plus one half."""
-    return lt.sum(-1) + 0.5 * (eq.sum(-1) + 1)
+def _midranks(a) -> np.ndarray:
+    """Marginal midranks from the order scores: values below, plus half
+    of the ties (self included) plus one half."""
+    return (a.sum(-1) + 1) / 2
 
 
-def _bivariate_ranks(xlt, xeq, ylt, yeq) -> np.ndarray:
+def _bivariate_ranks(a, b) -> np.ndarray:
     """Q_i: points strictly southwest of point i, with ties on a single
-    coordinate worth 1/2 and double ties 1/4 (self excluded).  Works on
-    (n, n) matrices or permutation-stacked (m, n, n) matrices."""
-    q = (
-        (xlt & ylt).sum(-1)
-        + 0.5 * ((xeq & ylt).sum(-1) + (xlt & yeq).sum(-1))
-        + 0.25 * (xeq & yeq).sum(-1)
-        - 0.25  # remove the self pair, which always double-ties
-    )
-    return q
+    coordinate worth 1/2 and double ties 1/4 (self excluded), as in
+    Hoeffding, "A non-parametric test of independence", Ann. Math.
+    Statist. 19 (1948).
+
+    With the order scores a of x and b of y, the product a_ij * b_ij is
+    4 for a strict southwest point, 2 for a tie on one coordinate and 1
+    for a double tie, so Q_i = (sum_j a_ij * b_ij - 1) / 4, the -1
+    removing the self pair.  The sum is an integer, so Q is exact.
+    Works on (n, n) scores or permutation-stacked (m, n, n) ones."""
+    return ((a * b).sum(-1) - 1) / 4
 
 
 def _d_from_ranks(q, r, s, n: int):
@@ -81,11 +83,8 @@ def hoeffding_d(sample: PairedSample) -> float:
     Ranges over [-0.5, 1]; equals 1 exactly when one variable is a
     strictly monotone function of the other and the sample has no ties.
     """
-    n = len(sample)
-    xlt, xeq = _relations(sample.x)
-    ylt, yeq = _relations(sample.y)
-    q = _bivariate_ranks(xlt, xeq, ylt, yeq)
-    return float(_d_from_ranks(q, _midranks(xlt, xeq), _midranks(ylt, yeq), n))
+    a, b = _relations(sample.x), _relations(sample.y)
+    return float(_d_from_ranks(_bivariate_ranks(a, b), _midranks(a), _midranks(b), len(sample)))
 
 
 def hoeffding_test(
@@ -99,28 +98,32 @@ def hoeffding_test(
     p-value is (1 + #{D_perm >= D_obs}) / (1 + n_perm), so it can never
     be zero.  Degenerate samples (say, constant y) make every permuted
     D equal to the observed one and the p-value is 1.
+
+    A permutation pi re-pairs point i with y[pi(i)], so its bivariate
+    ranks are Q_i = (sum_j a_ij * b[pi(i), pi(j)] - 1) / 4: one gather
+    of y's int8 order scores and one product-sum with x's (see
+    `_bivariate_ranks`).  Every term is a multiple of 1/4, so Q is exact
+    and D and p equal those of separate strict and tie counts bit for
+    bit.  Permutations run in chunks whose gathered scores stay within
+    _CHUNK_BYTES, whatever n.
     """
     if n_perm < MIN_PERMUTATIONS:
         raise ValueError(f"n_perm must be at least {MIN_PERMUTATIONS}")
     n = len(sample)
-    xlt, xeq = _relations(sample.x)
-    ylt, yeq = _relations(sample.y)
-    r = _midranks(xlt, xeq)
-    s = _midranks(ylt, yeq)
-    d_obs = _d_from_ranks(_bivariate_ranks(xlt, xeq, ylt, yeq), r, s, n)
+    a, b = _relations(sample.x), _relations(sample.y)
+    r, s = _midranks(a), _midranks(b)
+    d_obs = _d_from_ranks(_bivariate_ranks(a, b), r, s, n)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     exceed = 0
-    chunk = max(1, 4_000_000 // (n * n))
+    chunk = max(1, _CHUNK_BYTES // b.nbytes)
     remaining = n_perm
     while remaining > 0:
         m = min(chunk, remaining)
         # Random permutations as argsorts of uniform draws.
         perms = np.argsort(rng.random((m, n)), axis=1)
-        ylt_p = ylt[perms[:, :, None], perms[:, None, :]]
-        yeq_p = yeq[perms[:, :, None], perms[:, None, :]]
-        q = _bivariate_ranks(xlt[None], xeq[None], ylt_p, yeq_p)
-        d_perm = _d_from_ranks(q, r[None, :], s[perms], n)
+        q = _bivariate_ranks(a, b[perms[:, :, None], perms[:, None, :]])
+        d_perm = _d_from_ranks(q, r, s[perms], n)
         exceed += int((d_perm >= d_obs).sum())
         remaining -= m
     return (1 + exceed) / (1 + n_perm)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .series import TimeSeries, WEEK_STEP_YEARS
 
@@ -281,6 +280,8 @@ def global_spectrum(
     scales, and only the points inside the cone of influence should be
     counted (approximated by n - scale/dt).
     """
+    from scipy.special import gammaincinv
+
     if not 0 < alpha_level < 1:
         raise ValueError("alpha_level must be inside (0, 1)")
     n = field.n_times
@@ -328,6 +329,8 @@ def band_power(
     scale in the band are reported in `coi_valid` and masked out of
     `significant`.
     """
+    from scipy.special import gammaincinv
+
     selected = _band_scales(field.scales, band, alpha_level)
     s = field.scales[selected]
     power = field.power()[..., selected, :]

@@ -121,8 +121,8 @@ def build_tessellation(cells, target_pop: float) -> Tessellation:
     if cells.ndim != 2 or cells.shape[1] != 3:
         raise ValueError("cells must be an (n, 3) array of lon, lat, population")
     lons, lats, pops = cells.T
-    if not target_pop > 0:
-        raise ValueError("target population must be positive")
+    if not 0 < target_pop < np.inf:
+        raise ValueError("target population must be finite and positive")
     if np.any(pops < 0):
         raise ValueError("negative cell population")
     total = pops.sum()
@@ -187,7 +187,7 @@ def build_tessellation(cells, target_pop: float) -> Tessellation:
         if leaf.population > target_pop:
             warnings.warn(
                 f"region {rank} population {leaf.population:.0f} exceeds the "
-                f"target {target_pop:.0f}"
+                f"target {target_pop:g}"
             )
     return Tessellation(regions, target_pop, total, bbox, _root=root)
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crimepatterns import cli
 from crimepatterns.cli import (
     ARTIFACTS,
     _artifact_text,
@@ -332,6 +333,37 @@ class TestFailureHandling:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["tessellate", "concentrate"])
+    @pytest.mark.parametrize("target", ["inf", "-inf", "nan", "0", "-5", "x"])
+    def test_bad_target_pop_is_a_usage_error(self, subcommand, target, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([subcommand, "--events", "e.csv", "--population",
+                                       "p.csv", "--target-pop", target, "--out", "o"])
+        assert exc.value.code == 2
+        assert "--target-pop" in capsys.readouterr().err
+
+    def test_tiny_target_pop_warns_with_its_value(self, tmp_path):
+        events, pop = TestTessellateCommand().make_inputs(tmp_path)
+        with pytest.warns(UserWarning, match="exceeds the target 1e-300") as caught:
+            assert run("tessellate", "--events", events, "--population", pop,
+                       "--target-pop", "1e-300", "--out", tmp_path / "out") == 0
+        assert len(caught) == 64
+
+    def test_unexpected_exception_is_one_internal_error_line(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(cli, "hoeffding_test", fail)
+        x = np.arange(8.0)
+        pairs = write_pairs(tmp_path / "pairs.csv", x, x)
+        out = tmp_path / "out"
+        assert run("independence", "--pairs", pairs, "--out", out) == 3
+        assert capsys.readouterr().err == (
+            "error: independence: internal: RuntimeError: kernel fault\n"
+        )
+        assert not out.exists()
+
     def test_valid_alpha_level_and_workers_parse(self):
         args = build_parser().parse_args(["concentrate", "--counts", "c.csv",
                                           "--alpha-level", "0.01", "--workers", "2",
@@ -452,26 +484,53 @@ class TestRegionSeriesValues:
         assert run("ranks", "--region-series", series, "--out", tmp_path / "o") == 0
 
 
-def test_import_and_report_leave_scipy_stats_optimize_signal_unloaded(tmp_path):
-    (tmp_path / "fit.json").write_text(json.dumps({"gini": 0.5, "alpha": 2.5}))
+def _argv_with_inputs(subcommand, tmp_path):
+    """A run of `subcommand` on small inputs written under tmp_path, less --out."""
+    wave = write_scenario(tmp_path / "wave.json", "traveling_wave_city", 3,
+                          n_regions=4, n_weeks=156, window_weeks=52)
+    if subcommand == "simulate":
+        return ["simulate", "--scenario", wave]
+    if subcommand == "ranks":
+        assert run("simulate", "--scenario", wave, "--out", tmp_path / "sim") == 0
+        return ["ranks", "--region-series", tmp_path / "sim" / "region_series.csv"]
+    if subcommand == "tessellate":
+        events, pop = TestTessellateCommand().make_inputs(tmp_path)
+        return ["tessellate", "--events", events, "--population", pop, "--target-pop", 4]
+    if subcommand == "independence":
+        x = np.random.default_rng(5).normal(size=12)
+        return ["independence", "--pairs", write_pairs(tmp_path / "pairs.csv", x, x**3)]
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "fit.json").write_text(json.dumps({"gini": 0.5, "alpha": 2.5}))
+    return ["report"]
+
+
+@pytest.mark.parametrize("subcommand", ["report", "ranks", "tessellate", "independence",
+                                        "simulate"])
+def test_subcommand_leaves_scipy_special_stats_optimize_signal_unloaded(subcommand, tmp_path):
+    """A fresh process that runs one of these subcommands never imports
+    the heavy scipy subpackages (`simulate` with a traveling-wave city)."""
+    out = tmp_path / "out"
+    argv = [str(a) for a in _argv_with_inputs(subcommand, tmp_path)] + ["--out", str(out)]
     code = (
         "import json, sys\n"
         "import crimepatterns.cli\n"
-        "assert crimepatterns.cli.main(['report', '--out', sys.argv[1]]) == 0\n"
+        "assert crimepatterns.cli.main(json.loads(sys.argv[1])) == 0\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
+        [sys.executable, "-c", code, json.dumps(argv)],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     loaded = json.loads(done.stdout.splitlines()[-1])
     heavy = [m for m in loaded
-             if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"],
-                                     ["scipy", "signal"])]
+             if m.split(".")[:2] in (["scipy", "special"], ["scipy", "stats"],
+                                     ["scipy", "optimize"], ["scipy", "signal"])]
     assert heavy == []
-    assert json.loads((tmp_path / "report.json").read_text())["alpha"] == 2.5
+    assert (out / "manifest.json").exists()
+    if subcommand == "report":
+        assert json.loads((out / "report.json").read_text())["alpha"] == 2.5
 
 
 class TestSimulateFormats:

@@ -1,11 +1,19 @@
 """Hoeffding's D and its permutation test."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
 from crimepatterns import PairedSample, hoeffding_d, hoeffding_test
-from crimepatterns.independence import _midranks, _relations
+from crimepatterns.independence import (
+    _CHUNK_BYTES,
+    _bivariate_ranks,
+    _d_from_ranks,
+    _midranks,
+    _relations,
+)
 
 
 def hoeffding_brute(x, y):
@@ -46,6 +54,90 @@ def hoeffding_brute(x, y):
     return 30.0 * total / (n * (n - 1) * (n - 2) * (n - 3) * (n - 4))
 
 
+def four_and_ranks(xlt, xeq, ylt, yeq):
+    """Reference Q_i from separate strict and tie relations: southwest
+    points count 1, single-coordinate ties 1/2, double ties 1/4, minus
+    the self pair.  Works on (n, n) or (m, n, n) relations."""
+    return (
+        (xlt & ylt).sum(-1)
+        + 0.5 * ((xeq & ylt).sum(-1) + (xlt & yeq).sum(-1))
+        + 0.25 * (xeq & yeq).sum(-1)
+        - 0.25
+    )
+
+
+def lt_eq(v):
+    return v[None, :] < v[:, None], v[None, :] == v[:, None]
+
+
+def four_and_permuted_d(x, y, perms):
+    """Permuted D for a stack of permutations through the reference Q."""
+    n = x.size
+    (xlt, xeq), (ylt, yeq) = lt_eq(x), lt_eq(y)
+    index = perms[:, :, None], perms[:, None, :]
+    q = four_and_ranks(xlt, xeq, ylt[index], yeq[index])
+    r = rankdata(x)
+    s = rankdata(y)
+    return q, _d_from_ranks(q, r, s[perms], n)
+
+
+def four_and_test(x, y, n_perm, seed):
+    """Reference permutation p-value: the same permutation stream as
+    hoeffding_test, drawn in one stack."""
+    n = x.size
+    (xlt, xeq), (ylt, yeq) = lt_eq(x), lt_eq(y)
+    d_obs = _d_from_ranks(four_and_ranks(xlt, xeq, ylt, yeq), rankdata(x), rankdata(y), n)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    perms = np.argsort(rng.random((n_perm, n)), axis=1)
+    _, d_perm = four_and_permuted_d(x, y, perms)
+    return (1 + int((d_perm >= d_obs).sum())) / (1 + n_perm)
+
+
+SAMPLES = {
+    "continuous": lambda g: (g.normal(size=100), g.normal(size=100)),
+    "tie_heavy": lambda g: (g.integers(0, 4, 100).astype(float),
+                            g.integers(0, 3, 100).astype(float)),
+    "constant_y": lambda g: (g.normal(size=100), np.full(100, 2.0)),
+}
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("kind", sorted(SAMPLES))
+    def test_ranks_and_permuted_d_match_four_and_reference(self, kind):
+        g = np.random.default_rng(21)
+        x, y = SAMPLES[kind](g)
+        a, b = _relations(x), _relations(y)
+        assert a.dtype == np.int8
+        assert np.array_equal(_bivariate_ranks(a, b), four_and_ranks(*lt_eq(x), *lt_eq(y)))
+        perms = np.argsort(g.random((50, x.size)), axis=1)
+        q_ref, d_ref = four_and_permuted_d(x, y, perms)
+        q = _bivariate_ranks(a, b[perms[:, :, None], perms[:, None, :]])
+        assert np.array_equal(q, q_ref)
+        assert np.array_equal(_d_from_ranks(q, _midranks(a), _midranks(b)[perms], x.size), d_ref)
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLES))
+    def test_p_value_matches_four_and_reference(self, kind):
+        x, y = SAMPLES[kind](np.random.default_rng(22))
+        n_perm = 1001
+        assert n_perm % (_CHUNK_BYTES // x.size**2) != 0 and n_perm > _CHUNK_BYTES // x.size**2
+        p = hoeffding_test(PairedSample(x, y), n_perm=n_perm, seed=23)
+        assert p == four_and_test(x, y, n_perm, 23)
+
+    def test_permutation_memory_stays_within_int8_chunk(self):
+        """The gathered scores and their product take one byte per entry
+        and the chunk is bounded in bytes (9 MB peak); int16 scores in a
+        chunk of as many permutations peak at 17 MB."""
+        x = np.random.default_rng(24).normal(size=100)
+        sample = PairedSample(x, x + 0.05 * np.random.default_rng(25).normal(size=100))
+        tracemalloc.start()
+        try:
+            hoeffding_test(sample, n_perm=4999, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12_000_000
+
+
 class TestHoeffdingD:
     def test_monotone_identity_scores_one(self):
         x = np.arange(1.0, 21.0)
@@ -74,7 +166,7 @@ class TestHoeffdingD:
         rng = np.random.default_rng(11)
         for n in (5, 12, 40):
             v = rng.integers(0, 4, size=n).astype(float)
-            assert np.array_equal(_midranks(*_relations(v)), rankdata(v))
+            assert np.array_equal(_midranks(_relations(v)), rankdata(v))
 
     def test_sample_too_small_is_an_error(self):
         with pytest.raises(ValueError):

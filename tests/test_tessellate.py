@@ -56,6 +56,15 @@ class TestBuildTessellation:
         assert tess.n_regions == 1
         assert tess.regions[0].population == 500.0
 
+    @pytest.mark.parametrize("target", [0.0, -4.0, np.inf, np.nan])
+    def test_target_must_be_finite_and_positive(self, target):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_tessellation(grid_cells(4, 4), target)
+
+    def test_tiny_target_is_named_in_the_warning(self):
+        with pytest.warns(UserWarning, match="exceeds the target 1e-300$"):
+            build_tessellation(np.array([[0.0, 0.0, 5.0]]), 1e-300)
+
     def test_empty_cell_list_is_an_error(self):
         with pytest.raises(ValueError):
             build_tessellation([], 10.0)
