@@ -67,8 +67,6 @@ from .synth import (
     run_scenario,
 )
 from .tessellate import (
-    EventAssignment,
-    Region,
     Tessellation,
     assign_events,
     build_region_series,
@@ -84,7 +82,6 @@ __all__ = [
     "ComposedPower",
     "DEFAULT_WEEK_ORIGIN",
     "EntropyProfile",
-    "EventAssignment",
     "EventTable",
     "FOURIER_FACTOR",
     "GlobalSpectrum",
@@ -94,7 +91,6 @@ __all__ = [
     "PowerLawFit",
     "RankMatrix",
     "RankShapeSummary",
-    "Region",
     "RegionSeriesSet",
     "RowRejection",
     "ScenarioSpec",

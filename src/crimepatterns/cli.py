@@ -15,6 +15,7 @@ reported as one `error: <module>: internal: <type>: <message>` line).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -78,10 +79,12 @@ def _emit(out_dir, subcommand, inputs, parameters, payloads) -> None:
     """Write every artifact plus the manifest, replacing them as a group.
 
     `payloads` maps file name to full text; nothing is written until
-    all computation has finished.  Each file is first written to a
-    temporary file in `out_dir` and then moved over its target, so a
-    failure while writing removes only the temporary files and leaves
-    a previous run's artifacts and manifest as they were.  The
+    all computation has finished.  Each file goes to a temporary file in
+    `out_dir` and each existing target is kept as a hard link beside it;
+    only then do the temporary files replace their targets.  On any
+    failure the temporary files are removed and the kept versions put
+    back, so the group is all-or-nothing; a target that cannot be linked,
+    such as a directory, fails the run before anything is replaced.  The
     manifest is an append-only log, one record per subcommand run, so a
     multi-step pipeline keeps the provenance of every artifact.  Inputs
     that live inside the output directory are recorded relative to it,
@@ -122,22 +125,34 @@ def _emit(out_dir, subcommand, inputs, parameters, payloads) -> None:
         if not isinstance(manifest.get("runs"), list):
             raise ValueError(f"{manifest_path} is not a manifest written by this tool")
     manifest["runs"].append(record)
-    staged = []  # (temporary file, target), manifest last
+    files = {**payloads, "manifest.json": _json_text(manifest)}  # manifest last
+    target = {name: os.path.join(out_dir, name) for name in files}
+    temp = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in files}
+    old = {}  # name -> hard link to its target's previous version
+    placed = []  # names whose target already holds the new version
     try:
-        for name, text in {**payloads, "manifest.json": _json_text(manifest)}.items():
-            temp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
-            staged.append((temp, os.path.join(out_dir, name)))
-            with open(temp, "w", encoding="utf-8", newline="") as fh:
+        for name, text in files.items():
+            with open(temp[name], "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        for temp, target in staged:
-            os.replace(temp, target)
+            if os.path.lexists(target[name]):
+                old[name] = os.path.join(out_dir, f".{name}.{os.getpid()}.old")
+                os.link(target[name], old[name], follow_symlinks=False)
+        for name in files:
+            os.replace(temp[name], target[name])
+            placed.append(name)
     except OSError:
-        for temp, _ in staged:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
+        for name in reversed(placed):
+            with contextlib.suppress(OSError):
+                if name in old:
+                    # Popped first: a version that cannot be put back stays on disk.
+                    os.replace(old.pop(name), target[name])
+                else:
+                    os.unlink(target[name])
         raise
+    finally:
+        for leftover in [*temp.values(), *old.values()]:
+            with contextlib.suppress(OSError):
+                os.unlink(leftover)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +357,7 @@ def cmd_tessellate(args) -> None:
     series_set = build_region_series(table, tess)
     payloads = {
         "tessellation.csv": _artifact_text(
-            "tessellation.csv",
-            *zip(*((r.id, r.lon_min, r.lat_min, r.lon_max, r.lat_max, r.population)
-                   for r in tess.regions)),
+            "tessellation.csv", np.arange(tess.n_regions), *tess.bounds.T, tess.populations
         ),
         "region_series.csv": _region_series_csv(series_set),
     }
@@ -373,7 +386,7 @@ def cmd_concentrate(args) -> None:
         if args.population is None or args.target_pop is None:
             raise UsageError("--events also needs --population and --target-pop")
         table, tess, inputs, parameters = _tessellate_events(args)
-        counts = assign_events(table, tess).region_counts
+        counts, _ = assign_events(table, tess)
     curve = lorenz(counts)
     fit = fit_power_law(counts)
     comparisons = {}

@@ -33,7 +33,7 @@ READ_BLOCK_ROWS = 16384
 
 # Why parse_events sets a row aside, in the order the reasons are checked.
 REJECTION_REASONS = ("bad timestamp", "bad coordinate", "coordinate out of range",
-                     "empty category", "outside time window")
+                     "empty category")
 
 
 @dataclass
@@ -265,15 +265,12 @@ def _input_blocks(path, names, what):
     return blocks, [index[c] for c in names]
 
 
-def parse_events(path, schema: dict | None = None, window: tuple | None = None) -> EventTable:
+def parse_events(path, schema: dict | None = None) -> EventTable:
     """Read an event CSV into an EventTable.
 
     `schema` remaps canonical field names to the file's column names.
-    `window`, when given as (start, end), drops events outside
-    [start, end) with a per-row rejection note.  Raises ValueError when
-    required columns are absent or when more than half of the data rows
-    are unusable; rows dropped only for lying outside the window are
-    well formed and do not count toward that limit.
+    Raises ValueError when required columns are absent or when more than
+    half of the data rows are unusable; filter_events selects by time.
     """
     cols = dict(DEFAULT_EVENT_SCHEMA)
     if schema:
@@ -282,7 +279,6 @@ def parse_events(path, schema: dict | None = None, window: tuple | None = None) 
             raise ValueError(f"schema maps unknown fields: {sorted(unknown)}")
         cols.update(schema)
     blocks, (t, x, y, k) = _input_blocks(path, list(cols.values()), "event")
-    w0, w1 = (np.datetime64(w, "s") for w in window or (-(2**63) + 1, 2**63 - 1))
     kept = [(np.zeros(0, "datetime64[s]"), np.zeros(0), np.zeros(0), np.zeros(0, object))]
     rejections, n_rows = [], 0
     for block in blocks:
@@ -292,9 +288,8 @@ def parse_events(path, schema: dict | None = None, window: tuple | None = None) 
         cat = np.array([name.strip() for name in names.tolist()], dtype=object)[inverse]
         reason = np.select(  # 1 + the first of REJECTION_REASONS that applies
             [np.isnat(ts), ~(np.isfinite(lon) & np.isfinite(lat)),
-             ~((np.abs(lon) <= 180.0) & (np.abs(lat) <= 90.0)), cat == "",
-             ~((ts >= w0) & (ts < w1))],
-            [1, 2, 3, 4, 5], 0)
+             ~((np.abs(lon) <= 180.0) & (np.abs(lat) <= 90.0)), cat == ""],
+            [1, 2, 3, 4], 0)
         good = reason == 0
         kept.append((ts[good], lon[good], lat[good], cat[good]))
         bad = np.flatnonzero(~good)
@@ -302,10 +297,9 @@ def parse_events(path, schema: dict | None = None, window: tuple | None = None) 
                        for i, r in zip(bad.tolist(), reason[bad].tolist())]
         n_rows += ts.size
 
-    n_malformed = sum(r.reason != "outside time window" for r in rejections)
-    if n_rows and n_malformed > MAX_REJECT_FRACTION * n_rows:
+    if n_rows and len(rejections) > MAX_REJECT_FRACTION * n_rows:
         raise ValueError(
-            f"{n_malformed} of {n_rows} rows rejected; input looks malformed"
+            f"{len(rejections)} of {n_rows} rows rejected; input looks malformed"
         )
     table = EventTable(*map(np.concatenate, zip(*kept)), str(path), rejections)
     return table.take(np.argsort(table.timestamps, kind="stable"))

@@ -4,7 +4,9 @@ A census-style grid of population cells is recursively bisected: each
 rectangle splits along its longer axis at the population-weighted
 median of the cell coordinates, until every leaf holds at most the
 target population.  Cells are atomic, so leaves land within one cell's
-population of each other rather than exactly on the target.
+population of each other rather than exactly on the target.  The
+regions come back as columns in region-id order, `Tessellation.bounds`
+(lon_min, lat_min, lon_max, lat_max) and `Tessellation.populations`.
 """
 
 from __future__ import annotations
@@ -15,69 +17,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import EventTable
-from .series import RegionSeriesSet, WEEK_STEP_YEARS, monday_on_or_before
+from .series import RegionSeriesSet, monday_on_or_before
 
 _SECONDS_PER_WEEK = 7 * 86400
 
 
 @dataclass
-class Region:
-    """One tessellation leaf: a closed bounding box and its population."""
-
-    id: int
-    lon_min: float
-    lat_min: float
-    lon_max: float
-    lat_max: float
-    population: float
-
-    def contains(self, lon: float, lat: float) -> bool:
-        return (
-            self.lon_min <= lon <= self.lon_max
-            and self.lat_min <= lat <= self.lat_max
-        )
-
-
-@dataclass
-class _Node:
-    """Internal bisection-tree node; leaves carry the final region id."""
-
-    rect: tuple
-    axis: int = -1  # 0 = lon, 1 = lat, -1 = leaf
-    boundary: float = 0.0
-    low: "_Node | None" = None
-    high: "_Node | None" = None
-    region_id: int = -1
-    cell_index: np.ndarray | None = None
-    population: float = 0.0
-
-
-@dataclass
 class Tessellation:
-    regions: list[Region]
+    """Regions as columns in region-id order (see the module docstring),
+    and the bisection tree that locate_events walks as flat per-node
+    arrays, root first: the split axis (0 = lon, 1 = lat, -1 = leaf), the
+    boundary, the low child (the high child is the next index) and the
+    region id of each leaf (-1 elsewhere)."""
+
+    bounds: np.ndarray
+    populations: np.ndarray
     target_population: float
     total_population: float
     bbox: tuple
-    _root: _Node = field(repr=False, default=None)
+    node_axis: np.ndarray = field(repr=False)
+    node_boundary: np.ndarray = field(repr=False)
+    node_low: np.ndarray = field(repr=False)
+    node_region: np.ndarray = field(repr=False)
 
     @property
     def n_regions(self) -> int:
-        return len(self.regions)
-
-    def populations(self) -> np.ndarray:
-        return np.array([r.population for r in self.regions], dtype=float)
-
-
-@dataclass
-class EventAssignment:
-    """Result of dropping events into a tessellation."""
-
-    region_counts: np.ndarray
-    outside: int
-
-    @property
-    def total_assigned(self) -> int:
-        return int(self.region_counts.sum())
+        return len(self.populations)
 
 
 def _best_boundary(coords: np.ndarray, pops: np.ndarray):
@@ -123,6 +88,8 @@ def build_tessellation(cells, target_pop: float) -> Tessellation:
     lons, lats, pops = cells.T
     if not 0 < target_pop < np.inf:
         raise ValueError("target population must be finite and positive")
+    if not np.isfinite(cells).all():
+        raise ValueError("cell coordinates and populations must be finite")
     if np.any(pops < 0):
         raise ValueError("negative cell population")
     total = pops.sum()
@@ -130,66 +97,55 @@ def build_tessellation(cells, target_pop: float) -> Tessellation:
         raise ValueError("total population is zero")
 
     bbox = (lons.min(), lats.min(), lons.max(), lats.max())
-    root = _Node(rect=bbox, cell_index=np.arange(lons.size))
-    leaves: list[_Node] = []
-    stack = [root]
+    # Per tree node, root first: its rectangle and (axis, boundary, low child).
+    rects, splits = [bbox], [(-1, 0.0, -1)]
+    leaves = []  # (node, population)
+    stack = [(0, np.arange(lons.size))]
     while stack:
-        node = stack.pop()
-        idx = node.cell_index
-        node.population = pops[idx].sum()
-        lon0, lat0, lon1, lat1 = node.rect
-        if node.population <= target_pop:
-            leaves.append(node)
-            continue
-
-        # Longer axis first; accept the first axis whose most balanced
-        # boundary keeps both sides at or above half the target.
-        axes = [0, 1] if (lon1 - lon0) >= (lat1 - lat0) else [1, 0]
+        node, idx = stack.pop()
+        population = pops[idx].sum()
         chosen = None
-        for axis in axes:
-            coords = lons[idx] if axis == 0 else lats[idx]
-            found = _best_boundary(coords, pops[idx])
-            if found is None:
-                continue
-            boundary, low_mask, low_pop, high_pop = found
-            if min(low_pop, high_pop) >= 0.5 * target_pop:
-                chosen = (axis, boundary, low_mask)
-                break
-            if chosen is None:
-                chosen = (axis, boundary, low_mask)  # degenerate fallback
+        if population > target_pop:
+            # Longer axis first; accept the first axis whose most balanced
+            # boundary keeps both sides at or above half the target.
+            lon0, lat0, lon1, lat1 = rects[node]
+            axes = [0, 1] if (lon1 - lon0) >= (lat1 - lat0) else [1, 0]
+            for axis in axes:
+                found = _best_boundary(cells[idx, axis], pops[idx])
+                if found is None:
+                    continue
+                boundary, low_mask, low_pop, high_pop = found
+                if min(low_pop, high_pop) >= 0.5 * target_pop:
+                    chosen = (axis, boundary, low_mask)
+                    break
+                if chosen is None:
+                    chosen = (axis, boundary, low_mask)  # degenerate fallback
         if chosen is None:
-            leaves.append(node)  # single unsplittable cell; warned below
+            # At or below the target, or a single unsplittable cell (warned below).
+            leaves.append((node, population))
             continue
 
         axis, boundary, low_mask = chosen
-        node.axis, node.boundary = axis, boundary
-        if axis == 0:
-            low_rect = (lon0, lat0, boundary, lat1)
-            high_rect = (boundary, lat0, lon1, lat1)
-        else:
-            low_rect = (lon0, lat0, lon1, boundary)
-            high_rect = (lon0, boundary, lon1, lat1)
-        node.low = _Node(rect=low_rect, cell_index=idx[low_mask])
-        node.high = _Node(rect=high_rect, cell_index=idx[~low_mask])
-        node.cell_index = None
-        stack.extend((node.low, node.high))
+        low_rect, high_rect = list(rects[node]), list(rects[node])
+        low_rect[axis + 2] = high_rect[axis] = boundary
+        splits[node] = (axis, boundary, len(rects))
+        stack += [(len(rects), idx[low_mask]), (len(rects) + 1, idx[~low_mask])]
+        rects += [low_rect, high_rect]
+        splits += [(-1, 0.0, -1)] * 2
 
-    centres = np.array(
-        [(0.5 * (n.rect[1] + n.rect[3]), 0.5 * (n.rect[0] + n.rect[2])) for n in leaves]
-    )
-    order = np.lexsort((centres[:, 1], centres[:, 0]))
-    regions = []
-    for rank, leaf_pos in enumerate(order):
-        leaf = leaves[leaf_pos]
-        leaf.region_id = rank
-        lon0, lat0, lon1, lat1 = leaf.rect
-        regions.append(Region(rank, lon0, lat0, lon1, lat1, leaf.population))
-        if leaf.population > target_pop:
-            warnings.warn(
-                f"region {rank} population {leaf.population:.0f} exceeds the "
-                f"target {target_pop:g}"
-            )
-    return Tessellation(regions, target_pop, total, bbox, _root=root)
+    leaf_nodes, leaf_pops = map(np.array, zip(*leaves))
+    corners = np.array(rects)[leaf_nodes]
+    order = np.lexsort(0.5 * (corners[:, :2] + corners[:, 2:]).T)  # centre lat, then lon
+    node_region = np.full(len(rects), -1)
+    node_region[leaf_nodes[order]] = np.arange(order.size)
+    populations = leaf_pops[order]
+    for rank in np.flatnonzero(populations > target_pop):
+        warnings.warn(
+            f"region {rank} population {populations[rank]:.0f} exceeds the "
+            f"target {target_pop:g}"
+        )
+    return Tessellation(corners[order], populations, target_pop, total, bbox,
+                        *map(np.array, zip(*splits)), node_region)
 
 
 def locate_events(table: EventTable, tess: Tessellation) -> np.ndarray:
@@ -200,34 +156,34 @@ def locate_events(table: EventTable, tess: Tessellation) -> np.ndarray:
     region.
     """
     lons, lats = table.lons, table.lats
-    result = np.full(len(table), -1, dtype=np.int64)
+    result = np.full(len(table), tess.n_regions, dtype=np.int64)  # until a leaf claims it
     lon0, lat0, lon1, lat1 = tess.bbox
     inside = (lons >= lon0) & (lons <= lon1) & (lats >= lat0) & (lats <= lat1)
-    stack = [(tess._root, np.nonzero(inside)[0])]
+    stack = [(0, np.nonzero(inside)[0])]
     while stack:
         node, idx = stack.pop()
         if idx.size == 0:
             continue
-        if node.axis < 0:
+        axis, boundary, low = tess.node_axis[node], tess.node_boundary[node], tess.node_low[node]
+        if axis < 0:
             # Boundary points visit several leaves; keep the smallest id.
-            prev = result[idx]
-            result[idx] = np.where(prev < 0, node.region_id, np.minimum(prev, node.region_id))
+            result[idx] = np.minimum(result[idx], tess.node_region[node])
             continue
-        coords = lons[idx] if node.axis == 0 else lats[idx]
-        stack.append((node.low, idx[coords <= node.boundary]))
-        stack.append((node.high, idx[coords >= node.boundary]))
-    return result
+        coords = lons[idx] if axis == 0 else lats[idx]
+        stack.append((low, idx[coords <= boundary]))
+        stack.append((low + 1, idx[coords >= boundary]))
+    return np.where(result < tess.n_regions, result, -1)
 
 
-def assign_events(table: EventTable, tess: Tessellation) -> EventAssignment:
+def assign_events(table: EventTable, tess: Tessellation) -> tuple[np.ndarray, int]:
     """Total events per region, plus the outside-the-area bucket.
 
-    Every event lands in exactly one bucket, so region counts plus
-    `outside` always equals len(table).
+    Returns (region_counts, outside).  Every event lands in exactly one
+    bucket, so region_counts.sum() + outside always equals len(table).
     """
     where = locate_events(table, tess)
     counts = np.bincount(where[where >= 0], minlength=tess.n_regions)
-    return EventAssignment(counts.astype(np.int64), int((where < 0).sum()))
+    return counts.astype(np.int64), int((where < 0).sum())
 
 
 def build_region_series(

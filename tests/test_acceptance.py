@@ -184,7 +184,7 @@ def test_10_tessellation_population_balance():
     uniform = np.array([(i / 64, j / 64, 1.0) for i in range(64) for j in range(64)])
     tess = build_tessellation(uniform, target_pop=256)
     assert tess.n_regions == 16
-    assert (tess.populations() == 256.0).all()
+    assert (tess.populations == 256.0).all()
 
     rng = np.random.default_rng(1234)
     blocks = []
@@ -197,7 +197,7 @@ def test_10_tessellation_population_balance():
     max_cell = cells[:, 2].max()
     for divisor in (11.3, 7.7, 23.6):
         tess = build_tessellation(cells, target_pop=total / divisor)
-        populations = tess.populations()
+        populations = tess.populations
         assert populations.max() - populations.min() <= 2.0 * max_cell
 
 

@@ -411,6 +411,39 @@ class TestFailureHandling:
         after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
         assert after == before
 
+    def test_unlinkable_target_fails_before_anything_is_replaced(self, tmp_path, capsys):
+        events, pop = TestTessellateCommand().make_inputs(tmp_path)
+        out = tmp_path / "out"
+        argv = ("tessellate", "--events", events, "--population", pop, "--out", out)
+        assert run(*argv, "--target-pop", 4) == 0
+        (out / "region_series.csv").unlink()
+        (out / "region_series.csv").mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert run(*argv, "--target-pop", 16) == 1
+        assert "error: tessellate:" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert after == before
+
+    def test_failed_replace_puts_the_replaced_files_back(self, tmp_path, monkeypatch, capsys):
+        events, pop = TestTessellateCommand().make_inputs(tmp_path)
+        out = tmp_path / "out"
+        argv = ("tessellate", "--events", events, "--population", pop, "--out", out)
+        assert run(*argv, "--target-pop", 4) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_replace, calls = os.replace, []
+
+        def second_replace_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_replace_fails)
+        assert run(*argv, "--target-pop", 16) == 1
+        monkeypatch.undo()
+        assert "disk full" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_malformed_scenario_is_a_module_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "ar1", "seed": 1}')

@@ -165,33 +165,6 @@ class TestParseEvents:
         assert [(r.row, r.reason) for r in t.rejections] == [
             (1, "bad timestamp"), (2, "bad timestamp")]
 
-    def test_window_rejects_out_of_study_rows(self, tmp_path):
-        p = write_csv(
-            tmp_path / "e.csv",
-            [
-                "2014-12-31T00:00:00,1,1,theft",
-                "2015-01-05T10:00:00,1,1,theft",
-            ],
-        )
-        t = parse_events(p, window=("2015-01-01", "2016-01-01"))
-        assert len(t) == 1
-        assert t.rejections[0].reason == "outside time window"
-
-    def test_window_drops_do_not_count_as_malformed(self, tmp_path):
-        day0 = np.datetime64("2015-01-05T10:00:00")
-        rows = [f"{day0 + np.timedelta64(i, 'D')},1,1,theft" for i in range(1000)]
-        p = write_csv(tmp_path / "e.csv", rows)
-        t = parse_events(p, window=("2015-01-05", "2015-04-15"))
-        assert len(t) == 100
-        assert len(t.rejections) == 900
-        assert {r.reason for r in t.rejections} == {"outside time window"}
-
-    def test_malformed_rows_still_count_under_a_window(self, tmp_path):
-        rows = ["not-a-date,1,1,theft"] * 3 + ["2015-01-05T10:00:00,1,1,theft"] * 2
-        p = write_csv(tmp_path / "e.csv", rows)
-        with pytest.raises(ValueError, match="3 of 5 rows rejected"):
-            parse_events(p, window=("2015-01-01", "2016-01-01"))
-
 
 class TestParsePopulation:
     def test_four_cells(self, tmp_path):
@@ -305,7 +278,7 @@ def _reference_float(text):
     return v if np.isfinite(v) else None
 
 
-def reference_parse_events(path, window=None):
+def reference_parse_events(path):
     """One DictReader row and one parse_timestamp call at a time."""
     cols = dict(ingest.DEFAULT_EVENT_SCHEMA)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -314,10 +287,8 @@ def reference_parse_events(path, window=None):
         missing = [v for v in cols.values() if v not in header]
         if missing:
             raise ValueError(f"event file lacks required columns: {missing}")
-        if window is not None:
-            w0, w1 = (np.datetime64(w, "s") for w in window)
         timestamps, lons, lats, cats, rejections = [], [], [], [], []
-        n_rows = n_outside_window = 0
+        n_rows = 0
         for row in reader:
             n_rows += 1
             ts = parse_timestamp(row.get(cols["timestamp"]) or "")
@@ -336,17 +307,12 @@ def reference_parse_events(path, window=None):
             if not cat:
                 rejections.append((n_rows, "empty category"))
                 continue
-            if window is not None and not (w0 <= ts < w1):
-                rejections.append((n_rows, "outside time window"))
-                n_outside_window += 1
-                continue
             timestamps.append(ts)
             lons.append(lon)
             lats.append(lat)
             cats.append(cat)
-    n_malformed = len(rejections) - n_outside_window
-    if n_rows and n_malformed > ingest.MAX_REJECT_FRACTION * n_rows:
-        raise ValueError(f"{n_malformed} of {n_rows} rows rejected; input looks malformed")
+    if n_rows and len(rejections) > ingest.MAX_REJECT_FRACTION * n_rows:
+        raise ValueError(f"{len(rejections)} of {n_rows} rows rejected; input looks malformed")
     order = np.argsort(np.array(timestamps, dtype="datetime64[s]"), kind="stable")
     return [
         np.array(timestamps, dtype="datetime64[s]")[order],
@@ -474,17 +440,15 @@ class TestBlockReaderOracle:
     @settings(max_examples=250, deadline=None)
     @given(
         st.lists(event_rows, max_size=40),
-        st.sampled_from([None, ("2014-06-01", "2016-01-01"), ("1999-01-01", "2000-01-01")]),
         st.sampled_from([1, 2, 3, 7, ingest.READ_BLOCK_ROWS]),
     )
-    def test_parse_events_equals_the_per_row_parser(self, tmp_path_factory, rows, window,
-                                                    block_rows):
+    def test_parse_events_equals_the_per_row_parser(self, tmp_path_factory, rows, block_rows):
         path = tmp_path_factory.mktemp("events") / "e.csv"
         write_rows(path, ["timestamp", "lon", "lat", "category"], rows)
-        expected = outcome(reference_parse_events, path, window)
+        expected = outcome(reference_parse_events, path)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "READ_BLOCK_ROWS", block_rows)
-            got = outcome(parse_events, path, None, window)
+            got = outcome(parse_events, path)
         if isinstance(expected, tuple):
             assert got == expected
             return

@@ -1,13 +1,18 @@
 """Equal-population bisection, event assignment and weekly aggregation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crimepatterns import (
     EventTable,
     assign_events,
     build_region_series,
     build_tessellation,
+    locate_events,
 )
 
 
@@ -39,7 +44,7 @@ class TestBuildTessellation:
         ])
         tess = build_tessellation(cells, 100.0)
         assert tess.n_regions == 4
-        assert np.all(tess.populations() == 100.0)
+        assert np.all(tess.populations == 100.0)
 
     def test_uniform_32x32_grid_splits_into_equal_leaves(self):
         # With 1024 unit cells and target 64 every weighted-median split
@@ -47,14 +52,14 @@ class TestBuildTessellation:
         # 1024 -> 512 -> 256 -> 128 -> 64, giving 16 leaves of 64 cells.
         tess = build_tessellation(grid_cells(32, 32), 64.0)
         assert tess.n_regions == 16
-        assert np.all(tess.populations() == 64.0)
+        assert np.all(tess.populations == 64.0)
         assert tess.total_population == 1024.0
 
     def test_indivisible_single_cell_warns_and_degenerates(self):
         with pytest.warns(UserWarning):
             tess = build_tessellation(np.array([[0.0, 0.0, 500.0]]), 100.0)
         assert tess.n_regions == 1
-        assert tess.regions[0].population == 500.0
+        assert tess.populations[0] == 500.0
 
     @pytest.mark.parametrize("target", [0.0, -4.0, np.inf, np.nan])
     def test_target_must_be_finite_and_positive(self, target):
@@ -64,6 +69,18 @@ class TestBuildTessellation:
     def test_tiny_target_is_named_in_the_warning(self):
         with pytest.warns(UserWarning, match="exceeds the target 1e-300$"):
             build_tessellation(np.array([[0.0, 0.0, 5.0]]), 1e-300)
+
+    @pytest.mark.parametrize("bad_cell", [
+        (np.nan, 0.0, 1.0),   # no boundary splits off a NaN: endless splitting
+        (0.5, -np.inf, 1.0),  # a boundary next to -inf is -inf: endless splitting
+        (np.inf, 0.5, 1.0),   # a region would reach to infinity
+        (0.5, 0.5, np.nan),   # a region would hold NaN people
+        (0.5, 0.5, np.inf),   # a region would hold infinitely many people
+    ])
+    def test_non_finite_cell_is_an_error(self, bad_cell):
+        cells = np.vstack([grid_cells(2, 2), bad_cell])
+        with pytest.raises(ValueError, match="must be finite"):
+            build_tessellation(cells, 1.0)
 
     def test_empty_cell_list_is_an_error(self):
         with pytest.raises(ValueError):
@@ -80,40 +97,31 @@ class TestBuildTessellation:
         )
         total = sum(cells[:, 2].tolist())
         tess = build_tessellation(cells, total / 9.7)
-        assert tess.populations().sum() == pytest.approx(total, abs=1e-9)
+        assert tess.populations.sum() == pytest.approx(total, abs=1e-9)
 
     def test_regions_tile_the_bounding_box(self):
         tess = build_tessellation(grid_cells(16, 16), 32.0)
         # every cell centroid is covered, and by exactly one region
         # except on shared boundaries
+        lon_min, lat_min, lon_max, lat_max = tess.bounds.T
         for lon, lat, _ in grid_cells(16, 16):
-            owners = [
-                r.id for r in tess.regions if r.contains(lon, lat)
-            ]
+            owners = np.flatnonzero(
+                (lon_min <= lon) & (lon <= lon_max) & (lat_min <= lat) & (lat <= lat_max)
+            )
             assert len(owners) >= 1
-        area = sum(
-            (r.lon_max - r.lon_min) * (r.lat_max - r.lat_min) for r in tess.regions
-        )
+        area = sum(((lon_max - lon_min) * (lat_max - lat_min)).tolist())
         assert area == pytest.approx(1.0, rel=1e-9)
 
     def test_ids_are_row_major_and_deterministic(self):
         cells = grid_cells(8, 8)
         t1 = build_tessellation(cells, 16.0)
         t2 = build_tessellation(cells.copy(), 16.0)
-        assert [r.id for r in t1.regions] == list(range(t1.n_regions))
-        for a, b in zip(t1.regions, t2.regions):
-            assert (a.id, a.lon_min, a.lat_min, a.lon_max, a.lat_max) == (
-                b.id,
-                b.lon_min,
-                b.lat_min,
-                b.lon_max,
-                b.lat_max,
-            )
+        leaf_ids = t1.node_region[t1.node_axis < 0]
+        assert sorted(leaf_ids.tolist()) == list(range(t1.n_regions))
+        assert np.array_equal(t1.bounds, t2.bounds)
         # row-major on centers: sorted by (lat, lon) of the leaf center
-        centers = [
-            ((r.lat_min + r.lat_max) / 2, (r.lon_min + r.lon_max) / 2)
-            for r in t1.regions
-        ]
+        lon_min, lat_min, lon_max, lat_max = t1.bounds.T
+        centers = list(zip(((lat_min + lat_max) / 2).tolist(), ((lon_min + lon_max) / 2).tolist()))
         assert centers == sorted(centers)
 
     def test_clustered_population_obeys_balance_bound(self):
@@ -123,54 +131,55 @@ class TestBuildTessellation:
         pops = rng.lognormal(0.0, 1.0, size=pts.shape[0])
         cells = np.column_stack((pts, pops))
         tess = build_tessellation(cells, pops.sum() / 11.3)
-        spread = tess.populations().max() - tess.populations().min()
+        spread = tess.populations.max() - tess.populations.min()
         assert spread <= 2.0 * pops.max()
 
 
 class TestAssignEvents:
     def test_all_events_in_one_region(self):
         tess = build_tessellation(grid_cells(4, 4), 4.0)
-        r = tess.regions[2]
-        lon = (r.lon_min + r.lon_max) / 2
-        lat = (r.lat_min + r.lat_max) / 2
+        lon_min, lat_min, lon_max, lat_max = tess.bounds[2]
+        lon = (lon_min + lon_max) / 2
+        lat = (lat_min + lat_max) / 2
         stamps = [
             np.datetime64("2015-01-05T00:00:00") + np.timedelta64(i, "h")
             for i in range(7)
         ]
-        asg = assign_events(make_events(stamps, [lon] * 7, [lat] * 7), tess)
-        assert asg.region_counts[2] == 7
-        assert asg.region_counts.sum() == 7
-        assert asg.outside == 0
+        counts, outside = assign_events(make_events(stamps, [lon] * 7, [lat] * 7), tess)
+        assert counts[2] == 7
+        assert counts.sum() == 7
+        assert outside == 0
 
     def test_boundary_event_goes_to_lower_id(self):
         tess = build_tessellation(grid_cells(4, 4), 8.0)
         # pick two regions sharing an edge and drop an event exactly on it
-        a, b = tess.regions[0], None
-        for cand in tess.regions[1:]:
-            if a.lon_max == cand.lon_min and a.lat_min == cand.lat_min:
+        lon_min, lat_min, lon_max, lat_max = tess.bounds.T
+        a, b = 0, None
+        for cand in range(1, tess.n_regions):
+            if lon_max[a] == lon_min[cand] and lat_min[a] == lat_min[cand]:
                 b = cand
                 break
         if b is None:  # split was along latitude instead
-            for cand in tess.regions[1:]:
-                if a.lat_max == cand.lat_min and a.lon_min == cand.lon_min:
+            for cand in range(1, tess.n_regions):
+                if lat_max[a] == lat_min[cand] and lon_min[a] == lon_min[cand]:
                     b = cand
                     break
-        lon = a.lon_max if b.lon_min == a.lon_max else (a.lon_min + a.lon_max) / 2
-        lat = a.lat_max if b.lat_min == a.lat_max else (a.lat_min + a.lat_max) / 2
-        asg = assign_events(make_events(["2015-01-05T00:00:00"], [lon], [lat]), tess)
-        assert asg.region_counts[a.id] == 1
-        assert asg.region_counts[b.id] == 0
+        lon = lon_max[a] if lon_min[b] == lon_max[a] else (lon_min[a] + lon_max[a]) / 2
+        lat = lat_max[a] if lat_min[b] == lat_max[a] else (lat_min[a] + lat_max[a]) / 2
+        counts, _ = assign_events(make_events(["2015-01-05T00:00:00"], [lon], [lat]), tess)
+        assert counts[a] == 1
+        assert counts[b] == 0
 
     def test_events_outside_bbox_are_counted_not_dropped(self):
         tess = build_tessellation(grid_cells(4, 4), 4.0)
-        asg = assign_events(
+        counts, outside = assign_events(
             make_events(
                 ["2015-01-05T00:00:00", "2015-01-05T01:00:00"], [5.0, 0.5], [5.0, 0.5]
             ),
             tess,
         )
-        assert asg.outside == 1
-        assert asg.total_assigned == 1
+        assert outside == 1
+        assert counts.sum() == 1
 
     def test_uniform_scatter_matches_binomial_oracle(self):
         # Events placed exactly on the cell centroids of a uniform grid
@@ -185,12 +194,12 @@ class TestAssignEvents:
         stamps = np.datetime64("2015-01-05T00:00:00") + rng.integers(
             0, 86400 * 700, n
         ).astype("timedelta64[s]")
-        asg = assign_events(make_events(stamps, lons, lats), tess)
+        counts, outside = assign_events(make_events(stamps, lons, lats), tess)
         r = tess.n_regions
         sd = np.sqrt(n * (1 / r) * (1 - 1 / r))
-        z = np.abs(asg.region_counts - n / r) / sd
+        z = np.abs(counts - n / r) / sd
         assert z.max() < 5.0
-        assert asg.total_assigned + asg.outside == n
+        assert counts.sum() + outside == n
 
 
 class TestBuildRegionSeries:
@@ -198,8 +207,8 @@ class TestBuildRegionSeries:
         self.tess = build_tessellation(grid_cells(4, 4), 4.0)
 
     def region_center(self, i):
-        r = self.tess.regions[i]
-        return (r.lon_min + r.lon_max) / 2, (r.lat_min + r.lat_max) / 2
+        lon_min, lat_min, lon_max, lat_max = self.tess.bounds[i]
+        return (lon_min + lon_max) / 2, (lat_min + lat_max) / 2
 
     def test_single_burst_lands_in_one_week_of_one_region(self):
         lon, lat = self.region_center(3)
@@ -271,3 +280,53 @@ class TestBuildRegionSeries:
             make_events(stamps, [lon] * 5, [lat] * 5), self.tess
         )
         assert ss.counts.sum() + ss.meta["events_in_partial_weeks"] == 5
+
+
+# Distinct coordinates on an uneven grid: every split boundary is a midpoint
+# strictly between two of them, so no cell lies on a region edge.
+oracle_cells = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 40), st.floats(0, 1000)),
+    min_size=1, max_size=60, unique_by=lambda c: c[:2],
+).map(lambda rows: np.array([(0.37 * i - 3.0, 0.23 * j + 41.0, p) for i, j, p in rows]))
+
+
+class TestTessellationOracle:
+    """Every tessellation checked by brute force over all regions' closed
+    rectangles."""
+
+    @pytest.mark.filterwarnings("ignore:region .* exceeds the target:UserWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_cells, st.floats(0.02, 1.5), st.data())
+    def test_regions_and_locations_match_brute_force(self, cells, share, data):
+        lon, lat, pop = cells.T
+        assume(pop.sum() > 0)
+        tess = build_tessellation(cells, share * pop.sum())
+        lon_min, lat_min, lon_max, lat_max = tess.bounds.T
+        x0, y0, x1, y1 = tess.bbox
+
+        def covering(x, y):
+            """(points, regions) mask of closed rectangles holding each point."""
+            x, y = np.asarray(x)[:, None], np.asarray(y)[:, None]
+            return (lon_min <= x) & (x <= lon_max) & (lat_min <= y) & (y <= lat_max)
+
+        # Each cell lies in exactly one region, and the regions hold their cells.
+        holds = covering(lon, lat)
+        assert (holds.sum(axis=1) == 1).all()
+        assert np.array_equal(
+            tess.populations, [pop[holds[:, r]].sum() for r in range(tess.n_regions)]
+        )
+        area = math.fsum(((lon_max - lon_min) * (lat_max - lat_min)).tolist())
+        assert area == pytest.approx((x1 - x0) * (y1 - y0), rel=1e-9, abs=1e-12)
+
+        # Corners and edge midpoints of regions, and points in and around the bbox.
+        on_edge = st.integers(0, tess.n_regions - 1).flatmap(lambda r: st.tuples(
+            st.sampled_from([lon_min[r], lon_max[r], (lon_min[r] + lon_max[r]) / 2]),
+            st.sampled_from([lat_min[r], lat_max[r], (lat_min[r] + lat_max[r]) / 2]),
+        ))
+        around = st.tuples(st.floats(x0 - 1, x1 + 1), st.floats(y0 - 1, y1 + 1))
+        points = data.draw(st.lists(st.one_of(on_edge, around), min_size=1, max_size=50))
+        x, y = np.array(points, dtype=float).T
+        table = make_events(["2015-01-05T00:00:00"] * x.size, x, y)
+        inside = covering(x, y)
+        expected = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+        assert np.array_equal(locate_events(table, tess), expected)
