@@ -29,8 +29,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .concentration import fit_power_law, gof_bootstrap, likelihood_ratio, lorenz
-from .independence import PairedSample, hoeffding_d, hoeffding_test
+from .concentration import MIN_BOOTSTRAP, fit_power_law, gof_bootstrap, likelihood_ratio, lorenz
+from .independence import MIN_PERMUTATIONS, PairedSample, hoeffding_d, hoeffding_test
 from .ingest import COLUMN_KINDS, filter_events, parse_events, parse_population, read_csv
 from .rankdyn import position_entropy, weekly_ranks
 from .rhythms import (
@@ -304,11 +304,16 @@ def _target_pop(text: str) -> float:
     return value
 
 
-def _workers(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
+def _at_least(low: int):
+    """An argparse type: a whole number of at least `low`."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid integer value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+
+    return integer
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-pop", type=_target_pop, default=None, dest="target_pop")
     p.add_argument("--category", default=None)
     p.add_argument("--alpha-level", type=_alpha, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
-    p.add_argument("--boot", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--boot", type=_at_least(MIN_BOOTSTRAP), default=1000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--workers", type=_at_least(1), default=1)
 
     p = add("ranks", cmd_ranks, "rankdyn", "weekly rank-position entropy per region")
     p.add_argument("--region-series", required=True, dest="region_series")
@@ -608,8 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("independence", cmd_independence, "independence",
             "Hoeffding D permutation test on x,y pairs")
     p.add_argument("--pairs", required=True, help="CSV with x and y columns")
-    p.add_argument("--perm", type=int, default=999)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--perm", type=_at_least(MIN_PERMUTATIONS), default=999)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--alpha-level", type=_alpha, default=DEFAULT_ALPHA_LEVEL, dest="alpha_level")
 
     p = add("simulate", cmd_simulate, "synth", "run a seeded synthetic scenario file")

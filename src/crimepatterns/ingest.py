@@ -1,8 +1,12 @@
 """Reading of CSV files, and validation of the input tables.
 
-Every CSV file is read by one reader: a csv.reader pass in blocks of
-READ_BLOCK_ROWS rows, whose cells are cast column by column (`cast`)
-before the next block is read.  Point events (timestamp, lon, lat,
+Every CSV file is read by one reader in blocks of READ_BLOCK_ROWS rows,
+whose cells are cast column by column (`cast`) before the next block is
+read.  A block of plain lines (no quote, no carriage return, the header's
+field count on every line) is split on commas in one pass; from the first
+block that is not, csv.reader reads the rest of the file.  Timestamps in
+the common ISO shape are read by calendar arithmetic on their characters,
+every other one by parse_timestamp.  Point events (timestamp, lon, lat,
 category) are checked row by row: a bad row is set aside with a reason,
 and a file whose rows are mostly malformed is rejected.  Population cells
 (lon, lat, population) must all be valid.
@@ -13,7 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice, zip_longest
+from itertools import chain, islice, repeat, zip_longest
 
 import numpy as np
 
@@ -111,18 +115,34 @@ def _blocks(path, ragged_ok: bool = False):
     """Yield a CSV file's header, then its data rows in blocks of at most
     READ_BLOCK_ROWS rows, each a list of column lists.  Blank lines are
     skipped.  Ragged rows are an error unless `ragged_ok`: then short rows
-    are padded with empty cells and cells past the header dropped."""
+    are padded with empty cells and cells past the header dropped.
+
+    Each block is read as READ_BLOCK_ROWS raw lines.  While a block has no
+    quote, no carriage return, no blank line and no line longer than the
+    csv field limit, and every line holds exactly the header's fields, it
+    is split on commas in one pass.  From the first block that does not,
+    csv.reader reads the rest of the file, that block's lines included.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, [])
+        header = next(csv.reader(fh), [])
         yield header
+        width = len(header)
+        while lines := list(islice(fh, READ_BLOCK_ROWS)):
+            text = "".join(lines)
+            if ('"' in text or "\r" in text or "\n" in lines
+                    or max(map(len, lines)) > csv.field_size_limit()
+                    or set(map(str.count, lines, repeat(","))) != {width - 1}):
+                break
+            cells = text.replace("\n", ",").split(",")
+            yield [cells[j:len(lines) * width:width] for j in range(width)]
+        rows = csv.reader(chain(lines, fh))
         while chunk := list(islice(rows, READ_BLOCK_ROWS)):
             block = list(filter(None, chunk))
-            if set(map(len, block)) - {len(header)} and not ragged_ok:
+            if set(map(len, block)) - {width} and not ragged_ok:
                 raise ValueError(f"{path}: ragged rows")
-            columns = list(map(list, islice(zip_longest(*block, fillvalue=""), len(header))))
+            columns = list(map(list, islice(zip_longest(*block, fillvalue=""), width)))
             if block:
-                yield columns + [[""] * len(block)] * (len(header) - len(columns))
+                yield columns + [[""] * len(block)] * (width - len(columns))
 
 
 def _convert(cells, dtype, fill) -> tuple[np.ndarray, np.ndarray]:
@@ -140,19 +160,30 @@ def _convert(cells, dtype, fill) -> tuple[np.ndarray, np.ndarray]:
     return tuple(map(np.concatenate, zip(*parts)))
 
 
+# The first 19 characters of a vector-read timestamp lie between these, one
+# code point each; the date-time separator is then checked for T, t or space.
+_HEAD_LOW, _HEAD_HIGH = (np.array(list(map(ord, bound)), dtype=np.int32)
+                         for bound in ("0000-00-00 00:00:00", "9999-99-99t99:99:99"))
+# Where the digits of year, month, day, hour, minute and second lie.
+_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
+# Days in each month of a common year, by month number.
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
 def _timestamps(cells) -> np.ndarray:
     """parse_timestamp of each cell as datetime64[s], NaT where it gives None.
 
-    Cells shaped YYYY-MM-DDTHH:MM:SS[.f][Z|±HH:MM], with one to six
-    fraction digits, convert as one vector: numpy reads the first 19
-    characters, which must print back unchanged with a year from 2 to 9998
-    (so 2014-02-30 and hour 24 do not pass).  Every other cell goes
-    through parse_timestamp, and so does each one longer than that
-    shape's 32 characters or ending in a NUL (fixed-width numpy strings
-    would cut the first and drop the NUL of the second).
+    Cells shaped YYYY-MM-DD(T|t| )HH:MM:SS[.f][Z|±HH:MM], with one to six
+    fraction digits, convert as one vector by calendar arithmetic on their
+    code points: the date must exist (29 February only in leap years), the
+    hour must be below 24, minute and second below 60, and the year from 2
+    to 9998.  Every other cell goes through parse_timestamp, and so does
+    each one longer than that shape's 32 characters or ending in a NUL
+    (fixed-width numpy strings would cut the first and drop the NUL of the
+    second).
     """
     n = len(cells)
-    text = np.array(cells, dtype=object).astype("U32")
+    text = np.array(cells, dtype="U32")
     c = text.view(np.int32).reshape(n, 32)  # code points
     rows, length = np.arange(n), np.char.str_len(text)
     whole = length == np.fromiter(map(len, cells), int, n)
@@ -165,15 +196,21 @@ def _timestamps(cells) -> np.ndarray:
     fraction = ((c[:, 20:26] >= ord("0")) & (c[:, 20:26] <= ord("9"))
                 | (np.arange(20, 26) >= end[:, None])).all(axis=1)
     shaped = whole & ((end == 19) | (c[:, 19] == ord(".")) & (end >= 21) & (end <= 26) & fraction)
-    idx = np.flatnonzero(shaped)
-    head = text[idx].astype("U19")
-    stamp, _ = _convert(head, "datetime64[s]", "NaT")
-    good = ((np.datetime_as_string(stamp) == head) & (stamp >= np.datetime64("0002"))
-            & (stamp < np.datetime64("9999")))
-    keep = idx[good]
+    head = c[:, :19]
+    year, month, day, hour, minute, second = (
+        (head[:, a:b] - ord("0")) @ 10 ** np.arange(b - a - 1, -1, -1) for a, b in _FIELDS)
+    leap = (year % 4 == 0) & (year % 100 != 0) | (year % 400 == 0)
+    days = np.take(_MONTH_DAYS, month, mode="clip") + ((month == 2) & leap)
+    keep = np.flatnonzero(
+        shaped & ((head >= _HEAD_LOW) & (head <= _HEAD_HIGH)).all(axis=1)
+        & np.isin(head[:, 10], [ord("T"), ord("t"), ord(" ")])
+        & (year >= 2) & (year <= 9998) & (month >= 1) & (month <= 12)
+        & (day >= 1) & (day <= days) & (hour < 24) & (minute < 60) & (second < 60))
+    months = ((year[keep] - 1970) * 12 + month[keep] - 1).astype("datetime64[M]")
+    seconds = (((day[keep] - 1) * 24 + hour[keep]) * 60 + minute[keep]) * 60 + second[keep]
     shift = np.where(c[keep, o[keep]] == ord("-"), -60, 60) * offset[keep] * minutes[keep]
     out = np.full(n, np.datetime64("NaT"), dtype="datetime64[s]")
-    out[keep] = stamp[good] - shift.astype("timedelta64[s]")
+    out[keep] = months.astype("datetime64[s]") + (seconds - shift)
     rest = np.setdiff1d(rows, keep, assume_unique=True)
     out[rest] = np.array([parse_timestamp(cells[i]) for i in rest], dtype="datetime64[s]")
     return out
@@ -284,8 +321,8 @@ def parse_events(path, schema: dict | None = None) -> EventTable:
     for block in blocks:
         ts = cast(block[t], "timestamp")[0]
         lon, lat = (cast(block[i], "float")[0] for i in (x, y))
-        names, inverse = np.unique(np.array(block[k], dtype=object), return_inverse=True)
-        cat = np.array([name.strip() for name in names.tolist()], dtype=object)[inverse]
+        names = {name: name.strip() for name in set(block[k])}
+        cat = np.array(list(map(names.__getitem__, block[k])), dtype=object)
         reason = np.select(  # 1 + the first of REJECTION_REASONS that applies
             [np.isnat(ts), ~(np.isfinite(lon) & np.isfinite(lat)),
              ~((np.abs(lon) <= 180.0) & (np.abs(lat) <= 90.0)), cat == ""],

@@ -333,6 +333,32 @@ class TestFailureHandling:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("concentrate", "--counts", "c.csv", "--boot", "99"),
+        ("concentrate", "--counts", "c.csv", "--boot", "x"),
+        ("concentrate", "--counts", "c.csv", "--seed", "-1"),
+        ("concentrate", "--events", "e.csv", "--population", "p.csv", "--target-pop", "5",
+         "--boot", "50"),
+        ("independence", "--pairs", "p.csv", "--perm", "998"),
+        ("independence", "--pairs", "p.csv", "--perm", "1e3"),
+        ("independence", "--pairs", "p.csv", "--seed", "-1"),
+        ("independence", "--pairs", "p.csv", "--seed", "0.5"),
+    ])
+    def test_bad_boot_perm_or_seed_is_a_usage_error(self, argv, capsys):
+        # The parser alone rejects the value, before any input is read.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--out", "o"])
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+    def test_smallest_boot_perm_and_seed_parse(self):
+        args = build_parser().parse_args(["concentrate", "--counts", "c.csv", "--boot", "100",
+                                          "--seed", "0", "--out", "o"])
+        assert (args.boot, args.seed) == (100, 0)
+        args = build_parser().parse_args(["independence", "--pairs", "p.csv", "--perm", "999",
+                                          "--seed", "0", "--out", "o"])
+        assert (args.perm, args.seed) == (999, 0)
+
     @pytest.mark.parametrize("subcommand", ["tessellate", "concentrate"])
     @pytest.mark.parametrize("target", ["inf", "-inf", "nan", "0", "-5", "x"])
     def test_bad_target_pop_is_a_usage_error(self, subcommand, target, capsys):

@@ -352,12 +352,31 @@ def reference_parse_population(path):
     return np.array(cells, dtype=float)
 
 
+def reference_read_csv(path, columns, kinds):
+    """read_csv of a whole file's csv.reader rows, cast as whole columns."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh)) or [[]]
+    rows = list(filter(None, rows))
+    if not header or not rows:
+        raise ValueError(f"{path}: no data rows")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: ragged rows")
+    values = []
+    for j, kind in zip(columns(header), kinds):
+        cells = [row[j] for row in rows]
+        got, rejected = cast(cells, kind)
+        if rejected.any():
+            raise ingest._rejection(path, header[j], cells[np.argmax(rejected)], kind)
+        values.append(got)
+    return header, values
+
+
 def outcome(parse, *args):
     """The parse's result, or the type and text of the error it raises."""
     try:
         return parse(*args)
-    except ValueError as exc:
-        return ("error", str(exc))
+    except (ValueError, csv.Error) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 def padded(text):
@@ -430,6 +449,50 @@ def write_rows(path, header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     path.write_text(buf.getvalue(), encoding="utf-8")
+
+
+EVENT_LINES = ["timestamp,lon,lat,category"] + [
+    f"2015-01-{d:02d}T10:00:00{zone},{d / 4},-{d / 8},theft"
+    for d, zone in zip(range(1, 13), ["", "Z", "+05:30", "-06:00"] * 3)]
+ARTIFACTS = {  # header and data lines, and the kind of each column
+    "two columns": (["a,b"] + [f"{i},{i / 2}" for i in range(12)], ["int", "float"]),
+    "one column": (["count"] + [f"{i}" for i in range(12)], ["int"]),
+}
+FIELD_LIMIT = csv.field_size_limit()
+
+
+def _at(lines, at, cell):
+    """The lines with the last cell of data row `at` replaced."""
+    lines = list(lines)
+    head, comma, _ = lines[at + 1].rpartition(",")
+    lines[at + 1] = head + comma + cell
+    return lines
+
+
+# File texts that leave the one-pass split, each made from a header and
+# data lines with the defect at 0-based data row `at`.
+OFF_THE_FAST_PATH = {
+    "crlf line ends": lambda lines, at: "\r\n".join(lines) + "\r\n",
+    "crlf from a row on": lambda lines, at: (
+        "\n".join(lines[:at + 1]) + "\n" + "\r\n".join(lines[at + 1:]) + "\r\n"),
+    "lone cr line ends": lambda lines, at: "\r".join(lines) + "\r",
+    "lone cr at a row": lambda lines, at: "\n".join(_at(lines, at, "5\r")) + "\n",
+    "quoted comma": lambda lines, at: "\n".join(_at(lines, at, '"5,5"')) + "\n",
+    "quoted quote": lambda lines, at: "\n".join(_at(lines, at, '"say ""5"""')) + "\n",
+    "quoted newline across rows": lambda lines, at: "\n".join(_at(lines, at, '"5\n"')) + "\n",
+    "quoted plain cell": lambda lines, at: "\n".join(_at(lines, at, '"5"')) + "\n",
+    "no final newline": lambda lines, at: "\n".join(lines[:at + 2]),
+    "blank line": lambda lines, at: "\n".join(lines[:at + 1] + [""] + lines[at + 1:]) + "\n",
+    "whitespace-only line": lambda lines, at: (
+        "\n".join(lines[:at + 1] + ["  \t"] + lines[at + 1:]) + "\n"),
+    "short and long rows": lambda lines, at: (
+        "\n".join(lines[:at + 1] + ["5", lines[at + 1] + ",extra"] + lines[at + 2:]) + "\n"),
+    "utf-8 bom": lambda lines, at: "\ufeff" + "\n".join(lines) + "\n",
+    "field over the limit": lambda lines, at: (
+        "\n".join(_at(lines, at, "5" * (FIELD_LIMIT + 1))) + "\n"),
+    "line over the limit, fields under it": lambda lines, at: (
+        "\n".join(_at(lines, at, "5" + " " * (FIELD_LIMIT - 10))) + "\n"),
+}
 
 
 class TestBlockReaderOracle:
@@ -534,6 +597,49 @@ class TestBlockReaderOracle:
         assert np.array_equal(got.lons, lons) and got.rejections == [] == rejections
         assert peak < 50 * 2**20
 
+    @pytest.mark.parametrize("case", sorted(OFF_THE_FAST_PATH))
+    def test_files_off_the_fast_path_equal_the_per_row_parser(self, tmp_path, case):
+        """The defect sits on each of several rows, so that some block sizes
+        read clean blocks first and hand a block to csv.reader mid-file,
+        a quoted newline then spanning the block boundary."""
+        for at in (0, 1, 2, 3, 6, 7, 8):
+            path = tmp_path / f"e{at}.csv"
+            path.write_bytes(OFF_THE_FAST_PATH[case](EVENT_LINES, at).encode("utf-8"))
+            expected = outcome(reference_parse_events, path)
+            for block_rows in (1, 2, 3, 7, ingest.READ_BLOCK_ROWS):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(ingest, "READ_BLOCK_ROWS", block_rows)
+                    got = outcome(parse_events, path)
+                if isinstance(expected, tuple):
+                    assert got == expected, (at, block_rows)
+                    continue
+                ts, lons, lats, cats, rejections = expected
+                assert np.array_equal(got.timestamps, ts), (at, block_rows)
+                assert np.array_equal(got.lons, lons) and np.array_equal(got.lats, lats)
+                assert list(got.categories) == cats
+                assert [(r.row, r.reason) for r in got.rejections] == rejections
+
+    @pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+    @pytest.mark.parametrize("case", sorted(OFF_THE_FAST_PATH))
+    def test_artifacts_off_the_fast_path_equal_a_whole_file_read(self, tmp_path, case,
+                                                                 artifact):
+        lines, kinds = ARTIFACTS[artifact]
+        for at in (0, 1, 2, 3, 6, 7, 8):
+            path = tmp_path / f"a{at}.csv"
+            path.write_bytes(OFF_THE_FAST_PATH[case](lines, at).encode("utf-8"))
+            read = (path, lambda h: range(len(kinds)), kinds)
+            expected = outcome(reference_read_csv, *read)
+            for block_rows in (1, 2, 3, 7, ingest.READ_BLOCK_ROWS):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(ingest, "READ_BLOCK_ROWS", block_rows)
+                    got = outcome(read_csv, *read)
+                if isinstance(expected[0], str):  # the error's type and text
+                    assert got == expected, (at, block_rows)
+                    continue
+                header, values = expected
+                assert got[0] == header, (at, block_rows)
+                assert all(map(np.array_equal, got[1], values)) and len(got[1]) == len(kinds)
+
     def test_no_data_rows_is_an_empty_table(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("timestamp,lon,lat,category\n")
@@ -554,6 +660,24 @@ class TestCast:
         got, rejected = cast(cells, "timestamp")
         expected = np.array([parse_timestamp(c) for c in cells], dtype="datetime64[s]")
         assert np.array_equal(got, expected) and not rejected.any()
+
+        # Calendar edges, judged the same way cell by cell.
+        dates = ["1900-02-29", "2000-02-29", "2015-02-29", "2016-02-29", "2015-02-28",
+                 "2015-04-31", "2015-06-31", "2015-09-30", "2015-11-31", "2015-12-31",
+                 "2015-00-10", "2015-13-10", "2015-01-00", "2015-01-32",
+                 "0001-01-01", "0002-01-01", "9998-12-31", "9999-12-31", "0000-01-01"]
+        times = ["T00:00:00", "T23:59:59", "T24:00:00", "T10:60:00", "T10:00:60",
+                 "t10:00:00", " 10:00:00", "x10:00:00", "T1:00:000"]
+        zones = ["", "Z", ".5", "+05:30", "-06:00", ".123456-00:30"]
+        cells = [d + t + z for d in dates for t in times for z in zones]
+        got, rejected = cast(cells, "timestamp")
+        for cell, value, bad in zip(cells, got, rejected):
+            expected = parse_timestamp(cell)
+            assert bad == (expected is None), cell
+            assert bad or value == expected, cell
+        assert np.datetime64("2000-02-29T00:00:00") in got
+        assert np.datetime64("2016-02-29T16:00:00") in got  # 10:00 at -06:00
+        assert 0 < rejected.sum() < len(cells)
 
     def test_float_gaps_and_rejections(self):
         values, rejected = cast(("1.5", "", "nan", "x", "-inf", " 2 ", "1\x00"), "float")

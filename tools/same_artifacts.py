@@ -1,0 +1,195 @@
+#!/usr/bin/env python3
+"""Run the same CLI pipelines under two source trees and report every
+artifact that differs between them.
+
+    python3 tools/same_artifacts.py PARENT_SRC CHANGE_SRC [--seeds 0 1 2]
+
+Each SRC is the `src` directory of a checkout (the directory holding the
+`crimepatterns` package).  The pipelines:
+
+* `readme`: the README's pipeline, a 40-region traveling-wave city through
+  `simulate`, `ranks`, `rhythms` and `composed`, power-law counts through
+  `simulate` and `concentrate --boot 1000`, then `report`;
+* `events_city-<seed>`: the benchmark's events city (inputs written by
+  `bench/gen_events.py`, at its default size) through `tessellate`,
+  `composed`, `rhythms`, `ranks`, `report` and
+  `concentrate --events --category theft --boot 100`;
+* `wave_city-<seed>`: the benchmark's 400-region traveling-wave city through
+  `simulate`, `ranks`, `rhythms`, `composed`, `independence --perm 4999` and
+  `report`.
+
+Both trees read the same input files and run one step at a time.  Every
+file a pipeline leaves is compared byte for byte, except `manifest.json`,
+which is compared after dropping each run's `created_utc` and each input's
+path.  The exit status is 0 when every file is identical and every step
+exited 0 under both trees; otherwise it is 1, and the inputs and outputs
+are kept in the temporary directory named on the last line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WAVE_PARAMETERS = {"n_regions": 400, "n_weeks": 520, "window_weeks": 156,
+                   "amplitude": 5.0, "noise_sd": 1.0}
+
+
+def load_gen_events():
+    """bench/gen_events.py, imported by path."""
+    path = os.path.join(ROOT, "bench", "gen_events.py")
+    spec = importlib.util.spec_from_file_location("gen_events", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["gen_events"] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return path
+
+
+def write_inputs(d, seeds):
+    """Write every pipeline's inputs under `d`; return {pipeline: steps},
+    each step a CLI argument list in which "{out}" stands for the output
+    directory."""
+    gen_events = load_gen_events()
+    pipelines = {}
+    wave = write_json(os.path.join(d, "wave.json"), {
+        "kind": "traveling_wave_city", "seed": 2024,
+        "parameters": {**WAVE_PARAMETERS, "n_regions": 40}})
+    powerlaw = write_json(os.path.join(d, "pl.json"), {
+        "kind": "powerlaw_counts", "seed": 7,
+        "parameters": {"alpha": 2.5, "xmin": 1, "n": 50000}})
+    series = ["--region-series", "{out}/region_series.csv"]
+    pipelines["readme"] = [
+        ["simulate", "--scenario", wave],
+        ["ranks", *series],
+        ["rhythms", *series],
+        ["composed", *series],
+        ["simulate", "--scenario", powerlaw],
+        ["concentrate", "--counts", "{out}/counts.csv", "--boot", "1000", "--seed", "0"],
+        ["report"],
+    ]
+    for seed in seeds:
+        events = os.path.join(d, f"events-{seed}.csv")
+        population = os.path.join(d, f"population-{seed}.csv")
+        gen_events.write(seed, events, population)
+        city = ["--events", events, "--population", population, "--target-pop", "5000"]
+        pipelines[f"events_city-{seed}"] = [
+            ["tessellate", *city],
+            ["composed", *series],
+            ["rhythms", *series],
+            ["ranks", *series],
+            ["report"],
+            ["concentrate", *city, "--category", "theft", "--boot", "100"],
+        ]
+        scenario = write_json(os.path.join(d, f"wave_city-{seed}.json"), {
+            "kind": "traveling_wave_city", "seed": seed, "parameters": WAVE_PARAMETERS})
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=100)
+        y = x + 0.05 * rng.normal(size=100)
+        pairs = os.path.join(d, f"pairs-{seed}.csv")
+        with open(pairs, "w", encoding="utf-8") as fh:
+            fh.write("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        pipelines[f"wave_city-{seed}"] = [
+            ["simulate", "--scenario", scenario],
+            ["ranks", *series],
+            ["rhythms", *series],
+            ["composed", *series],
+            ["independence", "--pairs", pairs, "--perm", "4999", "--seed", str(seed)],
+            ["report"],
+        ]
+    return pipelines
+
+
+def run_pipeline(src, steps, out):
+    """Run the steps into `out` with the package loaded from `src`; return
+    the failures, one line each."""
+    os.makedirs(out)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    failures = []
+    for step in steps:
+        argv = [a.replace("{out}", out) for a in step] + ["--out", out]
+        proc = subprocess.run([sys.executable, "-m", "crimepatterns.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        if proc.returncode:
+            failures.append(f"{step[0]} exited {proc.returncode}: {proc.stderr.strip()}")
+    return failures
+
+
+def comparable(path):
+    """A file's bytes, or for a manifest its records without the creation
+    time and the input paths."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) != "manifest.json":
+        return data
+    manifest = json.loads(data)
+    for run in manifest["runs"]:
+        run.pop("created_utc", None)
+        for described in run.get("inputs", {}).values():
+            described.pop("path", None)
+    return manifest
+
+
+def differences(a, b):
+    """Names of the files that differ between directories a and b, or that
+    only one of them holds."""
+    names = sorted(set(os.listdir(a)) | set(os.listdir(b)))
+    paths = [(os.path.join(a, name), os.path.join(b, name)) for name in names]
+    return [name for name, (p, q) in zip(names, paths)
+            if not (os.path.isfile(p) and os.path.isfile(q)) or comparable(p) != comparable(q)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0],
+                        help="seeds of the events_city and wave_city pipelines")
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent_src, "change": args.change_src}
+    for label, src in trees.items():
+        if not os.path.isfile(os.path.join(src, "crimepatterns", "cli.py")):
+            parser.error(f"{label} tree {src!r} holds no crimepatterns package")
+
+    work = tempfile.mkdtemp(prefix="same_artifacts-")
+    inputs = os.path.join(work, "inputs")
+    os.makedirs(inputs)
+    pipelines = write_inputs(inputs, args.seeds)
+    bad, compared = 0, 0
+    for name, steps in pipelines.items():
+        outs = {label: os.path.join(work, label, name) for label in trees}
+        for label, src in trees.items():
+            for failure in run_pipeline(src, steps, outs[label]):
+                print(f"{name}: {label}: {failure}")
+                bad += 1
+        differ = differences(outs["parent"], outs["change"])
+        compared += len(os.listdir(outs["parent"]))
+        for file_name in differ:
+            print(f"{name}: {file_name} differs")
+        bad += len(differ)
+        print(f"{name}: {len(os.listdir(outs['parent']))} files, {len(differ)} differ",
+              flush=True)
+    if not bad:
+        shutil.rmtree(work)
+        print(f"{compared} files compared over {len(pipelines)} pipelines; all identical")
+        return 0
+    print(f"{bad} differences or failures; inputs and outputs kept in {work}")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
