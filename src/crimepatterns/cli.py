@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import fcntl
 import hashlib
 import io
 import json
@@ -114,45 +115,52 @@ def _emit(out_dir, subcommand, inputs, parameters, payloads) -> None:
         "parameters": parameters,
         "artifacts": {name: _sha256_text(text) for name, text in payloads.items()},
     }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    manifest = {"runs": []}
-    if os.path.exists(manifest_path):
-        with open(manifest_path, encoding="utf-8") as fh:
-            try:
-                manifest = json.load(fh)
-            except json.JSONDecodeError:
-                raise ValueError(f"{manifest_path} exists but is not valid JSON") from None
-        if not isinstance(manifest.get("runs"), list):
-            raise ValueError(f"{manifest_path} is not a manifest written by this tool")
-    manifest["runs"].append(record)
-    files = {**payloads, "manifest.json": _json_text(manifest)}  # manifest last
-    target = {name: os.path.join(out_dir, name) for name in files}
-    temp = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in files}
-    old = {}  # name -> hard link to its target's previous version
-    placed = []  # names whose target already holds the new version
+    # The directory stays locked from the manifest read until the group is
+    # replaced, so concurrent runs into it each keep their record.
+    lock = os.open(out_dir, os.O_RDONLY)
     try:
-        for name, text in files.items():
-            with open(temp[name], "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            if os.path.lexists(target[name]):
-                old[name] = os.path.join(out_dir, f".{name}.{os.getpid()}.old")
-                os.link(target[name], old[name], follow_symlinks=False)
-        for name in files:
-            os.replace(temp[name], target[name])
-            placed.append(name)
-    except OSError:
-        for name in reversed(placed):
-            with contextlib.suppress(OSError):
-                if name in old:
-                    # Popped first: a version that cannot be put back stays on disk.
-                    os.replace(old.pop(name), target[name])
-                else:
-                    os.unlink(target[name])
-        raise
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        manifest_path = os.path.join(out_dir, "manifest.json")
+        manifest = {"runs": []}
+        if os.path.exists(manifest_path):
+            with open(manifest_path, encoding="utf-8") as fh:
+                try:
+                    manifest = json.load(fh)
+                except json.JSONDecodeError:
+                    raise ValueError(f"{manifest_path} exists but is not valid JSON") from None
+            if not isinstance(manifest.get("runs"), list):
+                raise ValueError(f"{manifest_path} is not a manifest written by this tool")
+        manifest["runs"].append(record)
+        files = {**payloads, "manifest.json": _json_text(manifest)}  # manifest last
+        target = {name: os.path.join(out_dir, name) for name in files}
+        temp = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in files}
+        old = {}  # name -> hard link to its target's previous version
+        placed = []  # names whose target already holds the new version
+        try:
+            for name, text in files.items():
+                with open(temp[name], "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+                if os.path.lexists(target[name]):
+                    old[name] = os.path.join(out_dir, f".{name}.{os.getpid()}.old")
+                    os.link(target[name], old[name], follow_symlinks=False)
+            for name in files:
+                os.replace(temp[name], target[name])
+                placed.append(name)
+        except OSError:
+            for name in reversed(placed):
+                with contextlib.suppress(OSError):
+                    if name in old:
+                        # Popped first: a version that cannot be put back stays on disk.
+                        os.replace(old.pop(name), target[name])
+                    else:
+                        os.unlink(target[name])
+            raise
+        finally:
+            for leftover in [*temp.values(), *old.values()]:
+                with contextlib.suppress(OSError):
+                    os.unlink(leftover)
     finally:
-        for leftover in [*temp.values(), *old.values()]:
-            with contextlib.suppress(OSError):
-                os.unlink(leftover)
+        os.close(lock)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +223,7 @@ def _artifact_text(name: str, *columns) -> str:
     """Text of a CSV artifact from its columns, in table order."""
     spec = ARTIFACTS[name]
     typed = [
-        np.asarray(values, dtype=COLUMN_KINDS[kind][0])
+        np.asarray(values, dtype=COLUMN_KINDS[kind])
         for values, (_, kind) in zip(columns, spec, strict=True)
     ]
     return _csv_text([column for column, _ in spec], typed)

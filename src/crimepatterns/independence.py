@@ -9,7 +9,7 @@ permutation null rather than the asymptotic table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class PairedSample:
 
     x: np.ndarray
     y: np.ndarray
-    labels: list = field(default_factory=list)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -35,8 +34,6 @@ class PairedSample:
             raise ValueError(f"need at least {MIN_PAIRS} pairs")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("x and y must be finite")
-        if self.labels and len(self.labels) != self.x.size:
-            raise ValueError("labels length does not match the sample")
 
     def __len__(self) -> int:
         return self.x.size

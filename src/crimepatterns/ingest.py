@@ -4,8 +4,11 @@ Every CSV file is read by one reader in blocks of READ_BLOCK_ROWS rows,
 whose cells are cast column by column (`cast`) before the next block is
 read.  A block of plain lines (no quote, no carriage return, the header's
 field count on every line) is split on commas in one pass; from the first
-block that is not, csv.reader reads the rest of the file.  Timestamps in
-the common ISO shape are read by calendar arithmetic on their characters,
+block that is not, csv.reader reads the rest of the file.  A number or
+date column converts as one numpy array; a column numpy rejects is
+converted once more, one cell at a time, so a bad cell is found in one
+pass.  Text and true/false columns are kept as text.  Timestamps in the
+common ISO shape are read by calendar arithmetic on their characters,
 every other one by parse_timestamp.  Point events (timestamp, lon, lat,
 category) are checked row by row: a bad row is set aside with a reason,
 and a file whose rows are mostly malformed is rejected.  Population cells
@@ -20,15 +23,6 @@ from datetime import datetime, timezone
 from itertools import chain, islice, repeat, zip_longest
 
 import numpy as np
-
-# Input column -> canonical field. Callers may override any of the values
-# to match their file's header.
-DEFAULT_EVENT_SCHEMA = {
-    "timestamp": "timestamp",
-    "lon": "lon",
-    "lat": "lat",
-    "category": "category",
-}
 
 MAX_REJECT_FRACTION = 0.5
 
@@ -145,21 +139,6 @@ def _blocks(path, ragged_ok: bool = False):
                 yield columns + [[""] * len(block)] * (width - len(columns))
 
 
-def _convert(cells, dtype, fill) -> tuple[np.ndarray, np.ndarray]:
-    """np.array(cells, dtype) for a column of cell text, with `fill` where
-    a cell does not convert, and the mask of those cells.  Only a part
-    holding such a cell is split, in halves, down to that cell."""
-    try:
-        values = np.array(cells, dtype=dtype)
-        return values, np.zeros(values.shape, dtype=bool)
-    except (ValueError, OverflowError):
-        if len(cells) == 1:
-            return np.full(1, fill, dtype=dtype), np.ones(1, dtype=bool)
-    h = len(cells) // 2
-    parts = _convert(cells[:h], dtype, fill), _convert(cells[h:], dtype, fill)
-    return tuple(map(np.concatenate, zip(*parts)))
-
-
 # The first 19 characters of a vector-read timestamp lie between these, one
 # code point each; the date-time separator is then checked for T, t or space.
 _HEAD_LOW, _HEAD_HIGH = (np.array(list(map(ord, bound)), dtype=np.int32)
@@ -216,31 +195,41 @@ def _timestamps(cells) -> np.ndarray:
     return out
 
 
-# Column kind -> (dtype its values are written from, dtype its cell text
-# is read as, value of a cell that does not convert).
-COLUMN_KINDS = {
-    "int": (np.int64, np.int64, 0),
-    "float": (float, float, np.nan),
-    "bool": (bool, object, None),
-    "date": ("datetime64[D]", "datetime64[D]", "NaT"),
-    "str": (object, object, None),
-}
+# Column kind -> the dtype of its values.
+COLUMN_KINDS = {"int": np.int64, "float": float, "bool": bool, "date": "datetime64[D]",
+                "str": object}
 
 
 def cast(cells, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """A column of cell text as an array of `kind`, and the mask of the
-    cells it rejects.  int and date cells convert as numpy reads text,
-    float cells by float(): an empty one is a NaN gap, a non-finite one is
-    rejected.  A cell that does not convert holds 0, NaN or NaT.  bool
-    cells read true or false, str cells are kept, and a timestamp cell is
+    cells it rejects.
+
+    int, float and date columns convert as one numpy array; only a column
+    numpy rejects is converted one cell at a time, float cells by float()
+    (numpy reads text as float() does) and the others by numpy.  A cell
+    that does not convert holds 0, NaN or NaT.  An empty float cell is a
+    NaN gap, and a non-finite one is rejected.  bool cells read true or
+    false and str cells are kept, both as text.  A timestamp cell is
     parse_timestamp of its text.
     """
     if kind == "timestamp":
         values = _timestamps(cells)
         return values, np.isnat(values)
-    values, rejected = _convert(cells, *COLUMN_KINDS[kind][1:])
+    if kind == "str":
+        return np.array(cells, dtype=object), np.zeros(len(cells), dtype=bool)
     if kind == "bool":
-        return values == "true", (values != "true") & (values != "false")
+        text = np.array(cells, dtype=object)
+        return text == "true", (text != "true") & (text != "false")
+    dtype, rejected = COLUMN_KINDS[kind], np.zeros(len(cells), dtype=bool)
+    try:
+        values = np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        values = np.full(len(cells), 0 if kind == "int" else None, dtype=dtype)
+        for i, cell in enumerate(cells):
+            try:
+                values[i] = float(cell) if kind == "float" else np.array(cell, dtype=dtype)
+            except (ValueError, OverflowError):
+                rejected[i] = True
     if kind == "float":
         rejected = ~np.isfinite(values)
         rejected[rejected] = [cells[i] != "" for i in np.flatnonzero(rejected)]
@@ -302,20 +291,15 @@ def _input_blocks(path, names, what):
     return blocks, [index[c] for c in names]
 
 
-def parse_events(path, schema: dict | None = None) -> EventTable:
-    """Read an event CSV into an EventTable.
+def parse_events(path) -> EventTable:
+    """Read an event CSV (columns timestamp, lon, lat and category, found by
+    name; any others are ignored) into an EventTable.
 
-    `schema` remaps canonical field names to the file's column names.
-    Raises ValueError when required columns are absent or when more than
+    Raises ValueError when a required column is absent or when more than
     half of the data rows are unusable; filter_events selects by time.
     """
-    cols = dict(DEFAULT_EVENT_SCHEMA)
-    if schema:
-        unknown = set(schema) - set(cols)
-        if unknown:
-            raise ValueError(f"schema maps unknown fields: {sorted(unknown)}")
-        cols.update(schema)
-    blocks, (t, x, y, k) = _input_blocks(path, list(cols.values()), "event")
+    blocks, (t, x, y, k) = _input_blocks(path, ["timestamp", "lon", "lat", "category"],
+                                         "event")
     kept = [(np.zeros(0, "datetime64[s]"), np.zeros(0), np.zeros(0), np.zeros(0, object))]
     rejections, n_rows = [], 0
     for block in blocks:

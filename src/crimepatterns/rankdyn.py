@@ -27,10 +27,6 @@ class RankMatrix:
     def n_weeks(self) -> int:
         return self.ranks.shape[0]
 
-    @property
-    def n_positions(self) -> int:
-        return self.ranks.shape[1]
-
 
 @dataclass
 class EntropyProfile:

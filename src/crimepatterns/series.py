@@ -100,9 +100,3 @@ class RegionSeriesSet:
 
     def city_series(self) -> TimeSeries:
         return TimeSeries(self.city_totals().astype(float), WEEK_STEP_YEARS, self.week_starts[0])
-
-    def region_series(self, region_id: int) -> TimeSeries:
-        pos = np.searchsorted(self.region_ids, region_id)
-        if pos >= self.region_ids.size or self.region_ids[pos] != region_id:
-            raise ValueError(f"unknown region id {region_id}")
-        return TimeSeries(self.counts[pos].astype(float), WEEK_STEP_YEARS, self.week_starts[0])

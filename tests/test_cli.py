@@ -1,11 +1,13 @@
 """End-to-end runs of the command-line interface."""
 
+import contextlib
 import csv
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +471,41 @@ class TestFailureHandling:
         monkeypatch.undo()
         assert "disk full" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_concurrent_runs_into_one_directory_keep_every_record(self, tmp_path, monkeypatch):
+        """Two writers meet at a barrier once each has read the manifest.  A
+        writer kept waiting there by the other breaks the barrier after its
+        timeout and goes on."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text('{"runs": []}\n')
+        barrier, real_load = threading.Barrier(2, timeout=2), json.load
+
+        def load_then_meet(fh):
+            manifest = real_load(fh)
+            with contextlib.suppress(threading.BrokenBarrierError):
+                barrier.wait()
+            return manifest
+
+        errors = []
+
+        def write(name):
+            try:
+                cli._emit(out, "simulate", {}, {}, {name: "count\n1\n"})
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        monkeypatch.setattr(json, "load", load_then_meet)
+        writers = [threading.Thread(target=write, args=(name,)) for name in ("a.csv", "b.csv")]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=30)
+        monkeypatch.undo()
+        assert not any(writer.is_alive() for writer in writers) and errors == []
+        runs = json.loads((out / "manifest.json").read_text())["runs"]
+        assert sorted(name for run in runs for name in run["artifacts"]) == ["a.csv", "b.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["a.csv", "b.csv", "manifest.json"]
 
     def test_malformed_scenario_is_a_module_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

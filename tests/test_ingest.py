@@ -1,5 +1,6 @@
 """Parsing and validation of input tables, and the block-wise CSV reader."""
 
+import contextlib
 import csv
 import io
 import re
@@ -17,7 +18,7 @@ from crimepatterns import (
     parse_events,
     parse_population,
 )
-from crimepatterns import ingest
+from crimepatterns import cli, ingest
 from crimepatterns.ingest import cast, parse_timestamp, read_csv
 
 
@@ -95,30 +96,12 @@ class TestParseEvents:
         with pytest.raises(OSError):
             parse_events(tmp_path / "absent.csv")
 
-    def test_unknown_schema_field_is_an_error(self, tmp_path):
-        p = write_csv(tmp_path / "e.csv", ["2015-01-05T10:00:00,1,1,theft"])
-        with pytest.raises(ValueError, match="unknown fields"):
-            parse_events(p, schema={"when": "timestamp"})
-
     def test_missing_column_is_an_error(self, tmp_path):
         p = write_csv(
             tmp_path / "e.csv", ["2015-01-05T10:00:00,1,1"], header="timestamp,lon,lat"
         )
         with pytest.raises(ValueError, match="required columns"):
             parse_events(p)
-
-    def test_schema_remaps_column_names(self, tmp_path):
-        p = write_csv(
-            tmp_path / "e.csv",
-            ["2015-01-05T10:00:00,1.5,2.5,theft"],
-            header="when,x,y,kind",
-        )
-        t = parse_events(
-            p,
-            schema={"timestamp": "when", "lon": "x", "lat": "y", "category": "kind"},
-        )
-        assert len(t) == 1
-        assert t.lons[0] == 1.5
 
     def test_majority_rejected_is_a_hard_error(self, tmp_path):
         rows = ["not-a-date,1,1,theft"] * 3 + ["2015-01-05T10:00:00,1,1,theft"]
@@ -280,7 +263,7 @@ def _reference_float(text):
 
 def reference_parse_events(path):
     """One DictReader row and one parse_timestamp call at a time."""
-    cols = dict(ingest.DEFAULT_EVENT_SCHEMA)
+    cols = {name: name for name in ("timestamp", "lon", "lat", "category")}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -719,3 +702,124 @@ class TestCast:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {cause}$"):
             read_csv(path, lambda h: [0, 1], ["int", "float"])
 
+
+# ---------------------------------------------------------------------------
+# fuzzing: any file either reads or fails with a reported error
+
+
+# Reader -> the header of the files it is meant for.  read_csv reads every
+# column as one kind.
+READERS = {
+    "events": (parse_events, "timestamp,lon,lat,category"),
+    "population": (parse_population, "lon,lat,population"),
+    **{kind: (lambda path, kind=kind: read_csv(path, lambda h: range(len(h)), [kind]), header)
+       for kind, header in [("int", "count"), ("float", "x,y"), ("bool", "significant"),
+                            ("date", "week_start"), ("str", "reason,category")]},
+}
+FUZZ_HEADERS = [header for _, header in READERS.values()] + [
+    "week_start,value", "week_start,region_1,region_2,city"]
+junk_cells = st.one_of(st.text(max_size=6), st.sampled_from([
+    "", " ", "1e999", "nan", "99999999999999999999", "١٢", "٣.٥", "\x00", "1\x00", '"',
+    '"5,5"', 'a"b', '"x\r\ny"', "\ufeff1", "true", "x" * 40]))
+# Header field -> cells that read as its kind; numbers for any other field.
+PLAUSIBLE_CELLS = {
+    "timestamp": ["2015-01-05T10:00:00", "2015-01-06 11:00:00Z", "2015-01-07T09:15:00+05:30"],
+    "category": ["theft", " robbery ", "burglary"],
+    "reason": ["bad timestamp", " x "],
+    "week_start": ["2015-01-05", "2015-01-12", "2015-01-19"],
+    "significant": ["true", "false"],
+    "count": ["0", "1", "7", "12"],
+}
+
+
+def fuzz_cells(name):
+    """Mostly cells that read as column `name`'s kind, one in eight junk."""
+    plausible = st.sampled_from(PLAUSIBLE_CELLS.get(name, ["0", "1", "7", "-2.5", "3.25"]))
+    return st.integers(0, 7).flatmap(lambda i: junk_cells if i == 0 else plausible)
+
+
+@st.composite
+def fuzz_bodies(draw, header):
+    """Bytes of a CSV-like file: mostly `header`, else another or a junk
+    one, and rows of mixed cells with mixed line ends, in one file in four
+    ragged, perhaps with a BOM and a stray invalid UTF-8 byte; or raw
+    random bytes."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=120))
+    header = draw(st.integers(0, 7).flatmap(lambda i: st.just(header) if i < 5 else (
+        st.sampled_from(FUZZ_HEADERS) if i < 7 else junk_cells)))
+    if draw(st.integers(0, 3)) == 0:
+        row = st.lists(junk_cells | fuzz_cells(""), max_size=5)
+    else:
+        row = st.tuples(*map(fuzz_cells, header.split(",")))
+    lines = [header] + draw(st.lists(row.map(",".join), max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n"] * 6 + ["\r\n", "\r", ""]),
+                         min_size=len(lines), max_size=len(lines)))
+    data = (draw(st.sampled_from([""] * 5 + ["\ufeff"]))
+            + "".join(map(str.__add__, lines, ends))).encode("utf-8")
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.sampled_from([b""] * 10 + [b"\xff", b"\x80"])) + data[at:]
+
+
+# CLI arguments, "{body}" standing for the fuzzed file, and its header.
+FUZZ_COMMANDS = [
+    (["tessellate", "--events", "{body}", "--population", "{population}", "--target-pop", "5"],
+     "timestamp,lon,lat,category"),
+    (["tessellate", "--events", "{events}", "--population", "{body}", "--target-pop", "5"],
+     "lon,lat,population"),
+    (["concentrate", "--counts", "{body}", "--boot", "100"], "count"),
+    (["ranks", "--region-series", "{body}"], "week_start,region_1,region_2,city"),
+    (["rhythms", "--series", "{body}"], "week_start,value"),
+    (["composed", "--region-series", "{body}"], "week_start,region_1,region_2,city"),
+    (["independence", "--pairs", "{body}"], "x,y"),
+]
+
+
+class TestReaderFuzz:
+    """Blocks of 2 or 3 rows, so that the one-pass split hands over to
+    csv.reader and columns fall back to the per-cell pass mid-file."""
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_readers_return_or_raise_a_reported_error(self, tmp_path, reader):
+        read, header = READERS[reader]
+        path = tmp_path / "f.csv"
+
+        @settings(max_examples=100, deadline=None)
+        @given(fuzz_bodies(header), st.sampled_from([2, 3]),
+               st.sampled_from([16, FIELD_LIMIT, FIELD_LIMIT]))
+        def check(body, block_rows, limit):
+            path.write_bytes(body)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "READ_BLOCK_ROWS", block_rows)
+                csv.field_size_limit(limit)
+                try:
+                    read(path)
+                except (ValueError, csv.Error, OverflowError):
+                    pass
+                finally:
+                    csv.field_size_limit(FIELD_LIMIT)
+
+        check()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FUZZ_COMMANDS).flatmap(
+        lambda command: st.tuples(st.just(command[0]), fuzz_bodies(command[1]))),
+        st.sampled_from([2, 3]))
+    def test_cli_exits_0_or_1_with_one_error_line(self, tmp_path_factory, run, block_rows):
+        command, body = run
+        d = tmp_path_factory.mktemp("cli")
+        files = {"body": d / "body.csv", "events": d / "events.csv",
+                 "population": d / "population.csv"}
+        files["body"].write_bytes(body)
+        files["events"].write_text("timestamp,lon,lat,category\n" + "".join(
+            f"2015-01-{day:02d}T10:00:00,{day % 2}.5,0.5,theft\n" for day in range(1, 29)))
+        files["population"].write_text("lon,lat,population\n0.5,0.5,4\n1.5,0.5,4\n")
+        argv = [arg.format(**files) for arg in command] + ["--out", str(d / "out")]
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            mp.setattr(ingest, "READ_BLOCK_ROWS", block_rows)
+            code = cli.main(argv)
+        assert code in (0, 1), err.getvalue()
+        if code == 1:
+            assert re.fullmatch(r"error: [a-z]+: [^\n]*\n", err.getvalue()), err.getvalue()

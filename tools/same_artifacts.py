@@ -14,6 +14,10 @@ Each SRC is the `src` directory of a checkout (the directory holding the
   `bench/gen_events.py`, at its default size) through `tessellate`,
   `composed`, `rhythms`, `ranks`, `report` and
   `concentrate --events --category theft --boot 100`;
+* `events_offpath-<seed>`: the same events rewritten with CRLF line ends and
+  every category quoted, so that each block is read by csv.reader (and a
+  coordinate column holding a bad cell by the per-cell pass), through
+  `tessellate` and `concentrate --events --category theft --boot 100`;
 * `wave_city-<seed>`: the benchmark's 400-region traveling-wave city through
   `simulate`, `ranks`, `rhythms`, `composed`, `independence --perm 4999` and
   `report`.
@@ -60,6 +64,16 @@ def write_json(path, payload):
     return path
 
 
+def write_off_the_fast_path(events, path):
+    """The events file with CRLF line ends and every category quoted."""
+    with open(events, encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    cut = [row.rindex(",") + 1 for row in rows]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(f'{row[:i]}"{row[i:]}"\r\n' for row, i in zip(rows, cut))
+
+
 def write_inputs(d, seeds):
     """Write every pipeline's inputs under `d`; return {pipeline: steps},
     each step a CLI argument list in which "{out}" stands for the output
@@ -93,6 +107,13 @@ def write_inputs(d, seeds):
             ["rhythms", *series],
             ["ranks", *series],
             ["report"],
+            ["concentrate", *city, "--category", "theft", "--boot", "100"],
+        ]
+        offpath = os.path.join(d, f"events-offpath-{seed}.csv")
+        write_off_the_fast_path(events, offpath)
+        city = ["--events", offpath, *city[2:]]
+        pipelines[f"events_offpath-{seed}"] = [
+            ["tessellate", *city],
             ["concentrate", *city, "--category", "theft", "--boot", "100"],
         ]
         scenario = write_json(os.path.join(d, f"wave_city-{seed}.json"), {
