@@ -64,6 +64,15 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _read_json(path):
+    """The JSON value in a file, or a ValueError that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
+            raise ValueError(f"{path}: not valid JSON") from None
+
+
 def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -121,15 +130,9 @@ def _emit(out_dir, subcommand, inputs, parameters, payloads) -> None:
     try:
         fcntl.flock(lock, fcntl.LOCK_EX)
         manifest_path = os.path.join(out_dir, "manifest.json")
-        manifest = {"runs": []}
-        if os.path.exists(manifest_path):
-            with open(manifest_path, encoding="utf-8") as fh:
-                try:
-                    manifest = json.load(fh)
-                except json.JSONDecodeError:
-                    raise ValueError(f"{manifest_path} exists but is not valid JSON") from None
-            if not isinstance(manifest.get("runs"), list):
-                raise ValueError(f"{manifest_path} is not a manifest written by this tool")
+        manifest = _read_json(manifest_path) if os.path.exists(manifest_path) else {"runs": []}
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("runs"), list):
+            raise ValueError(f"{manifest_path} is not a manifest written by this tool")
         manifest["runs"].append(record)
         files = {**payloads, "manifest.json": _json_text(manifest)}  # manifest last
         target = {name: os.path.join(out_dir, name) for name in files}
@@ -543,14 +546,15 @@ def cmd_report(args) -> None:
         )
     summary = dict.fromkeys(("gini", "alpha", "mean_h", "c_b_cv", "median_dt"))
     summary["missing"] = missing
-    if "fit.json" in present:
-        with open(present["fit.json"], encoding="utf-8") as fh:
-            fit = json.load(fh)
-        summary["gini"] = fit["gini"]
-        summary["alpha"] = fit["alpha"]
-    if "entropy_summary.json" in present:
-        with open(present["entropy_summary.json"], encoding="utf-8") as fh:
-            summary["mean_h"] = json.load(fh)["mean_h"]
+    for name, keys in (("fit.json", ("gini", "alpha")), ("entropy_summary.json", ("mean_h",))):
+        if name in present:
+            source = _read_json(present[name])
+            for key in keys:
+                value = source.get(key) if isinstance(source, dict) else None
+                # type(), not isinstance(): true and false are not numbers here.
+                if type(value) not in (int, float) or not abs(value) < np.inf:
+                    raise ValueError(f"{present[name]}: malformed {key}")
+                summary[key] = value
     if "composed.csv" in present:
         _, c_b, valid = _read_artifact(present["composed.csv"], "composed.csv")
         interior = c_b[valid == valid.max()]

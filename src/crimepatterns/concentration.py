@@ -46,7 +46,6 @@ class PowerLawFit:
     xmin: int
     ks_statistic: float
     n_tail: int
-    log_likelihood: float
 
 
 @dataclass
@@ -204,9 +203,7 @@ def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
     log_means = tail_logsum[candidates] / tail_n[candidates]
     alphas = _golden_min(lambda a: _zeta_log_likelihood(a, log_means, qs), qs.shape)
     best, ks = _best_ks(values, multiplicity, tail_n, candidates, alphas, qs)
-    n_tail = int(tail_n[candidates[best]])
-    loglik = -n_tail * _zeta_log_likelihood(alphas[best], log_means[best], qs[best])
-    return PowerLawFit(float(alphas[best]), int(qs[best]), ks, n_tail, float(loglik))
+    return PowerLawFit(float(alphas[best]), int(qs[best]), ks, int(tail_n[candidates[best]]))
 
 
 def _powerlaw_pointwise_loglik(x, alpha, xmin):

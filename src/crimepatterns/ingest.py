@@ -4,15 +4,16 @@ Every CSV file is read by one reader in blocks of READ_BLOCK_ROWS rows,
 whose cells are cast column by column (`cast`) before the next block is
 read.  A block of plain lines (no quote, no carriage return, the header's
 field count on every line) is split on commas in one pass; from the first
-block that is not, csv.reader reads the rest of the file.  A number or
-date column converts as one numpy array; a column numpy rejects is
-converted once more, one cell at a time, so a bad cell is found in one
-pass.  Text and true/false columns are kept as text.  Timestamps in the
-common ISO shape are read by calendar arithmetic on their characters,
-every other one by parse_timestamp.  Point events (timestamp, lon, lat,
-category) are checked row by row: a bad row is set aside with a reason,
-and a file whose rows are mostly malformed is rejected.  Population cells
-(lon, lat, population) must all be valid.
+block that is not, csv.reader reads the rest of the file.  A number
+column converts as one numpy array; a column numpy rejects is converted
+once more, one cell at a time, so a bad cell is found in one pass.  Text
+and true/false columns are kept as text.  Timestamps in the common ISO
+shape are read by calendar arithmetic on their characters, every other
+one by parse_timestamp; a date is read as the timestamp of its midnight
+and kept only when it prints back as itself.  Point events (timestamp,
+lon, lat, category) are checked row by row: a bad row is set aside with
+a reason, and a file whose rows are mostly malformed is rejected.
+Population cells (lon, lat, population) must all be valid.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class EventTable:
     lons: np.ndarray
     lats: np.ndarray
     categories: np.ndarray
-    source_id: str = ""
     rejections: list[RowRejection] = field(default_factory=list)
 
     def __post_init__(self):
@@ -75,8 +75,7 @@ class EventTable:
             self.lons[index],
             self.lats[index],
             self.categories[index],
-            source_id=self.source_id,
-            rejections=list(self.rejections),
+            list(self.rejections),
         )
 
 
@@ -204,17 +203,24 @@ def cast(cells, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """A column of cell text as an array of `kind`, and the mask of the
     cells it rejects.
 
-    int, float and date columns convert as one numpy array; only a column
-    numpy rejects is converted one cell at a time, float cells by float()
-    (numpy reads text as float() does) and the others by numpy.  A cell
-    that does not convert holds 0, NaN or NaT.  An empty float cell is a
-    NaN gap, and a non-finite one is rejected.  bool cells read true or
-    false and str cells are kept, both as text.  A timestamp cell is
-    parse_timestamp of its text.
+    int and float columns convert as one numpy array; only a column numpy
+    rejects is converted one cell at a time, float cells by float() (numpy
+    reads text as float() does) and int cells by numpy, which reads them
+    as int() does.  A cell that does not convert holds 0, NaN or NaT.  An
+    empty float cell is a NaN gap, and a non-finite one is rejected.  bool
+    cells read true or false and str cells are kept, both as text.  A
+    timestamp cell is parse_timestamp of its text.  A date cell is exactly
+    YYYY-MM-DD of a real day in years 1-9999: it is read as the timestamp
+    of its midnight and kept when that prints back as the cell.
     """
     if kind == "timestamp":
         values = _timestamps(cells)
         return values, np.isnat(values)
+    if kind == "date":
+        values = _timestamps([cell + "T00:00:00" for cell in cells]).astype("datetime64[D]")
+        rejected = np.isnat(values) | (np.datetime_as_string(values) != np.array(cells, object))
+        values[rejected] = np.datetime64("NaT")
+        return values, rejected
     if kind == "str":
         return np.array(cells, dtype=object), np.zeros(len(cells), dtype=bool)
     if kind == "bool":
@@ -296,7 +302,7 @@ def parse_events(path) -> EventTable:
     name; any others are ignored) into an EventTable.
 
     Raises ValueError when a required column is absent or when more than
-    half of the data rows are unusable; filter_events selects by time.
+    half of the data rows are unusable; filter_events selects by category.
     """
     blocks, (t, x, y, k) = _input_blocks(path, ["timestamp", "lon", "lat", "category"],
                                          "event")
@@ -322,7 +328,7 @@ def parse_events(path) -> EventTable:
         raise ValueError(
             f"{len(rejections)} of {n_rows} rows rejected; input looks malformed"
         )
-    table = EventTable(*map(np.concatenate, zip(*kept)), str(path), rejections)
+    table = EventTable(*map(np.concatenate, zip(*kept)), rejections)
     return table.take(np.argsort(table.timestamps, kind="stable"))
 
 
@@ -355,33 +361,7 @@ def parse_population(path) -> np.ndarray:
     return cells.T
 
 
-def filter_events(
-    table: EventTable,
-    category: str | None = None,
-    window: tuple | None = None,
-    bbox: tuple | None = None,
-) -> EventTable:
-    """Subset an EventTable; all filters are optional and combine with AND.
-
-    `window` is (start, end), inclusive start and exclusive end.
-    `bbox` is (lon_min, lat_min, lon_max, lat_max), closed on all sides.
-    """
-    mask = np.ones(len(table), dtype=bool)
-    if category is not None:
-        mask &= table.categories == category
-    if window is not None:
-        w0, w1 = (np.datetime64(w, "s") for w in window)
-        if w1 <= w0:
-            raise ValueError("window end must be after window start")
-        mask &= (table.timestamps >= w0) & (table.timestamps < w1)
-    if bbox is not None:
-        lon0, lat0, lon1, lat1 = bbox
-        if lon1 < lon0 or lat1 < lat0:
-            raise ValueError("bbox corners are out of order")
-        mask &= (
-            (table.lons >= lon0)
-            & (table.lons <= lon1)
-            & (table.lats >= lat0)
-            & (table.lats <= lat1)
-        )
-    return table.take(np.nonzero(mask)[0])
+def filter_events(table: EventTable, category: str | None = None) -> EventTable:
+    """The events of `category`; all of them when it is None."""
+    mask = np.ones(len(table), dtype=bool) if category is None else table.categories == category
+    return table.take(np.flatnonzero(mask))

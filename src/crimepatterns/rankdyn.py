@@ -23,10 +23,6 @@ class RankMatrix:
     ranks: np.ndarray
     region_ids: np.ndarray
 
-    @property
-    def n_weeks(self) -> int:
-        return self.ranks.shape[0]
-
 
 @dataclass
 class EntropyProfile:

@@ -269,6 +269,14 @@ def _red_noise_spectrum(lag1: float | np.ndarray, dt: float, periods: np.ndarray
     )
 
 
+def _chi2_quantile(dof, alpha_level: float):
+    """The chi-squared quantile that `dof` degrees of freedom exceed with
+    probability `alpha_level`."""
+    from scipy.special import gammaincinv
+
+    return 2.0 * gammaincinv(dof / 2.0, 1.0 - alpha_level)
+
+
 def global_spectrum(
     field: WaveletField, alpha_level: float = DEFAULT_ALPHA_LEVEL
 ) -> GlobalSpectrum:
@@ -280,8 +288,6 @@ def global_spectrum(
     scales, and only the points inside the cone of influence should be
     counted (approximated by n - scale/dt).
     """
-    from scipy.special import gammaincinv
-
     if not 0 < alpha_level < 1:
         raise ValueError("alpha_level must be inside (0, 1)")
     n = field.n_times
@@ -290,8 +296,7 @@ def global_spectrum(
     background = field.series_variance * _red_noise_spectrum(field.lag1, field.dt, periods)
     n_avg = np.maximum(n - field.scales / field.dt, 1.0)
     dof = DOFMIN * np.sqrt(1.0 + (n_avg * field.dt / (GAMMA_DECORR * field.scales)) ** 2)
-    q = 2.0 * gammaincinv(dof / 2.0, 1.0 - alpha_level)  # chi-squared quantile
-    significance = background * q / dof
+    significance = background * _chi2_quantile(dof, alpha_level) / dof
     return GlobalSpectrum(
         scales=field.scales.copy(),
         periods=periods,
@@ -329,8 +334,6 @@ def band_power(
     scale in the band are reported in `coi_valid` and masked out of
     `significant`.
     """
-    from scipy.special import gammaincinv
-
     selected = _band_scales(field.scales, band, alpha_level)
     s = field.scales[selected]
     power = field.power()[..., selected, :]
@@ -343,12 +346,11 @@ def band_power(
     lag1 = np.asarray(field.lag1)[..., None]  # one row of scales per series
     background = _red_noise_spectrum(lag1, field.dt, s * FOURIER_FACTOR)
     p_avg = s_avg * (background / s).sum(axis=-1)
-    q = 2.0 * gammaincinv(dof / 2.0, 1.0 - alpha_level)  # chi-squared quantile
     threshold = (
         (field.dj * field.dt / (CDELTA * s_avg))
         * field.series_variance
         * p_avg
-        * q
+        * _chi2_quantile(dof, alpha_level)
         / dof
     )
     coi_valid = field.coi_scale >= s[-1]

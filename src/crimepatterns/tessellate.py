@@ -32,7 +32,6 @@ class Tessellation:
 
     bounds: np.ndarray
     populations: np.ndarray
-    target_population: float
     total_population: float
     bbox: tuple
     node_axis: np.ndarray = field(repr=False)
@@ -144,7 +143,7 @@ def build_tessellation(cells, target_pop: float) -> Tessellation:
             f"region {rank} population {populations[rank]:.0f} exceeds the "
             f"target {target_pop:g}"
         )
-    return Tessellation(corners[order], populations, target_pop, total, bbox,
+    return Tessellation(corners[order], populations, total, bbox,
                         *map(np.array, zip(*splits)), node_region)
 
 
@@ -186,27 +185,20 @@ def assign_events(table: EventTable, tess: Tessellation) -> tuple[np.ndarray, in
     return counts.astype(np.int64), int((where < 0).sum())
 
 
-def build_region_series(
-    table: EventTable,
-    tess: Tessellation,
-    week_origin: np.datetime64 | None = None,
-) -> RegionSeriesSet:
+def build_region_series(table: EventTable, tess: Tessellation) -> RegionSeriesSet:
     """Aggregate events into weekly counts per region.
 
-    Weeks run Monday to Sunday on the grid anchored at `week_origin`
-    (default: the week of the earliest event).  Only weeks fully inside
-    the observed time span are kept; events in the clipped partial
-    weeks, like events outside the area, are tallied in `meta` rather
-    than silently lost.  Raises ValueError when fewer than two full
-    weeks remain.
+    Weeks run Monday to Sunday, on the grid anchored at the Monday of the
+    earliest event.  Only weeks fully inside the observed time span are
+    kept; events in the clipped partial weeks, like events outside the
+    area, are tallied in `meta` rather than silently lost.  Raises
+    ValueError when fewer than two full weeks remain.
     """
     if len(table) == 0:
         raise ValueError("no events to aggregate")
     ts = table.timestamps.astype(np.int64)  # seconds since epoch
     t_min, t_max = int(ts[0]), int(ts[-1])
-    if week_origin is None:
-        week_origin = table.timestamps[0]
-    anchor = monday_on_or_before(week_origin)
+    anchor = monday_on_or_before(table.timestamps[0])
     anchor_s = anchor.astype("datetime64[s]").astype(np.int64)
 
     # First and last week indices fully covered by [t_min, t_max].
@@ -227,7 +219,6 @@ def build_region_series(
     meta = {
         "events_outside_area": int(((region < 0) & in_span).sum()),
         "events_in_partial_weeks": int((~in_span).sum()),
-        "week_origin": str(anchor),
     }
     return RegionSeriesSet(
         week_start_dates,

@@ -207,6 +207,26 @@ class TestReport:
         for name in ("fit.json", "entropy_summary.json", "composed.csv", "durations.csv"):
             assert name in err
 
+    @pytest.mark.parametrize("name, body, cause", [
+        ("fit.json", "[]", "malformed gini"),
+        ("fit.json", "{}", "malformed gini"),
+        ("fit.json", '{"gini": "x", "alpha": 1}', "malformed gini"),
+        ("fit.json", '{"gini": 0.5, "alpha": true}', "malformed alpha"),
+        ("fit.json", '{"gini": 0.5, "alpha": NaN}', "malformed alpha"),
+        ("fit.json", "gini=0.5", "not valid JSON"),
+        pytest.param("fit.json", "[" * 100_000 + "]" * 100_000, "not valid JSON",
+                     id="fit.json-nested-too-deep"),
+        ("entropy_summary.json", '{"mean_h": "abc"}', "malformed mean_h"),
+        ("entropy_summary.json", '{"mean_h": 1e999}', "malformed mean_h"),
+        ("composed.csv", "week_start,c_b,regions_valid\n2015-01-05,1,2\n,1,2\n",
+         "malformed week_start column"),
+    ])
+    def test_malformed_source_is_an_error_naming_it(self, tmp_path, capsys, name, body, cause):
+        (tmp_path / name).write_text(body)
+        assert run("report", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == f"error: report: {tmp_path / name}: {cause}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_manifest_logs_every_step_with_checksums(self, wave_pipeline):
         manifest = json.loads((wave_pipeline / "manifest.json").read_text())
         steps = [r["subcommand"] for r in manifest["runs"]]
@@ -506,6 +526,22 @@ class TestFailureHandling:
         runs = json.loads((out / "manifest.json").read_text())["runs"]
         assert sorted(name for run in runs for name in run["artifacts"]) == ["a.csv", "b.csv"]
         assert sorted(p.name for p in out.iterdir()) == ["a.csv", "b.csv", "manifest.json"]
+
+    @pytest.mark.parametrize("body, cause", [
+        ("[]", " is not a manifest written by this tool"),
+        ('"x"', " is not a manifest written by this tool"),
+        ('{"runs": 1}', " is not a manifest written by this tool"),
+        ("{", ": not valid JSON"),
+        pytest.param('{"runs": ' + "[" * 100_000 + "]" * 100_000 + "}", ": not valid JSON",
+                     id="nested-too-deep"),
+    ])
+    def test_foreign_manifest_is_a_module_error(self, tmp_path, capsys, body, cause):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(body)
+        (tmp_path / "entropy_summary.json").write_text('{"mean_h": 0.5}')
+        assert run("report", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == f"error: report: {manifest}{cause}\n"
+        assert manifest.read_text() == body
 
     def test_malformed_scenario_is_a_module_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -212,7 +212,6 @@ class TestBuildRegionSeries:
 
     def test_single_burst_lands_in_one_week_of_one_region(self):
         lon, lat = self.region_center(3)
-        origin = np.datetime64("2015-01-05")
         # five events inside week 1 of region 3, plus anchor events in
         # weeks 0 and 2 elsewhere so the table spans three full weeks
         lon0, lat0 = self.region_center(0)
@@ -222,9 +221,7 @@ class TestBuildRegionSeries:
             stamps.append(f"2015-01-1{3 + h}T12:00:00")
             lons.append(lon)
             lats.append(lat)
-        ss = build_region_series(
-            make_events(stamps, lons, lats), self.tess, week_origin=origin
-        )
+        ss = build_region_series(make_events(stamps, lons, lats), self.tess)
         row = ss.counts[3]
         assert ss.n_weeks == 3
         assert row[1] == 5
@@ -253,7 +250,6 @@ class TestBuildRegionSeries:
         ss = build_region_series(
             make_events(stamps, rng.uniform(0, 1, n), rng.uniform(0, 1, n)),
             self.tess,
-            week_origin=np.datetime64("2015-01-05"),
         )
         total = ss.city_totals().sum()
         expected = lam * ss.n_weeks
