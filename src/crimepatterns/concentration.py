@@ -11,7 +11,6 @@ goodness-of-fit bootstrap.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -440,6 +439,8 @@ def gof_bootstrap(
         for r in range(n_boot)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             exceed = sum(pool.map(_gof_replicate, tasks, chunksize=16))
     else:

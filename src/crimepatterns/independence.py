@@ -15,7 +15,7 @@ import numpy as np
 
 MIN_PAIRS = 5
 MIN_PERMUTATIONS = 999
-_CHUNK_BYTES = 4_000_000  # int8 order scores gathered per permutation chunk
+_CHUNK_BYTES = 4_000_000  # int8 permuted order scores built per permutation chunk
 
 
 @dataclass
@@ -40,9 +40,24 @@ class PairedSample:
 
 
 def _relations(v: np.ndarray) -> np.ndarray:
-    """Pairwise order scores as int8: entry [i, j] is 2 when v[j] < v[i],
-    1 when they tie (the diagonal included) and 0 when v[j] > v[i]."""
-    return 2 * (v[None, :] < v[:, None]).astype(np.int8) + (v[None, :] == v[:, None])
+    """Pairwise order scores as int8 along the last axis of `v`, a vector
+    or a stack of them: entry [..., i, j] is 2 when v[..., j] < v[..., i],
+    1 when they tie (the diagonal included) and 0 when v[..., j] > v[..., i]."""
+    scores = np.less_equal(v[..., None, :], v[..., :, None]).view(np.int8)
+    scores += v[..., None, :] < v[..., :, None]
+    return scores
+
+
+def _permuted_relations(b: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The order scores `b` of a sample re-paired by each permutation in
+    `perms` (m, n): entry [k, i, j] is b[perms[k, i], perms[k, j]].
+
+    No gather: b's row sums, 2 * (values below) + (ties), order and tie
+    the points as the values do, so the scores are `_relations` of the
+    permuted row sums, compared in the narrowest integer type that holds
+    them."""
+    n = b.shape[-1]
+    return _relations(b.sum(-1).astype(np.min_scalar_type(2 * n))[perms])
 
 
 def _midranks(a) -> np.ndarray:
@@ -97,12 +112,13 @@ def hoeffding_test(
     D equal to the observed one and the p-value is 1.
 
     A permutation pi re-pairs point i with y[pi(i)], so its bivariate
-    ranks are Q_i = (sum_j a_ij * b[pi(i), pi(j)] - 1) / 4: one gather
-    of y's int8 order scores and one product-sum with x's (see
-    `_bivariate_ranks`).  Every term is a multiple of 1/4, so Q is exact
-    and D and p equal those of separate strict and tie counts bit for
-    bit.  Permutations run in chunks whose gathered scores stay within
-    _CHUNK_BYTES, whatever n.
+    ranks are Q_i = (sum_j a_ij * b[pi(i), pi(j)] - 1) / 4: y's int8
+    order scores, rebuilt for each permutation by comparing y's permuted
+    integer ranks (`_permuted_relations`), and one product-sum with x's
+    (see `_bivariate_ranks`).  Every term is a multiple of 1/4, so Q is
+    exact and D and p equal those of separate strict and tie counts bit
+    for bit.  Permutations run in chunks whose permuted scores stay
+    within _CHUNK_BYTES, whatever n.
     """
     if n_perm < MIN_PERMUTATIONS:
         raise ValueError(f"n_perm must be at least {MIN_PERMUTATIONS}")
@@ -119,7 +135,7 @@ def hoeffding_test(
         m = min(chunk, remaining)
         # Random permutations as argsorts of uniform draws.
         perms = np.argsort(rng.random((m, n)), axis=1)
-        q = _bivariate_ranks(a, b[perms[:, :, None], perms[:, None, :]])
+        q = _bivariate_ranks(a, _permuted_relations(b, perms))
         d_perm = _d_from_ranks(q, r, s[perms], n)
         exceed += int((d_perm >= d_obs).sum())
         remaining -= m

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crimepatterns import cli
+from crimepatterns import cli, rhythms
 from crimepatterns.cli import (
     ARTIFACTS,
     _artifact_text,
@@ -149,6 +149,22 @@ class TestRhythms:
     def test_band_power_in_file_matches_the_run_mask(self, wave_pipeline):
         _, rows = read_csv(wave_pipeline / "band.csv")
         assert all(r[3] == "false" for r in rows if r[4] == "false")
+
+    def test_tiny_alpha_level_writes_finite_thresholds(self, wave_pipeline, tmp_path,
+                                                       monkeypatch):
+        """1 - 1e-20 rounds to 1, so a lower-tail solve would give inf."""
+        from scipy.special import gammainccinv
+
+        argv = ["rhythms", "--region-series", wave_pipeline / "region_series.csv",
+                "--alpha-level", "1e-20", "--out"]
+        assert run(*argv, tmp_path / "got") == 0
+        monkeypatch.setattr(rhythms, "_chi2_quantile",
+                            lambda dof, alpha: 2.0 * gammainccinv(dof / 2.0, alpha))
+        assert run(*argv, tmp_path / "scipy") == 0
+        for name, column in (("spectrum.csv", 2), ("band.csv", 2)):
+            got = _read_artifact(tmp_path / "got" / name, name)[column]
+            expected = _read_artifact(tmp_path / "scipy" / name, name)[column]
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 class TestComposedAndRanks:
@@ -622,9 +638,9 @@ def _argv_with_inputs(subcommand, tmp_path):
                           n_regions=4, n_weeks=156, window_weeks=52)
     if subcommand == "simulate":
         return ["simulate", "--scenario", wave]
-    if subcommand == "ranks":
+    if subcommand in ("ranks", "rhythms", "composed"):
         assert run("simulate", "--scenario", wave, "--out", tmp_path / "sim") == 0
-        return ["ranks", "--region-series", tmp_path / "sim" / "region_series.csv"]
+        return [subcommand, "--region-series", tmp_path / "sim" / "region_series.csv"]
     if subcommand == "tessellate":
         events, pop = TestTessellateCommand().make_inputs(tmp_path)
         return ["tessellate", "--events", events, "--population", pop, "--target-pop", 4]
@@ -636,8 +652,8 @@ def _argv_with_inputs(subcommand, tmp_path):
     return ["report"]
 
 
-@pytest.mark.parametrize("subcommand", ["report", "ranks", "tessellate", "independence",
-                                        "simulate"])
+@pytest.mark.parametrize("subcommand", ["report", "ranks", "rhythms", "composed", "tessellate",
+                                        "independence", "simulate"])
 def test_subcommand_leaves_scipy_special_stats_optimize_signal_unloaded(subcommand, tmp_path):
     """A fresh process that runs one of these subcommands never imports
     the heavy scipy subpackages (`simulate` with a traveling-wave city)."""

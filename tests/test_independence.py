@@ -12,6 +12,7 @@ from crimepatterns.independence import (
     _bivariate_ranks,
     _d_from_ranks,
     _midranks,
+    _permuted_relations,
     _relations,
 )
 
@@ -111,7 +112,10 @@ class TestProductKernel:
         assert np.array_equal(_bivariate_ranks(a, b), four_and_ranks(*lt_eq(x), *lt_eq(y)))
         perms = np.argsort(g.random((50, x.size)), axis=1)
         q_ref, d_ref = four_and_permuted_d(x, y, perms)
-        q = _bivariate_ranks(a, b[perms[:, :, None], perms[:, None, :]])
+        permuted = _permuted_relations(b, perms)
+        assert permuted.dtype == np.int8
+        assert np.array_equal(permuted, b[perms[:, :, None], perms[:, None, :]])
+        q = _bivariate_ranks(a, permuted)
         assert np.array_equal(q, q_ref)
         assert np.array_equal(_d_from_ranks(q, _midranks(a), _midranks(b)[perms], x.size), d_ref)
 

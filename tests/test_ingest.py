@@ -757,6 +757,17 @@ FUZZ_COMMANDS = [
 ]
 
 
+# Float cells: reprs, and cells that np.loadtxt and float() read differently,
+# that cast rejects, or both.
+LOADTXT_CELLS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format),
+    st.sampled_from(["-0", "-0.0", " 3", "3 ", "\t3", "1_0", "\u0661\u0662", "nan", "inf",
+                     "-inf", "1e999", "1#2", "0x10", "", " ", "3\x1c", "\x1f3", "+.5", "1d5",
+                     "1\x00"]),
+)
+
+
 class TestReaderFuzz:
     """Blocks of 2 or 3 rows, so that the one-pass split hands over to
     csv.reader and columns fall back to the per-cell pass mid-file."""
@@ -805,3 +816,36 @@ class TestReaderFuzz:
         assert code in (0, 1), err.getvalue()
         if code == 1:
             assert re.fullmatch(r"error: [a-z]+: [^\n]*\n", err.getvalue()), err.getvalue()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda width: st.lists(
+            st.lists(LOADTXT_CELLS, min_size=width, max_size=width).map(",".join),
+            max_size=8)),
+        st.sampled_from([1, 2, 3, ingest.READ_BLOCK_ROWS]),
+    )
+    def test_loadtxt_route_equals_the_cast_route(self, tmp_path_factory, lines, block_rows):
+        """Float columns of plain lines read by np.loadtxt give the arrays,
+        bit for bit, and the errors of the per-column cast route."""
+        path = tmp_path_factory.mktemp("floats") / "f.csv"
+        width = lines[0].count(",") + 1 if lines else 1
+        path.write_text(",".join(f"c{j}" for j in range(width)) + "\n"
+                        + "".join(line + "\n" for line in lines), encoding="utf-8")
+
+        def read():
+            header, columns = read_csv(path, lambda h: range(len(h)), ["float"])
+            return header, [column.view(np.int64).tolist() for column in columns]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "READ_BLOCK_ROWS", block_rows)
+            got = outcome(read)
+            mp.setattr(ingest, "_loadtxt_floats", lambda lines, usecols: {})
+            assert got == outcome(read)
+
+    def test_loadtxt_reads_plain_finite_blocks_only(self):
+        assert {j: v.tolist() for j, v in ingest._loadtxt_floats(
+            ["1.5,x,2\n", "-0,y,0.1000000000000000055\n"], [0, 2]).items()} == {
+            0: [1.5, -0.0], 2: [2.0, 0.1]}
+        for cell in ["1#2", "nan", "-inf", "1e999", "", "1_0", "\u0661", "0x10", "3\x1c"]:
+            assert ingest._loadtxt_floats(["1,x,2\n", f"1,x,{cell}\n"], [0, 2]) == {}, cell
+        assert ingest._loadtxt_floats(None, [0]) == {}

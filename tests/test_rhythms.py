@@ -21,7 +21,7 @@ from crimepatterns import (
     significant_durations,
     week_starts_from,
 )
-from crimepatterns.rhythms import CDELTA, COMPOSED_BLOCK_ROWS, ComposedPower
+from crimepatterns.rhythms import CDELTA, COMPOSED_BLOCK_ROWS, ComposedPower, _chi2_quantile
 
 DT = 1.0 / 52
 
@@ -231,6 +231,26 @@ class TestGlobalSpectrum:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError, match="alpha"):
                 global_spectrum(field, alpha_level=bad)
+
+
+class TestChi2Quantile:
+    """The quantile solved with numpy and math alone against scipy's."""
+
+    def test_matches_scipy_on_a_grid(self):
+        from scipy.special import gammainccinv
+
+        g = np.random.default_rng(3)
+        dof = np.concatenate([np.arange(1.0, 1001.0), g.uniform(1.0, 1000.0, 300),
+                              g.uniform(1.0, 5.0, 100), np.geomspace(1.0, 1000.0, 50)])
+        for alpha in np.concatenate([np.geomspace(1e-20, 0.5, 25), [1e-16, 0.001, 0.05]]):
+            expected = 2.0 * gammainccinv(dof / 2.0, alpha)
+            np.testing.assert_allclose(_chi2_quantile(dof, alpha), expected, rtol=1e-12, atol=0)
+
+    def test_keeps_the_shape_of_dof(self):
+        assert np.ndim(_chi2_quantile(np.float64(2.0), 0.05)) == 0
+        assert _chi2_quantile(np.full((2, 3), 2.0), 0.05).shape == (2, 3)
+        # Two degrees of freedom: the quantile is -2 log(alpha).
+        assert _chi2_quantile(2.0, 1e-20) == pytest.approx(-2.0 * np.log(1e-20), rel=1e-14)
 
 
 class TestBandPower:

@@ -25,14 +25,18 @@ Each SRC is the `src` directory of a checkout (the directory holding the
 Both trees read the same input files and run one step at a time.  Every
 file a pipeline leaves is compared byte for byte, except `manifest.json`,
 which is compared after dropping each run's `created_utc` and each input's
-path.  The exit status is 0 when every file is identical and every step
-exited 0 under both trees; otherwise it is 1, and the inputs and outputs
-are kept in the temporary directory named on the last line.
+path.  For a CSV file that differs, the largest relative difference of
+each column whose cells all read as numbers is printed too, so that a
+stated tolerance can be checked against it.  The exit status is 0 when
+every file is identical and every step exited 0 under both trees;
+otherwise it is 1, and the inputs and outputs are kept in the temporary
+directory named on the last line.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
 import json
 import os
@@ -165,6 +169,29 @@ def comparable(path):
     return manifest
 
 
+def numeric_differences(p, q):
+    """{column: largest |change - parent| / |parent|} over the columns of
+    two CSV files (parent p, change q) whose cells all read as numbers; {}
+    when their headers or row counts differ."""
+    tables = []
+    for path in (p, q):
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables.append(list(csv.reader(fh)) or [[]])
+    (header, *parent), (other, *change) = tables
+    if header != other or len(parent) != len(change):
+        return {}
+    largest = {}
+    for j, name in enumerate(header):
+        try:
+            a, b = (np.array([row[j] for row in rows], dtype=float) for rows in (parent, change))
+        except (ValueError, IndexError):
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            relative = np.where(a == b, 0.0, np.abs(b - a) / np.abs(a))
+        largest[name] = float(relative.max(initial=0.0))
+    return largest
+
+
 def differences(a, b):
     """Names of the files that differ between directories a and b, or that
     only one of them holds."""
@@ -200,7 +227,12 @@ def main(argv=None) -> int:
         differ = differences(outs["parent"], outs["change"])
         compared += len(os.listdir(outs["parent"]))
         for file_name in differ:
-            print(f"{name}: {file_name} differs")
+            paths = [os.path.join(outs[label], file_name) for label in trees]
+            numeric = (numeric_differences(*paths) if file_name.endswith(".csv")
+                       and all(map(os.path.isfile, paths)) else {})
+            largest = ", ".join(f"{column} {value:.3g}" for column, value in numeric.items())
+            print(f"{name}: {file_name} differs"
+                  + (f"; largest relative difference: {largest}" if largest else ""))
         bad += len(differ)
         print(f"{name}: {len(os.listdir(outs['parent']))} files, {len(differ)} differ",
               flush=True)
