@@ -19,7 +19,6 @@ import contextlib
 import csv
 import fcntl
 import hashlib
-import io
 import json
 import os
 import platform
@@ -215,11 +214,11 @@ def _format(values) -> list[str]:
 
 
 def _csv_text(header, columns) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*(_format(c) for c in columns), strict=True))
-    return buf.getvalue()
+    """The CSV text of a header and its columns, one line per row with the
+    cells joined by commas: no header, and no cell `_format` writes, needs
+    quoting."""
+    rows = zip(*(_format(c) for c in columns), strict=True)
+    return "\n".join([",".join(header), *map(",".join, rows), ""])
 
 
 def _artifact_text(name: str, *columns) -> str:

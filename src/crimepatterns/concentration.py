@@ -363,7 +363,7 @@ def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generato
     exactly by bisection on the zeta tail.  The table is built once per
     (alpha, xmin) and reused across calls.
     """
-    if alpha <= 1:
+    if not alpha > 1:
         raise ValueError("alpha must exceed 1")
     if xmin < 1:
         raise ValueError("xmin must be at least 1")

@@ -4,16 +4,13 @@ Every CSV file is read by one reader in blocks of READ_BLOCK_ROWS rows,
 whose cells are cast column by column (`cast`) before the next block is
 read.  A block of plain lines (no quote, no carriage return, the header's
 field count on every line) is split on commas in one pass; from the first
-block that is not, csv.reader reads the rest of the file.  read_csv
-reads the float columns of a block of plain lines with one np.loadtxt,
-when loadtxt accepts every cell as float() does and every value is
-finite; every other block goes through `cast`.  There a number column
-converts as one numpy array; a column numpy rejects is converted once
-more, one cell at a time, so a bad cell is found in one pass.  Text and
-true/false columns are kept as text.  Timestamps in the common ISO shape
-are read by calendar arithmetic on their characters, every other one by
-parse_timestamp; a date is read as the timestamp of its midnight and
-kept only when it prints back as itself.  Point events (timestamp,
+block that is not, csv.reader reads the rest of the file.  A number
+column converts as one numpy array; a column numpy rejects is converted
+once more, one cell at a time, so a bad cell is found in one pass.  Text
+and true/false columns are kept as text.  Timestamps in the common ISO
+shape are read by calendar arithmetic on their characters, every other
+one by parse_timestamp; a date is read as the timestamp of its midnight
+and kept only when it prints back as itself.  Point events (timestamp,
 lon, lat, category) are checked row by row: a bad row is set aside with
 a reason, and a file whose rows are mostly malformed is rejected.
 Population cells (lon, lat, population) must all be valid.
@@ -109,17 +106,15 @@ def parse_timestamp(text: str) -> np.datetime64 | None:
 
 def _blocks(path, ragged_ok: bool = False):
     """Yield a CSV file's header, then its data rows in blocks of at most
-    READ_BLOCK_ROWS rows, each as (lines, a list of column lists).  Blank
-    lines are skipped.  Ragged rows are an error unless `ragged_ok`: then
-    short rows are padded with empty cells and cells past the header
-    dropped.
+    READ_BLOCK_ROWS rows, each a list of column lists.  Blank lines are
+    skipped.  Ragged rows are an error unless `ragged_ok`: then short rows
+    are padded with empty cells and cells past the header dropped.
 
     Each block is read as READ_BLOCK_ROWS raw lines.  While a block has no
     quote, no carriage return, no blank line and no line longer than the
     csv field limit, and every line holds exactly the header's fields, it
-    is clean: it is split on commas in one pass and `lines` are its raw
-    lines.  From the first block that is not, csv.reader reads the rest of
-    the file, that block's lines included, and `lines` is None.
+    is split on commas in one pass.  From the first block that does not,
+    csv.reader reads the rest of the file, that block's lines included.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), [])
@@ -132,7 +127,7 @@ def _blocks(path, ragged_ok: bool = False):
                     or set(map(str.count, lines, repeat(","))) != {width - 1}):
                 break
             cells = text.replace("\n", ",").split(",")
-            yield lines, [cells[j:len(lines) * width:width] for j in range(width)]
+            yield [cells[j:len(lines) * width:width] for j in range(width)]
         rows = csv.reader(chain(lines, fh))
         while chunk := list(islice(rows, READ_BLOCK_ROWS)):
             block = list(filter(None, chunk))
@@ -140,7 +135,7 @@ def _blocks(path, ragged_ok: bool = False):
                 raise ValueError(f"{path}: ragged rows")
             columns = list(map(list, islice(zip_longest(*block, fillvalue=""), width)))
             if block:
-                yield None, columns + [[""] * len(block)] * (width - len(columns))
+                yield columns + [[""] * len(block)] * (width - len(columns))
 
 
 # The first 19 characters of a vector-read timestamp lie between these, one
@@ -217,10 +212,6 @@ def cast(cells, kind: str) -> tuple[np.ndarray, np.ndarray]:
     timestamp cell is parse_timestamp of its text.  A date cell is exactly
     YYYY-MM-DD of a real day in years 1-9999: it is read as the timestamp
     of its midnight and kept when that prints back as the cell.
-
-    read_csv reads the float columns of a clean block by np.loadtxt
-    instead, only where that gives these values (`_loadtxt_floats`); every
-    block it leaves, and so every error, comes from here.
     """
     if kind == "timestamp":
         values = _timestamps(cells)
@@ -261,46 +252,15 @@ def _rejection(path, column: str, text: str, kind: str) -> ValueError:
     return ValueError(f"{path}: {cause}")
 
 
-# Characters np.loadtxt strips from around a number as whitespace and
-# float() does not: the information separators U+001C to U+001F.
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
-
-
-def _loadtxt_floats(lines, usecols) -> dict:
-    """{column: values} of the float columns `usecols` of a clean block,
-    read by one np.loadtxt over the block's `lines` (None when the block is
-    not clean).  The dict is empty, and `cast` reads the block, wherever
-    loadtxt could read it differently: a cell loadtxt rejects (an empty
-    cell, which cast reads as a gap, or one float() reads and loadtxt does
-    not, such as 1_0 or ١٢), a non-finite value (cast rejects it with its
-    own error) or an information separator (loadtxt strips it as
-    whitespace, float() rejects it).  comments=None, because by default
-    loadtxt reads 1#2 as 1.
-    """
-    if not lines or not usecols:
-        return {}
-    text = "".join(lines)
-    if any(c in text for c in _LOADTXT_ONLY_SPACE):
-        return {}
-    try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols, ndmin=2)
-    except ValueError:
-        return {}
-    return dict(zip(usecols, values.T)) if np.isfinite(values).all() else {}
-
-
 def read_csv(path, columns, kinds, header_only_ok: bool = False):
     """The header of a CSV file and, one array each, the columns at the
     indices `columns(header)` gives.
 
     `columns(header)` raises a ValueError for a header the caller does not
     accept.  The j-th column read is cast to kinds[j]; the last kind
-    stands for any further ones.  The float columns of a clean block (see
-    `_blocks`) are read by one np.loadtxt when it reads them as `cast`
-    would, every value finite (`_loadtxt_floats`); otherwise, and for the
-    other kinds, each column goes through `cast`.  A file without data rows
-    (unless `header_only_ok`), with ragged rows or with a cell its kind
-    rejects is a ValueError `<path>: <cause>`.
+    stands for any further ones.  A file without data rows (unless
+    `header_only_ok`), with ragged rows or with a cell its kind rejects is
+    a ValueError `<path>: <cause>`.
     """
     blocks = _blocks(path)
     header = next(blocks)
@@ -309,20 +269,14 @@ def read_csv(path, columns, kinds, header_only_ok: bool = False):
     index = list(columns(header))
     kinds = [kinds[min(j, len(kinds) - 1)] for j in range(len(index))]
     parts = [[cast((), kind)[0]] for kind in kinds]
-    floats = [j for j, kind in zip(index, kinds) if kind == "float"]
-    for lines, block in blocks:
-        read = _loadtxt_floats(lines, floats)
+    for block in blocks:
         for part, j, kind in zip(parts, index, kinds):
-            if kind == "float" and read:
-                part.append(read[j])
-                continue
             values, rejected = cast(block[j], kind)
             if rejected.any():
                 raise _rejection(path, header[j], block[j][np.argmax(rejected)], kind)
             part.append(values)
     if len(parts[0]) == 1 and not header_only_ok:
         raise ValueError(f"{path}: no data rows")
-    lines = block = None  # frees the last block's text before the copies below
     return header, [np.concatenate(part) for part in parts]
 
 
@@ -339,7 +293,7 @@ def _input_blocks(path, names, what):
     if missing:
         raise ValueError(f"{what} file lacks required columns: {missing}")
     index = {name: i for i, name in enumerate(header)}
-    return (block for _, block in blocks), [index[c] for c in names]
+    return blocks, [index[c] for c in names]
 
 
 def parse_events(path) -> EventTable:

@@ -12,6 +12,7 @@ wave.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +72,9 @@ def gen_seasonal(
     noise_sd = 0 returns the exact sinusoid.  The series must span at
     least two cycles of the requested period.
     """
-    if period_years <= 0:
+    if not period_years > 0:
         raise ValueError("period must be positive")
-    if noise_sd < 0:
+    if not noise_sd >= 0:
         raise ValueError("noise_sd must be non-negative")
     if n * WEEK_STEP_YEARS < 2 * period_years:
         raise ValueError("series must cover at least two full periods")
@@ -112,8 +113,10 @@ def gen_traveling_wave_city(
         raise ValueError("window_weeks must lie in [1, n_weeks]")
     if wave_speed is None:
         wave_speed = WEEKS_PER_YEAR * n_regions / n_weeks
-    if wave_speed < 0:
+    if not wave_speed >= 0:
         raise ValueError("wave_speed must be non-negative")
+    if not noise_sd >= 0:
+        raise ValueError("noise_sd must be non-negative")
 
     t = np.arange(n_weeks)
     seasonal = amplitude * np.sin(2.0 * np.pi * t * WEEK_STEP_YEARS)
@@ -185,6 +188,14 @@ _REQUIRED_PARAMETERS = {
 _OPTIONAL_PARAMETERS = {
     "traveling_wave_city": ("wave_speed_regions_per_year", "amplitude", "noise_sd"),
 }
+# Parameters that count something; every other one is a real number.
+_INTEGER_PARAMETERS = frozenset({"xmin", "n", "n_regions", "n_weeks", "window_weeks"})
+_GENERATORS = {
+    "powerlaw_counts": gen_powerlaw_counts,
+    "ar1": gen_ar1,
+    "seasonal": gen_seasonal,
+    "traveling_wave_city": gen_traveling_wave_city,
+}
 
 
 def run_scenario(spec: ScenarioSpec):
@@ -193,7 +204,10 @@ def run_scenario(spec: ScenarioSpec):
     Returns whatever the generator returns: a count array for
     powerlaw_counts, a TimeSeries for ar1 and seasonal, and a
     RegionSeriesSet for traveling_wave_city.  Missing or unknown
-    parameters are errors, so scenario files stay honest.
+    parameters are errors, so scenario files stay honest, and so is a
+    counting parameter that is not a JSON integer or any other that is
+    not a finite JSON number: the generator runs exactly what the file
+    (and so the manifest) holds.
     """
     p = dict(spec.parameters)
     required = _REQUIRED_PARAMETERS[spec.kind]
@@ -204,28 +218,17 @@ def run_scenario(spec: ScenarioSpec):
     unknown = sorted(set(p) - set(required) - set(optional))
     if unknown:
         raise ValueError(f"scenario '{spec.kind}' has unknown parameters {unknown}")
-
-    if spec.kind == "powerlaw_counts":
-        return gen_powerlaw_counts(
-            alpha=float(p["alpha"]), xmin=int(p["xmin"]), n=int(p["n"]), seed=spec.seed
-        )
-    if spec.kind == "ar1":
-        return gen_ar1(a=float(p["a"]), n=int(p["n"]), seed=spec.seed)
-    if spec.kind == "seasonal":
-        return gen_seasonal(
-            period_years=float(p["period_years"]),
-            amplitude=float(p["amplitude"]),
-            noise_sd=float(p["noise_sd"]),
-            n=int(p["n"]),
-            seed=spec.seed,
-        )
-    wave_speed = p.get("wave_speed_regions_per_year")
-    return gen_traveling_wave_city(
-        n_regions=int(p["n_regions"]),
-        n_weeks=int(p["n_weeks"]),
-        window_weeks=int(p["window_weeks"]),
-        wave_speed=None if wave_speed is None else float(wave_speed),
-        amplitude=float(p.get("amplitude", 1.0)),
-        noise_sd=float(p.get("noise_sd", 0.5)),
-        seed=spec.seed,
-    )
+    for name, value in p.items():
+        integer = name in _INTEGER_PARAMETERS
+        number = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+        # abs() <= the largest float is False for NaN and the infinities, and
+        # compares a huge int exactly where float() would overflow.
+        if not (number and (integer or abs(value) <= sys.float_info.max)):
+            raise ValueError(
+                f"scenario '{spec.kind}' parameter {name} must be "
+                f"{'an integer' if integer else 'a finite number'}, got {json.dumps(value)}")
+        if not integer:
+            p[name] = float(value)
+    if "wave_speed_regions_per_year" in p:
+        p["wave_speed"] = p.pop("wave_speed_regions_per_year")
+    return _GENERATORS[spec.kind](**p, seed=spec.seed)

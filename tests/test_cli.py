@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crimepatterns import cli, rhythms
 from crimepatterns.cli import (
@@ -23,6 +26,8 @@ from crimepatterns.cli import (
     build_parser,
     main,
 )
+from crimepatterns.ingest import COLUMN_KINDS, REJECTION_REASONS
+from crimepatterns.series import RegionSeriesSet
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -559,6 +564,41 @@ class TestFailureHandling:
         assert capsys.readouterr().err == f"error: report: {manifest}{cause}\n"
         assert manifest.read_text() == body
 
+    @pytest.mark.parametrize("kind, parameters, cause", [
+        ("traveling_wave_city", {"amplitude": float("nan")},
+         "parameter amplitude must be a finite number, got NaN"),
+        ("seasonal", {"amplitude": float("nan")},
+         "parameter amplitude must be a finite number, got NaN"),
+        ("seasonal", {"noise_sd": float("inf")},
+         "parameter noise_sd must be a finite number, got Infinity"),
+        ("powerlaw_counts", {"alpha": float("nan")},
+         "parameter alpha must be a finite number, got NaN"),
+        ("powerlaw_counts", {"alpha": "2.5"},
+         'parameter alpha must be a finite number, got "2.5"'),
+        ("traveling_wave_city", {"n_regions": 40.9},
+         "parameter n_regions must be an integer, got 40.9"),
+        ("traveling_wave_city", {"n_regions": "40"},
+         'parameter n_regions must be an integer, got "40"'),
+        ("traveling_wave_city", {"n_regions": True},
+         "parameter n_regions must be an integer, got true"),
+        ("traveling_wave_city", {"wave_speed_regions_per_year": None},
+         "parameter wave_speed_regions_per_year must be a finite number, got null"),
+    ])
+    def test_scenario_parameter_outside_its_type_writes_nothing(self, tmp_path, capsys, kind,
+                                                                 parameters, cause):
+        """A parameter that would run as another value, or write cells
+        the readers reject, stops simulate before anything is written."""
+        valid = {
+            "traveling_wave_city": {"n_regions": 4, "n_weeks": 156, "window_weeks": 52},
+            "seasonal": {"period_years": 1.0, "amplitude": 2.0, "noise_sd": 0.5, "n": 156},
+            "powerlaw_counts": {"alpha": 2.5, "xmin": 1, "n": 100},
+        }[kind]
+        scenario = write_scenario(tmp_path / "s.json", kind, 0, **{**valid, **parameters})
+        out = tmp_path / "out"
+        assert run("simulate", "--scenario", scenario, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: synth: scenario '{kind}' {cause}\n"
+        assert not out.exists()
+
     def test_malformed_scenario_is_a_module_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "ar1", "seed": 1}')
@@ -701,6 +741,26 @@ class TestSimulateFormats:
         assert (out1 / "counts.csv").read_bytes() == (out2 / "counts.csv").read_bytes()
 
 
+# Cell values by column kind.  The floats include -0.0, the smallest
+# subnormal and the two values where repr switches to and from an exponent.
+CELL_VALUES = {
+    "int": st.integers(-2**63, 2**63 - 1),
+    "float": st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1e-05])),
+    "bool": st.booleans(),
+    "date": st.dates(),
+    "str": st.sampled_from(REJECTION_REASONS),
+}
+
+
+def csv_writer_text(header, columns):
+    """The text csv.writer makes of a header and formatted columns."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*map(cli._format, columns)))
+    return buf.getvalue()
+
+
 class TestArtifactTable:
     @pytest.fixture(scope="class")
     def bundle(self, wave_pipeline, tmp_path_factory):
@@ -721,6 +781,33 @@ class TestArtifactTable:
     def test_read_then_write_gives_back_the_bytes(self, bundle, name):
         written = bundle[name].read_text()
         assert _artifact_text(name, *_read_artifact(bundle[name], name)) == written
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_joined_rows_equal_csv_writer_output(self, data):
+        """No cell the writer emits needs quoting: joining the cells with
+        commas gives csv.writer's bytes for every artifact."""
+        for name, spec in ARTIFACTS.items():
+            n = data.draw(st.integers(0, 6), label=name)
+            columns = [np.asarray(data.draw(st.lists(CELL_VALUES[kind], min_size=n, max_size=n)),
+                                  dtype=COLUMN_KINDS[kind]) for _, kind in spec]
+            header = [column for column, _ in spec]
+            assert _artifact_text(name, *columns) == csv_writer_text(header, columns), name
+        n_regions, n_weeks = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        kind = data.draw(st.sampled_from(["int", "float"]))
+        counts = np.array(data.draw(st.lists(CELL_VALUES[kind], min_size=n_regions * n_weeks,
+                                             max_size=n_regions * n_weeks)),
+                          dtype=COLUMN_KINDS[kind]).reshape(n_regions, n_weeks)
+        if kind == "int":
+            counts //= n_regions  # the city totals stay inside int64
+        ids = sorted(data.draw(st.sets(st.integers(0, 10**6), min_size=n_regions,
+                                       max_size=n_regions)))
+        weeks = np.datetime64("2015-01-05") + 7 * np.arange(n_weeks)
+        series_set = RegionSeriesSet(weeks, counts, ids)
+        header = ["week_start", *(f"region_{i}" for i in ids), "city"]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf
+            expected = csv_writer_text(header, [weeks, *counts, series_set.city_totals()])
+            assert _region_series_csv(series_set) == expected
 
     def test_header_only_durations_round_trip(self, tmp_path):
         path = tmp_path / "durations.csv"

@@ -302,23 +302,29 @@ def reference_parse_population(path):
     return np.array(cells, dtype=float)
 
 
-def reference_read_csv(path, columns, kinds):
-    """read_csv of a whole file's csv.reader rows, cast as whole columns."""
+def reference_read_csv(path, columns, kinds, block_rows=None):
+    """read_csv of a whole file's csv.reader rows, cast as whole columns,
+    or `block_rows` rows at a time: then of several rejected cells the
+    one named is the first column's in the first of those blocks that
+    holds one, as in read_csv."""
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
+    step = block_rows or max(len(rows), 1)
+    blocks = [list(filter(None, rows[i:i + step])) for i in range(0, len(rows), step)]
     rows = list(filter(None, rows))
     if not header or not rows:
         raise ValueError(f"{path}: no data rows")
     if any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path}: ragged rows")
-    values = []
-    for j, kind in zip(columns(header), kinds):
-        cells = [row[j] for row in rows]
-        got, rejected = cast(cells, kind)
-        if rejected.any():
-            raise ingest._rejection(path, header[j], cells[np.argmax(rejected)], kind)
-        values.append(got)
-    return header, values
+    values = [[] for _ in kinds]
+    for block in filter(None, blocks):
+        for part, j, kind in zip(values, columns(header), kinds):
+            cells = [row[j] for row in block]
+            got, rejected = cast(cells, kind)
+            if rejected.any():
+                raise ingest._rejection(path, header[j], cells[np.argmax(rejected)], kind)
+            part.append(got)
+    return header, [np.concatenate(part) for part in values]
 
 
 def outcome(parse, *args):
@@ -757,9 +763,11 @@ FUZZ_COMMANDS = [
 ]
 
 
-# Float cells: reprs, and cells that np.loadtxt and float() read differently,
-# that cast rejects, or both.
-LOADTXT_CELLS = st.one_of(
+# Float cells: reprs, and cells that float() reads in an unusual way, that
+# cast rejects as malformed or non-finite, or that other float parsers
+# (np.loadtxt among them) read otherwise: 1_0, ١٢ and 3\x1c (loadtxt strips
+# U+001C-U+001F as whitespace), 1#2 (loadtxt's default comment).
+FLOAT_CELLS = st.one_of(
     st.floats(allow_nan=False).map(repr),
     st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format),
     st.sampled_from(["-0", "-0.0", " 3", "3 ", "\t3", "1_0", "\u0661\u0662", "nan", "inf",
@@ -820,32 +828,25 @@ class TestReaderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 3).flatmap(lambda width: st.lists(
-            st.lists(LOADTXT_CELLS, min_size=width, max_size=width).map(",".join),
+            st.lists(FLOAT_CELLS, min_size=width, max_size=width).map(",".join),
             max_size=8)),
         st.sampled_from([1, 2, 3, ingest.READ_BLOCK_ROWS]),
     )
-    def test_loadtxt_route_equals_the_cast_route(self, tmp_path_factory, lines, block_rows):
-        """Float columns of plain lines read by np.loadtxt give the arrays,
-        bit for bit, and the errors of the per-column cast route."""
+    def test_float_columns_equal_the_reference_reader(self, tmp_path_factory, lines,
+                                                      block_rows):
+        """Float columns read by read_csv, whether split in one pass or
+        by csv.reader, give the reference reader's arrays bit for bit and
+        its errors word for word."""
         path = tmp_path_factory.mktemp("floats") / "f.csv"
         width = lines[0].count(",") + 1 if lines else 1
         path.write_text(",".join(f"c{j}" for j in range(width)) + "\n"
                         + "".join(line + "\n" for line in lines), encoding="utf-8")
 
-        def read():
-            header, columns = read_csv(path, lambda h: range(len(h)), ["float"])
+        def bits(read, *args):
+            header, columns = read(path, lambda h: range(len(h)), ["float"] * width, *args)
             return header, [column.view(np.int64).tolist() for column in columns]
 
+        expected = outcome(bits, reference_read_csv, block_rows)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "READ_BLOCK_ROWS", block_rows)
-            got = outcome(read)
-            mp.setattr(ingest, "_loadtxt_floats", lambda lines, usecols: {})
-            assert got == outcome(read)
-
-    def test_loadtxt_reads_plain_finite_blocks_only(self):
-        assert {j: v.tolist() for j, v in ingest._loadtxt_floats(
-            ["1.5,x,2\n", "-0,y,0.1000000000000000055\n"], [0, 2]).items()} == {
-            0: [1.5, -0.0], 2: [2.0, 0.1]}
-        for cell in ["1#2", "nan", "-inf", "1e999", "", "1_0", "\u0661", "0x10", "3\x1c"]:
-            assert ingest._loadtxt_floats(["1,x,2\n", f"1,x,{cell}\n"], [0, 2]) == {}, cell
-        assert ingest._loadtxt_floats(None, [0]) == {}
+            assert outcome(bits, read_csv) == expected

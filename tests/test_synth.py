@@ -41,6 +41,8 @@ class TestGenPowerlawCounts:
     def test_invalid_parameters_are_errors(self):
         with pytest.raises(ValueError):
             gen_powerlaw_counts(1.0, 1, 100, 0)
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            gen_powerlaw_counts(float("nan"), 1, 100, 0)
         with pytest.raises(ValueError):
             gen_powerlaw_counts(2.5, 0, 100, 0)
         with pytest.raises(ValueError):
@@ -83,6 +85,12 @@ class TestGenSeasonal:
         corr = np.corrcoef(s.values, basis)[0, 1]
         assert abs(corr) < 0.15
         assert s.values.std() == pytest.approx(1.5, rel=0.15)
+
+    def test_nan_period_or_noise_is_an_error(self):
+        with pytest.raises(ValueError, match="period must be positive"):
+            gen_seasonal(float("nan"), 1.0, 0.1, 104, 0)
+        with pytest.raises(ValueError, match="noise_sd must be non-negative"):
+            gen_seasonal(1.0, 1.0, float("nan"), 104, 0)
 
     def test_unresolvable_period_is_an_error(self):
         with pytest.raises(ValueError):
@@ -131,6 +139,11 @@ class TestGenTravelingWaveCity:
             gen_traveling_wave_city(8, 208, 209)
         with pytest.raises(ValueError):
             gen_traveling_wave_city(8, 208, 52, wave_speed=-1.0)
+        with pytest.raises(ValueError, match="wave_speed must be non-negative"):
+            gen_traveling_wave_city(8, 208, 52, wave_speed=float("nan"))
+        for noise_sd in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="noise_sd must be non-negative"):
+                gen_traveling_wave_city(8, 208, 52, noise_sd=noise_sd)
 
     def test_week_grid_starts_on_a_monday(self):
         city = gen_traveling_wave_city(4, 120, 52, seed=1)

@@ -10,6 +10,9 @@ Each SRC is the `src` directory of a checkout (the directory holding the
 * `readme`: the README's pipeline, a 40-region traveling-wave city through
   `simulate`, `ranks`, `rhythms` and `composed`, power-law counts through
   `simulate` and `concentrate --boot 1000`, then `report`;
+* `series`: a seasonal and then an ar1 scenario, each through `simulate`
+  and `rhythms --series`; the second run replaces the first one's files,
+  whose checksums the manifest keeps;
 * `events_city-<seed>`: the benchmark's events city (inputs written by
   `bench/gen_events.py`, at its default size) through `tessellate`,
   `composed`, `rhythms`, `ranks`, `report` and
@@ -100,6 +103,15 @@ def write_inputs(d, seeds):
         ["concentrate", "--counts", "{out}/counts.csv", "--boot", "1000", "--seed", "0"],
         ["report"],
     ]
+    seasonal = write_json(os.path.join(d, "seasonal.json"), {
+        "kind": "seasonal", "seed": 11,
+        "parameters": {"period_years": 1.0, "amplitude": 2.0, "noise_sd": 1.0, "n": 520}})
+    ar1 = write_json(os.path.join(d, "ar1.json"), {
+        "kind": "ar1", "seed": 12, "parameters": {"a": 0.6, "n": 520}})
+    pipelines["series"] = [
+        step for scenario in (seasonal, ar1)
+        for step in (["simulate", "--scenario", scenario],
+                     ["rhythms", "--series", "{out}/series.csv"])]
     for seed in seeds:
         events = os.path.join(d, f"events-{seed}.csv")
         population = os.path.join(d, f"population-{seed}.csv")
