@@ -22,10 +22,13 @@ DEFAULT_SIGNIFICANCE = 0.05
 
 _ALPHA_LO = 1.0 + 1e-6
 _ALPHA_HI = 30.0
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_NEWTON_H = 1e-4  # central-difference half-width, scaled down near alpha = 1
+_NEWTON_TOL = 1e-9  # an element stops once its step is at most this
+_NEWTON_MAX_STEPS = 100  # guard against a search that stalls
 _KS_BLOCK = 1 << 20  # (cutoff, value) pairs per zeta call of the KS scan
 _KS_PROBE = 8  # leading tail values whose gaps bound a tail's KS distance
 _TABLE_SIZE = 100_000  # support points of the sampler's inverse-CDF table
+_TABLE_HEAD = 64  # leading table entries every draw is looked up in first
 
 
 @dataclass
@@ -86,21 +89,44 @@ def _zeta_log_likelihood(alpha, log_mean, q):
     """Negative mean log-likelihood of a zeta(alpha, q) tail, up to sign."""
     from scipy.special import zeta
 
-    return alpha * log_mean + np.log(zeta(alpha, q))
+    with np.errstate(divide="ignore"):  # zeta(30, q) underflows to 0 above q = 4e10
+        return alpha * log_mean + np.log(zeta(alpha, q))
 
 
-def _golden_min(objective, shape, tol: float = 1e-6) -> np.ndarray:
-    """Golden-section minimum of a unimodal objective of an exponent in
-    (1, 30], run elementwise over arrays of the given shape."""
-    lo = np.full(shape, _ALPHA_LO)
-    hi = np.full(shape, _ALPHA_HI)
-    while (hi - lo).max() > tol:
-        x1 = hi - _GOLDEN * (hi - lo)
-        x2 = lo + _GOLDEN * (hi - lo)
-        keep_low = objective(x1) <= objective(x2)
-        hi = np.where(keep_low, x2, hi)
-        lo = np.where(keep_low, lo, x1)
-    return 0.5 * (lo + hi)
+def _newton_min(objective, log_means, qs) -> np.ndarray:
+    """Minimum over (1, 30] of a convex objective of an exponent, run
+    elementwise over the broadcast shape of `log_means` and `qs`;
+    objective(alphas, rows) evaluates the elements `rows` (indices into
+    the flattened shape) at `alphas`, an array of shape (3, rows.size).
+
+    Each element starts from the continuous MLE 1 + 1/(log_mean -
+    log(q - 1/2)) and takes Newton steps on central differences, inside a
+    bracket that the slope's sign narrows; a step that would leave the
+    bracket bisects it instead.  An element stops once its step is at
+    most _NEWTON_TOL, so its result does not depend on the others."""
+    log_means, qs = np.broadcast_arrays(np.asarray(log_means, float), np.asarray(qs, float))
+    with np.errstate(divide="ignore"):  # the difference rounds to 0 above q = 1e14
+        start = 1.0 + 1.0 / (log_means.ravel() - np.log(qs.ravel() - 0.5))
+    x = np.clip(start, _ALPHA_LO, _ALPHA_HI)
+    lo = np.full(x.shape, _ALPHA_LO)
+    hi = np.full(x.shape, _ALPHA_HI)
+    rows = np.arange(x.size)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if not rows.size:
+            break
+        a = x[rows]
+        h = _NEWTON_H * np.minimum(1.0, a - 1.0)  # keeps a - h above 1
+        f = objective(a + np.array([[-1.0], [0.0], [1.0]]) * h, rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (f[2] - f[0]) / (2.0 * h)
+            curvature = (f[2] - 2.0 * f[1] + f[0]) / h**2
+            target = a - slope / curvature
+        lo[rows] = low = np.where(slope <= 0, a, lo[rows])
+        hi[rows] = high = np.where(slope >= 0, a, hi[rows])
+        newton = (curvature > 0) & (target > low) & (target < high)
+        x[rows] = target = np.where(newton, target, 0.5 * (low + high))
+        rows = rows[np.abs(target - a) > _NEWTON_TOL]
+    return x.reshape(log_means.shape)
 
 
 def _ks_rows(values, multiplicity, tail_n, starts, alphas, qs, width=None) -> np.ndarray:
@@ -112,7 +138,9 @@ def _ks_rows(values, multiplicity, tail_n, starts, alphas, qs, width=None) -> np
     right-continuous step functions jumping at the same integer support,
     so the supremum of their difference is attained at an observed value
     and no left-limit term is needed.  One zeta call covers the
-    (cutoff, tail value) pairs, in row blocks of about _KS_BLOCK pairs."""
+    (cutoff, tail value) pairs, in row blocks of about _KS_BLOCK pairs.
+    A tail whose normalizer zeta(alpha, q) underflows to 0 cannot be
+    evaluated; its gap is infinite."""
     from scipy.special import zeta
 
     cum = np.cumsum(multiplicity)
@@ -129,10 +157,11 @@ def _ks_rows(values, multiplicity, tail_n, starts, alphas, qs, width=None) -> np
         rows = block[rows]
         c = starts[rows]
         ecdf = (cum[cols] - below[c]) / tail_n[c]
-        fitted = 1.0 - zeta(alphas[rows], values[cols] + 1.0) / norms[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fitted = 1.0 - zeta(alphas[rows], values[cols] + 1.0) / norms[rows]
         row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
         gaps[block] = np.maximum.reduceat(np.abs(ecdf - fitted), row_starts)
-    return gaps
+    return np.where(norms > 0, gaps, np.inf)
 
 
 def _best_ks(values, multiplicity, tail_n, starts, alphas, qs):
@@ -146,6 +175,8 @@ def _best_ks(values, multiplicity, tail_n, starts, alphas, qs):
     tails = (values, multiplicity, tail_n)
     lower = _ks_rows(*tails, starts, alphas, qs, width=_KS_PROBE)
     first = [int(np.argmin(lower))]
+    if np.isinf(lower[first]):
+        raise ValueError("no cutoff leaves a tail whose fitted law can be evaluated")
     upper = _ks_rows(*tails, starts[first], alphas[first], qs[first])[0]
     kept = np.flatnonzero(lower <= upper)
     ks = _ks_rows(*tails, starts[kept], alphas[kept], qs[kept])
@@ -156,8 +187,9 @@ def _best_ks(values, multiplicity, tail_n, starts, alphas, qs):
 def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
     """Fit a discrete power law p(x) proportional to x**-alpha for x >= xmin.
 
-    The exponent comes from the zeta-normalized MLE (golden-section
-    search, 1e-6 bracket).  When `xmin` is None every distinct value
+    The exponent comes from the zeta-normalized MLE, found by a
+    safeguarded Newton search on (1, 30] that stops once its step is at
+    most 1e-9 (see _newton_min).  When `xmin` is None every distinct value
     whose tail keeps at least MIN_TAIL_SIZE observations is tried and
     the cutoff with the smallest KS distance wins (ties go to the
     smallest cutoff).  Zero counts are ignored; at least
@@ -200,7 +232,9 @@ def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
             )
         qs = values[candidates]
     log_means = tail_logsum[candidates] / tail_n[candidates]
-    alphas = _golden_min(lambda a: _zeta_log_likelihood(a, log_means, qs), qs.shape)
+    alphas = _newton_min(
+        lambda a, rows: _zeta_log_likelihood(a, log_means[rows], qs[rows]), log_means, qs
+    )
     best, ks = _best_ks(values, multiplicity, tail_n, candidates, alphas, qs)
     return PowerLawFit(float(alphas[best]), int(qs[best]), ks, int(tail_n[candidates[best]]))
 
@@ -259,7 +293,9 @@ def _power_law_limit_loglik(x, weights, xmin) -> float:
         cells = e * (lo - base) + np.log1p(-np.exp(e * (hi - lo)))
         return -(weights * cells).sum(axis=-1)
 
-    return float(-negative_loglik(_golden_min(negative_loglik, ())))
+    log_mean = (weights * np.log(x)).sum() / weights.sum()
+    beta = _newton_min(lambda b, rows: negative_loglik(b), log_mean, xmin)
+    return float(-negative_loglik(beta))
 
 
 def _lognormal_tail_loglik(x, weights, xmin):
@@ -344,32 +380,39 @@ def likelihood_ratio(
 
 @functools.lru_cache(maxsize=8)
 def _cdf_table(alpha: float, xmin: int):
-    """Inverse-CDF table of the first _TABLE_SIZE support points and the
-    normalizer zeta(alpha, xmin); read-only, shared by every draw."""
+    """Inverse-CDF table of the first _TABLE_SIZE support points, a view
+    of its first _TABLE_HEAD entries, and the normalizer zeta(alpha,
+    xmin); read-only, shared by every draw."""
     from scipy.special import zeta
 
     support = np.arange(xmin, xmin + _TABLE_SIZE, dtype=float)
     normalizer = zeta(alpha, float(xmin))
     cdf = np.cumsum(support**-alpha) / normalizer
     cdf.flags.writeable = False
-    return cdf, normalizer
+    return cdf, cdf[:_TABLE_HEAD], normalizer
 
 
 def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw from the discrete power law by inverse-CDF lookup.
 
-    A cumulative table covers the first 100000 support points; draws
-    falling beyond it (rare for any alpha > 1 of interest) are resolved
+    A cumulative table covers the first 100000 support points.  Each
+    draw is looked up in the table's first 64 entries, and only a draw
+    past them in the whole table; since the table is nondecreasing, this
+    gives the index one search of the whole table would.  Draws falling
+    beyond the table (rare for any alpha > 1 of interest) are resolved
     exactly by bisection on the zeta tail.  The table is built once per
     (alpha, xmin) and reused across calls.
     """
-    if not alpha > 1:
-        raise ValueError("alpha must exceed 1")
+    if not 1 < alpha < np.inf:
+        raise ValueError("alpha must exceed 1 and be finite")
     if xmin < 1:
         raise ValueError("xmin must be at least 1")
-    cdf, normalizer = _cdf_table(alpha, xmin)
+    cdf, head, normalizer = _cdf_table(alpha, xmin)
     u = rng.random(size)
-    draws = xmin + np.searchsorted(cdf, u, side="left")
+    index = np.searchsorted(head, u, side="left")
+    past = np.flatnonzero(index == head.size)
+    index[past] = np.searchsorted(cdf, u[past], side="left")
+    draws = xmin + index
     for i in np.nonzero(draws == xmin + _TABLE_SIZE)[0]:
         draw = _tail_quantile(u[i], alpha, normalizer, xmin + _TABLE_SIZE)
         if draw > np.iinfo(np.int64).max:

@@ -74,8 +74,10 @@ def gen_seasonal(
     """
     if not period_years > 0:
         raise ValueError("period must be positive")
-    if not noise_sd >= 0:
-        raise ValueError("noise_sd must be non-negative")
+    if not np.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
+    if not 0 <= noise_sd < np.inf:
+        raise ValueError("noise_sd must be non-negative and finite")
     if n * WEEK_STEP_YEARS < 2 * period_years:
         raise ValueError("series must cover at least two full periods")
     t = np.arange(n) * WEEK_STEP_YEARS
@@ -115,8 +117,10 @@ def gen_traveling_wave_city(
         wave_speed = WEEKS_PER_YEAR * n_regions / n_weeks
     if not wave_speed >= 0:
         raise ValueError("wave_speed must be non-negative")
-    if not noise_sd >= 0:
-        raise ValueError("noise_sd must be non-negative")
+    if not np.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
+    if not 0 <= noise_sd < np.inf:
+        raise ValueError("noise_sd must be non-negative and finite")
 
     t = np.arange(n_weeks)
     seasonal = amplitude * np.sin(2.0 * np.pi * t * WEEK_STEP_YEARS)

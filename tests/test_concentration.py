@@ -46,6 +46,34 @@ def tail_ks(values, tail_counts, alpha, xmin):
     return float(np.abs(ecdf - fitted).max())
 
 
+def golden_min(objective, shape, tol=1e-6):
+    """Oracle: golden-section minimum of a unimodal objective of an
+    exponent in (1, 30], elementwise over arrays of the given shape (the
+    package's search before the Newton search replaced it)."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    lo = np.full(shape, 1.0 + 1e-6)
+    hi = np.full(shape, 30.0)
+    while (hi - lo).max() > tol:
+        x1 = hi - golden * (hi - lo)
+        x2 = lo + golden * (hi - lo)
+        keep_low = objective(x1) <= objective(x2)
+        hi = np.where(keep_low, x2, hi)
+        lo = np.where(keep_low, lo, x1)
+    return 0.5 * (lo + hi)
+
+
+def exponent_search(log_means, qs):
+    """The package's exponent search over tails with these mean logs and
+    cutoffs."""
+    log_means, qs = np.broadcast_arrays(np.asarray(log_means, float), np.asarray(qs, float))
+    flat_means, flat_qs = log_means.ravel(), qs.ravel()
+    return concentration._newton_min(
+        lambda a, rows: concentration._zeta_log_likelihood(a, flat_means[rows], flat_qs[rows]),
+        log_means,
+        qs,
+    )
+
+
 def reference_fit(x, xmin=None):
     """(alpha, xmin, ks, n_tail) from a loop over candidate cutoffs, one
     `tail_ks` call each, with the package's exponent search."""
@@ -60,10 +88,7 @@ def reference_fit(x, xmin=None):
         starts, qs = [int(np.searchsorted(values, xmin))], [float(xmin)]
     best = None
     for c, q in zip(starts, qs):
-        log_mean = tail_logsum[c] / tail_n[c]
-        alpha = concentration._golden_min(
-            lambda a: concentration._zeta_log_likelihood(a, log_mean, q), ()
-        )
+        alpha = exponent_search(tail_logsum[c] / tail_n[c], q)
         ks = tail_ks(values[c:], mult[c:], alpha, q)
         if best is None or ks < best[2]:
             best = (float(alpha), int(q), ks, int(tail_n[c]))
@@ -180,12 +205,110 @@ class TestFitPowerLaw:
                     assume(False)
             assert (fit.alpha, fit.xmin, fit.ks_statistic, fit.n_tail) == expected
 
+    @pytest.mark.parametrize("big", [10**12, 10**14, 10**16])
+    def test_cutoffs_whose_normalizer_underflows_never_win(self, big):
+        # zeta(alpha, q) underflows to 0 for such q at large exponents; the
+        # cutoff's KS distance cannot be evaluated and used to crash the scan.
+        x = np.array([big] * 20 + [big + 1] * 5 + list(range(1, 60)))
+        fit = fit_power_law(x)
+        assert fit.xmin < 60 and np.isfinite(fit.ks_statistic)
+
+    def test_no_evaluable_cutoff_is_an_error(self):
+        x = np.array([10**13] * 40 + [10**13 + 1] * 20)
+        with pytest.raises(ValueError, match="can be evaluated"):
+            fit_power_law(x)
+
     def test_gini_decreases_as_alpha_grows(self):
         ginis = [
             lorenz(gen_powerlaw_counts(a, 1, 10_000, 60)).gini
             for a in (2.1, 2.5, 3.0, 4.0)
         ]
         assert all(a > b for a, b in zip(ginis, ginis[1:]))
+
+
+class TestExponentSearch:
+    """The Newton search against the golden-section oracle it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(count_multisets, st.sampled_from([None, 1, 2, 5]))
+    def test_fitted_exponent_matches_the_golden_section_oracle(self, x, xmin):
+        try:
+            fit = fit_power_law(x, xmin=xmin)
+        except ValueError:
+            assume(False)
+        log_mean, q = np.log(x[x >= fit.xmin]).mean(), float(fit.xmin)
+
+        def objective(a):
+            return concentration._zeta_log_likelihood(a, log_mean, q)
+
+        oracle = float(golden_min(objective, ()))
+        # Golden section compares objective values, so it cannot place the
+        # minimum closer than where the objective rises by a few roundings
+        # of its two terms; on flat objectives (large cutoffs, exponents
+        # near 30) that distance exceeds 1e-6.
+        h = 1e-3 * min(1.0, oracle - 1.0)
+        curvature = (objective(oracle + h) - 2 * objective(oracle) + objective(oracle - h)) / h**2
+        terms = abs(oracle * log_mean) + abs(objective(oracle) - oracle * log_mean)
+        resolution = np.sqrt(8 * np.finfo(float).eps * terms / curvature)
+        assert abs(fit.alpha - oracle) <= max(1e-6, resolution)
+
+    @settings(max_examples=60, deadline=None)
+    @given(count_multisets)
+    def test_each_batched_element_equals_its_scalar_search(self, x):
+        values, mult = np.unique(x, return_counts=True)
+        values = values.astype(float)
+        tail_n = np.cumsum(mult[::-1])[::-1]
+        log_means = np.cumsum((mult * np.log(values))[::-1])[::-1] / tail_n
+        batched = exponent_search(log_means, values)
+        scalar = [exponent_search(m, q) for m, q in zip(log_means, values)]
+        assert batched.shape == values.shape
+        assert np.array_equal(batched, scalar)
+
+    def test_tail_almost_entirely_at_xmin_stops_at_thirty(self):
+        x = np.array([1000] * 99 + [1001])
+        fit = fit_power_law(x, xmin=1000)
+        oracle = golden_min(
+            lambda a: concentration._zeta_log_likelihood(a, np.log(x).mean(), 1000.0), ()
+        )
+        assert fit.alpha == 30.0
+        assert abs(fit.alpha - oracle) <= 1e-6
+
+    @pytest.mark.parametrize("log_mean", [1e5, 5e5, 1e6, 1e7])
+    def test_minimum_near_or_at_the_lower_end(self, log_mean):
+        # log zeta(a, 1) is about -log(a - 1), so the minimum sits near
+        # 1 + 1/log_mean: inside the bracket for the first two, at its
+        # lower end 1 + 1e-6 for the last two.
+        oracle = golden_min(lambda a: concentration._zeta_log_likelihood(a, log_mean, 1.0), ())
+        alpha = exponent_search(log_mean, 1.0)
+        assert 1.0 + 1e-6 <= alpha <= 1.0 + 2e-5
+        assert abs(alpha - oracle) <= 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(count_multisets, st.integers(1, 4))
+    def test_power_law_limit_of_the_lognormal_matches_the_oracle(self, x, xmin):
+        values, weights = np.unique(x[x >= xmin].astype(float), return_counts=True)
+        assume(values.size >= 2)
+        limit = concentration._power_law_limit_loglik(values, weights, xmin)
+        with mock.patch.object(
+            concentration,
+            "_newton_min",
+            lambda objective, log_mean, q: golden_min(lambda b: objective(b, None), ()),
+        ):
+            oracle = concentration._power_law_limit_loglik(values, weights, xmin)
+        # The largest log-likelihood is no lower than the oracle's, up to rounding.
+        assert limit >= oracle - 1e-12 * abs(oracle)
+        assert limit == pytest.approx(oracle, rel=1e-9)
+
+
+class FixedDraws:
+    """A stand-in generator whose random() returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
 
 
 class TestSamplePowerLaw:
@@ -200,6 +323,30 @@ class TestSamplePowerLaw:
             survival_at = zeta(alpha, float(x)) / norm  # P(X >= x)
             survival_after = zeta(alpha, float(x + 1)) / norm  # P(X > x)
             assert survival_after <= 1.0 - ui < survival_at
+
+    @pytest.mark.parametrize("alpha", [1.3, 2.5, 4.0])
+    @pytest.mark.parametrize("xmin", [1, 3])
+    def test_two_step_lookup_equals_one_search_of_the_whole_table(self, alpha, xmin):
+        support = np.arange(xmin, xmin + 100_000, dtype=float)
+        cdf = np.cumsum(support**-alpha) / zeta(alpha, float(xmin))
+        # Uniforms on, just under and just over the table's first entries,
+        # random ones, and ones past the table's last entry.
+        edges = cdf[:200]
+        u = np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            np.random.default_rng(int(10 * alpha) + xmin).random(20_000),
+            np.nextafter(cdf[-1], 1.0) + np.array([0.0, 1e-12, 1e-9]),
+        ])
+        u = u[u < 1.0]
+        draws = sample_power_law(alpha, xmin, u.size, FixedDraws(u))
+        expected = xmin + np.searchsorted(cdf, u, side="left")
+        inside = expected < xmin + 100_000
+        assert np.array_equal(draws[inside], expected[inside])
+        # Past the table both route to the tail quantile, which never
+        # returns a value inside the table.
+        assert np.all(draws[~inside] >= xmin + 100_000)
+        if alpha < 4.0:
+            assert (~inside).sum() > 0
 
     def test_draw_past_the_int64_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="exceeds the int64 range"):

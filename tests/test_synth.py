@@ -48,6 +48,11 @@ class TestGenPowerlawCounts:
         with pytest.raises(ValueError):
             gen_powerlaw_counts(2.5, 1, 0, 0)
 
+    def test_infinite_alpha_is_an_error(self):
+        # An infinite exponent used to return only xmin.
+        with pytest.raises(ValueError, match="alpha must exceed 1 and be finite"):
+            gen_powerlaw_counts(float("inf"), 1, 5, 0)
+
 
 class TestGenAr1:
     def test_zero_coefficient_gives_white_noise(self):
@@ -91,6 +96,15 @@ class TestGenSeasonal:
             gen_seasonal(float("nan"), 1.0, 0.1, 104, 0)
         with pytest.raises(ValueError, match="noise_sd must be non-negative"):
             gen_seasonal(1.0, 1.0, float("nan"), 104, 0)
+
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_amplitude_is_an_error(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            gen_seasonal(1.0, amplitude, 0.1, 104, 0)
+
+    def test_infinite_noise_is_an_error(self):
+        with pytest.raises(ValueError, match="noise_sd must be non-negative and finite"):
+            gen_seasonal(1.0, 1.0, float("inf"), 104, 0)
 
     def test_unresolvable_period_is_an_error(self):
         with pytest.raises(ValueError):
@@ -144,6 +158,15 @@ class TestGenTravelingWaveCity:
         for noise_sd in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="noise_sd must be non-negative"):
                 gen_traveling_wave_city(8, 208, 52, noise_sd=noise_sd)
+
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_amplitude_is_an_error(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            gen_traveling_wave_city(4, 104, 52, amplitude=amplitude, noise_sd=0.0)
+
+    def test_infinite_noise_is_an_error(self):
+        with pytest.raises(ValueError, match="noise_sd must be non-negative and finite"):
+            gen_traveling_wave_city(4, 104, 52, noise_sd=float("inf"))
 
     def test_week_grid_starts_on_a_monday(self):
         city = gen_traveling_wave_city(4, 120, 52, seed=1)

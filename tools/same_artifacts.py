@@ -23,14 +23,19 @@ Each SRC is the `src` directory of a checkout (the directory holding the
   `tessellate` and `concentrate --events --category theft --boot 100`;
 * `wave_city-<seed>`: the benchmark's 400-region traveling-wave city through
   `simulate`, `ranks`, `rhythms`, `composed`, `independence --perm 4999` and
-  `report`.
+  `report`;
+* `powerlaw_counts-<seed>`: the benchmark's 50,000 power-law counts
+  (alpha 2.5, xmin 1) through `simulate`, `concentrate --boot 500
+  --workers 1` and `report`.
 
 Both trees read the same input files and run one step at a time.  Every
 file a pipeline leaves is compared byte for byte, except `manifest.json`,
 which is compared after dropping each run's `created_utc` and each input's
 path.  For a CSV file that differs, the largest relative difference of
-each column whose cells all read as numbers is printed too, so that a
-stated tolerance can be checked against it.  The exit status is 0 when
+each column whose cells all read as numbers is printed too, and for a JSON
+file the absolute difference of each numeric key and the parent and
+change values of any other key that differs, so that a stated tolerance
+can be checked against it.  The exit status is 0 when
 every file is identical and every step exited 0 under both trees;
 otherwise it is 1, and the inputs and outputs are kept in the temporary
 directory named on the last line.
@@ -53,6 +58,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WAVE_PARAMETERS = {"n_regions": 400, "n_weeks": 520, "window_weeks": 156,
                    "amplitude": 5.0, "noise_sd": 1.0}
+POWERLAW_PARAMETERS = {"alpha": 2.5, "xmin": 1, "n": 50000}
 
 
 def load_gen_events():
@@ -91,8 +97,7 @@ def write_inputs(d, seeds):
         "kind": "traveling_wave_city", "seed": 2024,
         "parameters": {**WAVE_PARAMETERS, "n_regions": 40}})
     powerlaw = write_json(os.path.join(d, "pl.json"), {
-        "kind": "powerlaw_counts", "seed": 7,
-        "parameters": {"alpha": 2.5, "xmin": 1, "n": 50000}})
+        "kind": "powerlaw_counts", "seed": 7, "parameters": POWERLAW_PARAMETERS})
     series = ["--region-series", "{out}/region_series.csv"]
     pipelines["readme"] = [
         ["simulate", "--scenario", wave],
@@ -146,6 +151,14 @@ def write_inputs(d, seeds):
             ["rhythms", *series],
             ["composed", *series],
             ["independence", "--pairs", pairs, "--perm", "4999", "--seed", str(seed)],
+            ["report"],
+        ]
+        scenario = write_json(os.path.join(d, f"powerlaw_counts-{seed}.json"), {
+            "kind": "powerlaw_counts", "seed": seed, "parameters": POWERLAW_PARAMETERS})
+        pipelines[f"powerlaw_counts-{seed}"] = [
+            ["simulate", "--scenario", scenario],
+            ["concentrate", "--counts", "{out}/counts.csv", "--boot", "500", "--seed", str(seed),
+             "--workers", "1"],
             ["report"],
         ]
     return pipelines
@@ -204,6 +217,37 @@ def numeric_differences(p, q):
     return largest
 
 
+def leaves(value, key=""):
+    """{dotted key: value} over the numbers, strings, booleans and nulls
+    nested in a JSON value."""
+    if isinstance(value, dict):
+        return {k: v for name, item in value.items()
+                for k, v in leaves(item, f"{key}.{name}" if key else name).items()}
+    if isinstance(value, list):
+        return {k: v for i, item in enumerate(value)
+                for k, v in leaves(item, f"{key}[{i}]").items()}
+    return {key: value}
+
+
+def json_differences(p, q):
+    """{key: |change - parent|} over the numeric keys of two JSON files
+    (parent p, change q), and {key: "parent -> change"} over every other
+    key whose value differs or that only one file holds."""
+    with open(p, encoding="utf-8") as fh:
+        parent = leaves(json.load(fh))
+    with open(q, encoding="utf-8") as fh:
+        change = leaves(json.load(fh))
+    found = {}
+    for key in sorted(set(parent) | set(change)):
+        a, b = parent.get(key), change.get(key)
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        if numbers:
+            found[key] = float(abs(b - a))
+        elif a != b:
+            found[key] = f"{json.dumps(a)} -> {json.dumps(b)}"
+    return found
+
+
 def differences(a, b):
     """Names of the files that differ between directories a and b, or that
     only one of them holds."""
@@ -218,7 +262,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0],
-                        help="seeds of the events_city and wave_city pipelines")
+                        help="seeds of the events_city, wave_city and powerlaw_counts pipelines")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent_src, "change": args.change_src}
     for label, src in trees.items():
@@ -240,11 +284,16 @@ def main(argv=None) -> int:
         compared += len(os.listdir(outs["parent"]))
         for file_name in differ:
             paths = [os.path.join(outs[label], file_name) for label in trees]
-            numeric = (numeric_differences(*paths) if file_name.endswith(".csv")
-                       and all(map(os.path.isfile, paths)) else {})
-            largest = ", ".join(f"{column} {value:.3g}" for column, value in numeric.items())
+            numeric, kind = {}, ""
+            if all(map(os.path.isfile, paths)) and file_name != "manifest.json":
+                if file_name.endswith(".csv"):
+                    numeric, kind = numeric_differences(*paths), "largest relative"
+                elif file_name.endswith(".json"):
+                    numeric, kind = json_differences(*paths), "absolute"
+            largest = ", ".join(f"{column} {value:.3g}" if isinstance(value, float)
+                                else f"{column} {value}" for column, value in numeric.items())
             print(f"{name}: {file_name} differs"
-                  + (f"; largest relative difference: {largest}" if largest else ""))
+                  + (f"; {kind} difference: {largest}" if largest else ""))
         bad += len(differ)
         print(f"{name}: {len(os.listdir(outs['parent']))} files, {len(differ)} differ",
               flush=True)
