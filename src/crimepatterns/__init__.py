@@ -26,7 +26,6 @@ from .ingest import (
 )
 from .rankdyn import (
     EntropyProfile,
-    RankMatrix,
     RankShapeSummary,
     entropy_vs_rank_shape,
     position_entropy,
@@ -89,7 +88,6 @@ __all__ = [
     "LorenzCurve",
     "PairedSample",
     "PowerLawFit",
-    "RankMatrix",
     "RankShapeSummary",
     "RegionSeriesSet",
     "RowRejection",

@@ -44,7 +44,7 @@ from .rhythms import (
     global_spectrum,
     significant_durations,
 )
-from .series import RegionSeriesSet, TimeSeries, WEEK_STEP_YEARS
+from .series import WEEK, RegionSeriesSet, TimeSeries, WEEK_STEP_YEARS
 from .synth import RNG_ALGORITHM, load_scenario, run_scenario
 from .tessellate import assign_events, build_region_series, build_tessellation
 
@@ -244,7 +244,7 @@ def _read_artifact(path, name: str) -> list[np.ndarray]:
 
 
 def _week_grid(path, weeks: np.ndarray) -> np.ndarray:
-    if weeks.size > 1 and not (np.diff(weeks) == np.timedelta64(7, "D")).all():
+    if weeks.size > 1 and not (np.diff(weeks) == WEEK).all():
         raise ValueError(f"{path}: week_start must advance by exactly 7 days")
     return weeks
 
@@ -300,30 +300,28 @@ def _band_arg(text: str) -> tuple:
     return (lo, hi)
 
 
-def _alpha(text: str) -> float:
-    value = float(text)  # argparse reports a ValueError as an invalid value
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must be inside (0, 1), got {text!r}")
-    return value
+def _rule(name: str, convert, accept, requirement: str):
+    """An argparse type named `name`: `convert` the text (argparse reports
+    its ValueError as an invalid `name` value), then reject a value that
+    fails `accept` as not `requirement`."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def _target_pop(text: str) -> float:
-    value = float(text)
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text!r}")
-    return value
+_alpha = _rule("_alpha", float, lambda v: 0 < v < 1, "inside (0, 1)")
+_target_pop = _rule("_target_pop", float, lambda v: 0 < v < float("inf"), "finite and above 0")
 
 
 def _at_least(low: int):
     """An argparse type: a whole number of at least `low`."""
-
-    def integer(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as an invalid integer value
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
-        return value
-
-    return integer
+    return _rule("integer", int, lambda v: v >= low, f"at least {low}")
 
 
 # ---------------------------------------------------------------------------
@@ -345,29 +343,27 @@ def _tessellate_events(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its manifest record, (inputs, parameters,
+# payloads), which `main` writes into --out with `_emit`
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args):
+    """Record of a scenario run; the result's type picks the artifact."""
     spec = load_scenario(args.scenario)
     result = run_scenario(spec)
-    payloads = {}
-    if spec.kind == "powerlaw_counts":
-        payloads["counts.csv"] = _artifact_text("counts.csv", result)
-    elif spec.kind in ("ar1", "seasonal"):
-        payloads["series.csv"] = _artifact_text("series.csv", result.week_starts(), result.values)
+    if isinstance(result, RegionSeriesSet):
+        payloads = {"region_series.csv": _region_series_csv(result)}
+    elif isinstance(result, TimeSeries):
+        payloads = {"series.csv": _artifact_text("series.csv", result.week_starts(), result.values)}
     else:
-        payloads["region_series.csv"] = _region_series_csv(result)
-    parameters = {
-        "kind": spec.kind,
-        "seed": spec.seed,
-        "rng": RNG_ALGORITHM,
-        "scenario": dict(spec.parameters),
-    }
-    _emit(args.out, "simulate", {"scenario": args.scenario}, parameters, payloads)
+        payloads = {"counts.csv": _artifact_text("counts.csv", result)}
+    parameters = {"kind": spec.kind, "seed": spec.seed, "rng": RNG_ALGORITHM,
+                  "scenario": dict(spec.parameters)}
+    return {"scenario": args.scenario}, parameters, payloads
 
 
-def cmd_tessellate(args) -> None:
+def cmd_tessellate(args):
+    """Record of the regions, their weekly series and the rejected rows."""
     table, tess, inputs, parameters = _tessellate_events(args)
     series_set = build_region_series(table, tess)
     payloads = {
@@ -387,10 +383,11 @@ def cmd_tessellate(args) -> None:
         "events_outside_area": series_set.meta["events_outside_area"],
         "events_in_partial_weeks": series_set.meta["events_in_partial_weeks"],
     }
-    _emit(args.out, "tessellate", inputs, parameters, payloads)
+    return inputs, parameters, payloads
 
 
-def cmd_concentrate(args) -> None:
+def cmd_concentrate(args):
+    """Record of the Lorenz curve and power-law fit of region totals."""
     if (args.counts is None) == (args.events is None):
         raise UsageError("concentrate needs exactly one of --counts or --events")
     if args.counts is not None:
@@ -426,19 +423,13 @@ def cmd_concentrate(args) -> None:
         "fit.json": _json_text(report),
         "lorenz.csv": _artifact_text("lorenz.csv", *curve.points.T),
     }
-    parameters.update(
-        {
-            "alpha_level": args.alpha_level,
-            "boot": args.boot,
-            "seed": args.seed,
-            "workers": args.workers,
-            "rng": RNG_ALGORITHM,
-        }
-    )
-    _emit(args.out, "concentrate", inputs, parameters, payloads)
+    parameters.update(alpha_level=args.alpha_level, boot=args.boot, seed=args.seed,
+                      workers=args.workers, rng=RNG_ALGORITHM)
+    return inputs, parameters, payloads
 
 
-def cmd_ranks(args) -> None:
+def cmd_ranks(args):
+    """Record of the rank-position entropy profile."""
     series_set, _ = _read_region_series(args.region_series)
     profile = position_entropy(weekly_ranks(series_set))
     payloads = {
@@ -446,16 +437,14 @@ def cmd_ranks(args) -> None:
             "entropy.csv", np.arange(1, len(profile.h) + 1), profile.h
         ),
         "entropy_summary.json": _json_text(
-            {
-                "mean_h": float(profile.mean_h),
-                "h_top10": [float(h) for h in profile.h[:10]],
-            }
+            {"mean_h": float(profile.mean_h), "h_top10": [float(h) for h in profile.h[:10]]}
         ),
     }
-    _emit(args.out, "ranks", {"region_series": args.region_series}, {}, payloads)
+    return {"region_series": args.region_series}, {}, payloads
 
 
-def cmd_rhythms(args) -> None:
+def cmd_rhythms(args):
+    """Record of one weekly series' global spectrum and band power."""
     if (args.series is None) == (args.region_series is None):
         raise UsageError("rhythms needs exactly one of --series or --region-series")
     if args.series is not None:
@@ -484,10 +473,11 @@ def cmd_rhythms(args) -> None:
         ),
     }
     parameters = {"band": list(args.band), "alpha_level": args.alpha_level}
-    _emit(args.out, "rhythms", inputs, parameters, payloads)
+    return inputs, parameters, payloads
 
 
-def cmd_composed(args) -> None:
+def cmd_composed(args):
+    """Record of the composed band power and the significant runs."""
     series_set, _ = _read_region_series(args.region_series)
     composed = composed_power(series_set, band=args.band, alpha_level=args.alpha_level)
     region_ids, starts, lengths = significant_durations(composed)
@@ -504,10 +494,11 @@ def cmd_composed(args) -> None:
         "alpha_level": args.alpha_level,
         "rejected_regions": [[rid, reason] for rid, reason in composed.rejected],
     }
-    _emit(args.out, "composed", {"region_series": args.region_series}, parameters, payloads)
+    return {"region_series": args.region_series}, parameters, payloads
 
 
-def cmd_independence(args) -> None:
+def cmd_independence(args):
+    """Record of the Hoeffding D permutation test on x,y pairs."""
     sample = _read_pairs(args.pairs)
     d_stat = hoeffding_d(sample)
     p_value = hoeffding_test(sample, n_perm=args.perm, seed=args.seed)
@@ -522,16 +513,13 @@ def cmd_independence(args) -> None:
             }
         )
     }
-    parameters = {
-        "alpha_level": args.alpha_level,
-        "perm": args.perm,
-        "seed": args.seed,
-        "rng": RNG_ALGORITHM,
-    }
-    _emit(args.out, "independence", {"pairs": args.pairs}, parameters, payloads)
+    parameters = {"alpha_level": args.alpha_level, "perm": args.perm, "seed": args.seed,
+                  "rng": RNG_ALGORITHM}
+    return {"pairs": args.pairs}, parameters, payloads
 
 
-def cmd_report(args) -> None:
+def cmd_report(args):
+    """Record of the summary of the upstream artifacts in --out."""
     present = {
         name: os.path.join(args.out, name)
         for name in REPORT_SOURCES
@@ -564,7 +552,7 @@ def cmd_report(args) -> None:
         if lengths.size:
             summary["median_dt"] = float(np.median(lengths))
     payloads = {"report.json": _json_text(summary)}
-    _emit(args.out, "report", present, {"sources": sorted(present)}, payloads)
+    return present, {"sources": sorted(present)}, payloads
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +628,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        _emit(args.out, args.subcommand, *args.func(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,6 @@ class PowerLawFit:
 
 @dataclass
 class LikelihoodRatioResult:
-    alternative: str
     statistic: float
     p_value: float
     favored: str  # "power_law", "alternative" or "inconclusive"
@@ -361,7 +360,7 @@ def likelihood_ratio(
         alt = _lognormal_tail_loglik(values, weights, fit.xmin)
     else:
         raise ValueError(f"unknown alternative '{alternative}'")
-    inconclusive = LikelihoodRatioResult(alternative, 0.0, 1.0, "inconclusive")
+    inconclusive = LikelihoodRatioResult(0.0, 1.0, "inconclusive")
     if alt is None or x.size < 2:
         return inconclusive
     diff = _powerlaw_pointwise_loglik(values, fit.alpha, fit.xmin) - alt
@@ -375,7 +374,7 @@ def likelihood_ratio(
         favored = "inconclusive"
     else:
         favored = "power_law" if statistic > 0 else "alternative"
-    return LikelihoodRatioResult(alternative, float(statistic), float(p_value), favored)
+    return LikelihoodRatioResult(float(statistic), float(p_value), favored)
 
 
 @functools.lru_cache(maxsize=8)

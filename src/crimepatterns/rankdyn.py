@@ -16,15 +16,6 @@ import numpy as np
 
 
 @dataclass
-class RankMatrix:
-    """ranks[t, i] is the region id holding rank position i in week t
-    (position 0 is the heaviest region)."""
-
-    ranks: np.ndarray
-    region_ids: np.ndarray
-
-
-@dataclass
 class EntropyProfile:
     """Normalized entropy per rank position and its mean."""
 
@@ -41,13 +32,15 @@ class RankShapeSummary:
     h_top: np.ndarray
 
 
-def weekly_ranks(series_set) -> RankMatrix:
+def weekly_ranks(series_set) -> np.ndarray:
     """Rank regions within each week of a RegionSeriesSet.
 
-    Requires at least two regions and two weeks, and a value for every
-    region in every week (a NaN gap is an error).  A stable argsort on
-    the negated counts realizes the descending-count, ascending-id tie
-    rule, because rows are stored in ascending id order.
+    Returns an (n_weeks, n_regions) array: entry [t, i] is the region id
+    holding rank position i in week t (position 0 is the heaviest
+    region).  Requires at least two regions and two weeks, and a value
+    for every region in every week (a NaN gap is an error).  A stable
+    argsort on the negated counts realizes the descending-count,
+    ascending-id tie rule, because rows are stored in ascending id order.
     """
     counts = series_set.counts
     region_ids = series_set.region_ids
@@ -59,19 +52,19 @@ def weekly_ranks(series_set) -> RankMatrix:
     if gaps.any():
         raise ValueError(f"region {region_ids[gaps][0]} has a gap; ranking needs every week")
     order = np.argsort(-counts.T, axis=1, kind="stable")
-    return RankMatrix(ranks=region_ids[order], region_ids=region_ids.copy())
+    return region_ids[order]
 
 
-def position_entropy(ranks: RankMatrix) -> EntropyProfile:
+def position_entropy(ranks: np.ndarray) -> EntropyProfile:
     """Normalized entropy of the region-id distribution at every rank
-    position, over weeks."""
-    n_weeks, n_regions = ranks.ranks.shape
+    position, over the weeks of a weekly_ranks array."""
+    n_weeks, n_regions = ranks.shape
     if n_regions < 2:
         raise ValueError("entropy needs at least two regions")
     log_r = np.log(n_regions)
     h = np.empty(n_regions)
     for pos in range(n_regions):
-        _, occupancy = np.unique(ranks.ranks[:, pos], return_counts=True)
+        _, occupancy = np.unique(ranks[:, pos], return_counts=True)
         p = occupancy / n_weeks
         h[pos] = -(p * np.log(p)).sum() / log_r
     h = np.clip(h, 0.0, 1.0) + 0.0  # clip float fuzz; +0.0 avoids -0.0

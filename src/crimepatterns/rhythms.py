@@ -80,10 +80,8 @@ class GlobalSpectrum:
     """Time-averaged wavelet power with its red-noise threshold."""
 
     scales: np.ndarray
-    periods: np.ndarray
     power: np.ndarray
     significance: np.ndarray
-    alpha_level: float
 
     def peak_scales(self) -> np.ndarray:
         """Scales of local power maxima that clear the threshold."""
@@ -105,7 +103,6 @@ class BandPower:
     threshold: float | np.ndarray
     significant: np.ndarray
     coi_valid: np.ndarray
-    t0: np.datetime64 | None = None
 
 
 @dataclass
@@ -115,7 +112,6 @@ class ComposedPower:
     c_b: np.ndarray
     regions_valid: np.ndarray
     week_starts: np.ndarray
-    band: tuple
     region_ids: np.ndarray
     masks: np.ndarray
     rejected: list = field(default_factory=list)
@@ -318,7 +314,10 @@ def _chi2_quantile(dof, alpha_level: float):
     (`_log_upper_gamma`) then converge in two to five steps, as DiDonato
     and Morris, ACM TOMS 12 (1986), do on the incomplete gamma ratio.
     Within 1e-13 relative of scipy.special.gammainccinv for dof 1 to 1000.
-    The degrees of freedom come from Torrence and Compo, BAMS 79 (1998).
+    The degrees of freedom come from Torrence and Compo, BAMS 79 (1998);
+    both callers pass dof of at least DOFMIN = 2 (band_power's smallest on
+    the default scale grid is 2.03), which is the domain this solver
+    serves.  Below dof 1 with alpha_level near 1 it returns NaN.
     """
     from statistics import NormalDist  # its 5 ms import only where it is used
 
@@ -355,18 +354,11 @@ def global_spectrum(
         raise ValueError("alpha_level must be inside (0, 1)")
     n = field.n_times
     power = field.power().mean(axis=-1)
-    periods = field.periods
-    background = field.series_variance * _red_noise_spectrum(field.lag1, field.dt, periods)
+    background = field.series_variance * _red_noise_spectrum(field.lag1, field.dt, field.periods)
     n_avg = np.maximum(n - field.scales / field.dt, 1.0)
     dof = DOFMIN * np.sqrt(1.0 + (n_avg * field.dt / (GAMMA_DECORR * field.scales)) ** 2)
     significance = background * _chi2_quantile(dof, alpha_level) / dof
-    return GlobalSpectrum(
-        scales=field.scales.copy(),
-        periods=periods,
-        power=power,
-        significance=significance,
-        alpha_level=alpha_level,
-    )
+    return GlobalSpectrum(scales=field.scales.copy(), power=power, significance=significance)
 
 
 def _band_scales(scales: np.ndarray, band: tuple, alpha_level: float) -> np.ndarray:
@@ -424,7 +416,6 @@ def band_power(
         threshold=threshold,
         significant=significant,
         coi_valid=coi_valid,
-        t0=field.t0,
     )
 
 
@@ -493,7 +484,6 @@ def composed_power(
         c_b=masks.sum(axis=0).astype(np.int64),
         regions_valid=kept.size * bp.coi_valid.astype(np.int64),
         week_starts=series_set.week_starts.copy(),
-        band=(float(band[0]), float(band[1])),
         region_ids=series_set.region_ids[kept],
         masks=masks,
         rejected=[(int(series_set.region_ids[i]), reasons[i]) for i in sorted(reasons)],

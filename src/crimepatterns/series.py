@@ -13,8 +13,7 @@ import numpy as np
 
 WEEKS_PER_YEAR = 52
 WEEK_STEP_YEARS = 1.0 / WEEKS_PER_YEAR
-
-_WEEK = np.timedelta64(7, "D")
+WEEK = np.timedelta64(7, "D")
 
 
 def monday_on_or_before(day: np.datetime64) -> np.datetime64:
@@ -28,7 +27,7 @@ def monday_on_or_before(day: np.datetime64) -> np.datetime64:
 def week_starts_from(origin: np.datetime64, n_weeks: int) -> np.ndarray:
     """Monday dates for `n_weeks` consecutive weeks starting at `origin`."""
     start = monday_on_or_before(origin)
-    return start + np.arange(n_weeks) * _WEEK
+    return start + np.arange(n_weeks) * WEEK
 
 
 @dataclass
@@ -59,7 +58,7 @@ class TimeSeries:
     def week_starts(self) -> np.ndarray:
         if self.t0 is None:
             raise ValueError("series has no start date")
-        return np.datetime64(self.t0, "D") + np.arange(self.values.size) * _WEEK
+        return np.datetime64(self.t0, "D") + np.arange(self.values.size) * WEEK
 
 
 @dataclass
@@ -85,10 +84,6 @@ class RegionSeriesSet:
             raise ValueError("counts shape does not match region ids and week grid")
         if self.region_ids.size and np.any(np.diff(self.region_ids) <= 0):
             raise ValueError("region ids must be strictly increasing")
-
-    @property
-    def n_regions(self) -> int:
-        return self.region_ids.size
 
     @property
     def n_weeks(self) -> int:

@@ -29,8 +29,6 @@ from .series import (
 RNG_ALGORITHM = "numpy-pcg64"
 DEFAULT_WEEK_ORIGIN = np.datetime64("2010-01-04")  # a Monday
 
-SCENARIO_KINDS = ("powerlaw_counts", "ar1", "seasonal", "traveling_wave_city")
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
@@ -158,9 +156,9 @@ class ScenarioSpec:
     parameters: dict
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
+        if self.kind not in _SCENARIOS:
             raise ValueError(
-                f"unknown scenario kind '{self.kind}'; expected one of {SCENARIO_KINDS}"
+                f"unknown scenario kind '{self.kind}'; expected one of {tuple(_SCENARIOS)}"
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError("seed must be an integer")
@@ -183,23 +181,19 @@ def load_scenario(path) -> ScenarioSpec:
     return ScenarioSpec(kind=raw["kind"], seed=raw["seed"], parameters=raw["parameters"])
 
 
-_REQUIRED_PARAMETERS = {
-    "powerlaw_counts": ("alpha", "xmin", "n"),
-    "ar1": ("a", "n"),
-    "seasonal": ("period_years", "amplitude", "noise_sd", "n"),
-    "traveling_wave_city": ("n_regions", "n_weeks", "window_weeks"),
-}
-_OPTIONAL_PARAMETERS = {
-    "traveling_wave_city": ("wave_speed_regions_per_year", "amplitude", "noise_sd"),
+# Scenario kind -> (generator, required parameters, optional parameters).
+_SCENARIOS = {
+    "powerlaw_counts": (gen_powerlaw_counts, ("alpha", "xmin", "n"), ()),
+    "ar1": (gen_ar1, ("a", "n"), ()),
+    "seasonal": (gen_seasonal, ("period_years", "amplitude", "noise_sd", "n"), ()),
+    "traveling_wave_city": (
+        gen_traveling_wave_city,
+        ("n_regions", "n_weeks", "window_weeks"),
+        ("wave_speed_regions_per_year", "amplitude", "noise_sd"),
+    ),
 }
 # Parameters that count something; every other one is a real number.
 _INTEGER_PARAMETERS = frozenset({"xmin", "n", "n_regions", "n_weeks", "window_weeks"})
-_GENERATORS = {
-    "powerlaw_counts": gen_powerlaw_counts,
-    "ar1": gen_ar1,
-    "seasonal": gen_seasonal,
-    "traveling_wave_city": gen_traveling_wave_city,
-}
 
 
 def run_scenario(spec: ScenarioSpec):
@@ -214,8 +208,7 @@ def run_scenario(spec: ScenarioSpec):
     (and so the manifest) holds.
     """
     p = dict(spec.parameters)
-    required = _REQUIRED_PARAMETERS[spec.kind]
-    optional = _OPTIONAL_PARAMETERS.get(spec.kind, ())
+    generator, required, optional = _SCENARIOS[spec.kind]
     missing = [k for k in required if k not in p]
     if missing:
         raise ValueError(f"scenario '{spec.kind}' lacks parameters {missing}")
@@ -235,4 +228,4 @@ def run_scenario(spec: ScenarioSpec):
             p[name] = float(value)
     if "wave_speed_regions_per_year" in p:
         p["wave_speed"] = p.pop("wave_speed_regions_per_year")
-    return _GENERATORS[spec.kind](**p, seed=spec.seed)
+    return generator(**p, seed=spec.seed)

@@ -17,22 +17,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import EventTable
-from .series import RegionSeriesSet, monday_on_or_before
+from .series import WEEK, RegionSeriesSet, monday_on_or_before
 
-_SECONDS_PER_WEEK = 7 * 86400
+_SECONDS_PER_WEEK = int(WEEK / np.timedelta64(1, "s"))
 
 
 @dataclass
 class Tessellation:
-    """Regions as columns in region-id order (see the module docstring),
-    and the bisection tree that locate_events walks as flat per-node
+    """Regions as columns in region-id order (see the module docstring;
+    the city's population is `populations.sum()`), the cells' bounding
+    box, and the bisection tree that locate_events walks as flat per-node
     arrays, root first: the split axis (0 = lon, 1 = lat, -1 = leaf), the
     boundary, the low child (the high child is the next index) and the
     region id of each leaf (-1 elsewhere)."""
 
     bounds: np.ndarray
     populations: np.ndarray
-    total_population: float
     bbox: tuple
     node_axis: np.ndarray = field(repr=False)
     node_boundary: np.ndarray = field(repr=False)
@@ -91,8 +91,7 @@ def build_tessellation(cells, target_pop: float) -> Tessellation:
         raise ValueError("cell coordinates and populations must be finite")
     if np.any(pops < 0):
         raise ValueError("negative cell population")
-    total = pops.sum()
-    if total <= 0:
+    if pops.sum() <= 0:
         raise ValueError("total population is zero")
 
     bbox = (lons.min(), lats.min(), lons.max(), lats.max())
@@ -143,7 +142,7 @@ def build_tessellation(cells, target_pop: float) -> Tessellation:
             f"region {rank} population {populations[rank]:.0f} exceeds the "
             f"target {target_pop:g}"
         )
-    return Tessellation(corners[order], populations, total, bbox,
+    return Tessellation(corners[order], populations, bbox,
                         *map(np.array, zip(*splits)), node_region)
 
 
@@ -215,7 +214,7 @@ def build_region_series(table: EventTable, tess: Tessellation) -> RegionSeriesSe
     counts = np.zeros((tess.n_regions, n_weeks), dtype=np.int64)
     np.add.at(counts, (region[usable], (week[usable] - k0).astype(np.int64)), 1)
 
-    week_start_dates = anchor + (k0 + np.arange(n_weeks)) * np.timedelta64(7, "D")
+    week_start_dates = anchor + (k0 + np.arange(n_weeks)) * WEEK
     meta = {
         "events_outside_area": int(((region < 0) & in_span).sum()),
         "events_in_partial_weeks": int((~in_span).sum()),

@@ -151,6 +151,28 @@ class TestRhythms:
         header, rows = read_csv(out / "spectrum.csv")
         assert header == ["scale_years", "power", "significance"]
 
+    @pytest.mark.parametrize("inputs", [(), ("--series", "s.csv", "--region-series", "r.csv")],
+                             ids=["neither", "both"])
+    def test_needs_exactly_one_input(self, tmp_path, capsys, inputs):
+        assert run("rhythms", *inputs, "--out", tmp_path / "o") == 2
+        assert "exactly one of" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_band_without_a_colon_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("rhythms", "--series", "s.csv", "--band", "0.8-1.1", "--out", "o")
+        assert exc.value.code == 2
+        assert "band must look like 0.8:1.1, got '0.8-1.1'" in capsys.readouterr().err
+
+    def test_series_off_the_weekly_grid_is_an_error(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("week_start,value\n2015-01-05,1.0\n2015-01-13,2.0\n")
+        assert run("rhythms", "--series", series, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: rhythms: {series}: week_start must advance by exactly 7 days\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_band_power_in_file_matches_the_run_mask(self, wave_pipeline):
         _, rows = read_csv(wave_pipeline / "band.csv")
         assert all(r[3] == "false" for r in rows if r[4] == "false")
@@ -666,6 +688,13 @@ class TestRegionSeriesValues:
         manifest = json.loads((out / "manifest.json").read_text())
         rejected = manifest["runs"][-1]["parameters"]["rejected_regions"]
         assert [rid for rid, _ in rejected] == [2]
+
+    def test_malformed_region_column_name_is_rejected(self, series, tmp_path, capsys):
+        self.edit(series, 0, 1, "region_x")
+        assert run("ranks", "--region-series", series, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: rankdyn: {series}: malformed region column name\n"
+        )
 
     def test_negative_values_are_valid(self, series, tmp_path):
         self.edit(series, 40, 3, "-3.5")

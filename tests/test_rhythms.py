@@ -472,7 +472,6 @@ def make_composed(mask_rows, region_ids):
         c_b=masks.sum(axis=0).astype(np.int64),
         regions_valid=np.full(n, masks.shape[0], dtype=np.int64),
         week_starts=week_starts_from(np.datetime64("2012-01-02"), n),
-        band=(0.8, 1.1),
         region_ids=np.asarray(region_ids, dtype=np.int64),
         masks=masks,
         rejected=[],

@@ -53,7 +53,7 @@ class TestBuildTessellation:
         tess = build_tessellation(grid_cells(32, 32), 64.0)
         assert tess.n_regions == 16
         assert np.all(tess.populations == 64.0)
-        assert tess.total_population == 1024.0
+        assert tess.populations.sum() == 1024.0
 
     def test_indivisible_single_cell_warns_and_degenerates(self):
         with pytest.warns(UserWarning):

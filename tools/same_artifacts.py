@@ -28,6 +28,9 @@ Each SRC is the `src` directory of a checkout (the directory holding the
   (alpha 2.5, xmin 1) through `simulate`, `concentrate --boot 500
   --workers 1` and `report`.
 
+The scenarios, pairs, sizes and events come from `bench/run.py` and
+`bench/gen_events.py`, so these pipelines run the benchmark's inputs.
+
 Both trees read the same input files and run one step at a time.  Every
 file a pipeline leaves is compared byte for byte, except `manifest.json`,
 which is compared after dropping each run's `created_utc` and each input's
@@ -45,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib.util
 import json
 import os
 import shutil
@@ -55,25 +57,18 @@ import tempfile
 
 import numpy as np
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WAVE_PARAMETERS = {"n_regions": 400, "n_weeks": 520, "window_weeks": 156,
-                   "amplitude": 5.0, "noise_sd": 1.0}
-POWERLAW_PARAMETERS = {"alpha": 2.5, "xmin": 1, "n": 50000}
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+import gen_events  # noqa: E402
+import run as bench  # noqa: E402
+
+POWERLAW_PARAMETERS = {"alpha": bench.POWERLAW_ALPHA, "xmin": 1, "n": bench.POWERLAW_SIZE["n"]}
 
 
-def load_gen_events():
-    """bench/gen_events.py, imported by path."""
-    path = os.path.join(ROOT, "bench", "gen_events.py")
-    spec = importlib.util.spec_from_file_location("gen_events", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["gen_events"] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-def write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+def write_scenario(d, name, kind, seed, parameters):
+    """The scenario file `name` under `d`, as the benchmark writes it; its path."""
+    path = os.path.join(d, name)
+    bench.write_scenario(path, kind, seed, parameters)
     return path
 
 
@@ -91,13 +86,10 @@ def write_inputs(d, seeds):
     """Write every pipeline's inputs under `d`; return {pipeline: steps},
     each step a CLI argument list in which "{out}" stands for the output
     directory."""
-    gen_events = load_gen_events()
     pipelines = {}
-    wave = write_json(os.path.join(d, "wave.json"), {
-        "kind": "traveling_wave_city", "seed": 2024,
-        "parameters": {**WAVE_PARAMETERS, "n_regions": 40}})
-    powerlaw = write_json(os.path.join(d, "pl.json"), {
-        "kind": "powerlaw_counts", "seed": 7, "parameters": POWERLAW_PARAMETERS})
+    wave = write_scenario(d, "wave.json", "traveling_wave_city", 2024,
+                          {"n_regions": 40, **bench.WAVE})
+    powerlaw = write_scenario(d, "pl.json", "powerlaw_counts", 7, POWERLAW_PARAMETERS)
     series = ["--region-series", "{out}/region_series.csv"]
     pipelines["readme"] = [
         ["simulate", "--scenario", wave],
@@ -108,11 +100,9 @@ def write_inputs(d, seeds):
         ["concentrate", "--counts", "{out}/counts.csv", "--boot", "1000", "--seed", "0"],
         ["report"],
     ]
-    seasonal = write_json(os.path.join(d, "seasonal.json"), {
-        "kind": "seasonal", "seed": 11,
-        "parameters": {"period_years": 1.0, "amplitude": 2.0, "noise_sd": 1.0, "n": 520}})
-    ar1 = write_json(os.path.join(d, "ar1.json"), {
-        "kind": "ar1", "seed": 12, "parameters": {"a": 0.6, "n": 520}})
+    seasonal = write_scenario(d, "seasonal.json", "seasonal", 11,
+                              {"period_years": 1.0, "amplitude": 2.0, "noise_sd": 1.0, "n": 520})
+    ar1 = write_scenario(d, "ar1.json", "ar1", 12, {"a": 0.6, "n": 520})
     pipelines["series"] = [
         step for scenario in (seasonal, ar1)
         for step in (["simulate", "--scenario", scenario],
@@ -137,28 +127,25 @@ def write_inputs(d, seeds):
             ["tessellate", *city],
             ["concentrate", *city, "--category", "theft", "--boot", "100"],
         ]
-        scenario = write_json(os.path.join(d, f"wave_city-{seed}.json"), {
-            "kind": "traveling_wave_city", "seed": seed, "parameters": WAVE_PARAMETERS})
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=100)
-        y = x + 0.05 * rng.normal(size=100)
+        scenario = write_scenario(d, f"wave_city-{seed}.json", "traveling_wave_city", seed,
+                                  {"n_regions": bench.WAVE_SIZE["n_regions"], **bench.WAVE})
         pairs = os.path.join(d, f"pairs-{seed}.csv")
-        with open(pairs, "w", encoding="utf-8") as fh:
-            fh.write("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        bench.write_pairs(pairs, seed)
         pipelines[f"wave_city-{seed}"] = [
             ["simulate", "--scenario", scenario],
             ["ranks", *series],
             ["rhythms", *series],
             ["composed", *series],
-            ["independence", "--pairs", pairs, "--perm", "4999", "--seed", str(seed)],
+            ["independence", "--pairs", pairs, "--perm", str(bench.WAVE_SIZE["perm"]),
+             "--seed", str(seed)],
             ["report"],
         ]
-        scenario = write_json(os.path.join(d, f"powerlaw_counts-{seed}.json"), {
-            "kind": "powerlaw_counts", "seed": seed, "parameters": POWERLAW_PARAMETERS})
+        scenario = write_scenario(d, f"powerlaw_counts-{seed}.json", "powerlaw_counts", seed,
+                                  POWERLAW_PARAMETERS)
         pipelines[f"powerlaw_counts-{seed}"] = [
             ["simulate", "--scenario", scenario],
-            ["concentrate", "--counts", "{out}/counts.csv", "--boot", "500", "--seed", str(seed),
-             "--workers", "1"],
+            ["concentrate", "--counts", "{out}/counts.csv", "--boot",
+             str(bench.POWERLAW_SIZE["boot"]), "--seed", str(seed), "--workers", "1"],
             ["report"],
         ]
     return pipelines
