@@ -31,7 +31,7 @@ import scipy
 from . import __version__
 from .concentration import MIN_BOOTSTRAP, fit_power_law, gof_bootstrap, likelihood_ratio, lorenz
 from .independence import MIN_PERMUTATIONS, PairedSample, hoeffding_d, hoeffding_test
-from .ingest import COLUMN_KINDS, filter_events, parse_events, parse_population, read_csv
+from .ingest import COLUMN_KINDS, filter_events, parse_events, parse_population, read_csv, read_json
 from .rankdyn import position_entropy, weekly_ranks
 from .rhythms import (
     CIRCANNUAL_BAND,
@@ -44,7 +44,7 @@ from .rhythms import (
     global_spectrum,
     significant_durations,
 )
-from .series import WEEK, RegionSeriesSet, TimeSeries, WEEK_STEP_YEARS
+from .series import WEEK, RegionSeriesSet, TimeSeries
 from .synth import RNG_ALGORITHM, load_scenario, run_scenario
 from .tessellate import assign_events, build_region_series, build_tessellation
 
@@ -61,15 +61,6 @@ class UsageError(Exception):
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _read_json(path):
-    """The JSON value in a file, or a ValueError that names the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
-            raise ValueError(f"{path}: not valid JSON") from None
 
 
 def _sha256_text(text: str) -> str:
@@ -129,7 +120,7 @@ def _emit(out_dir, subcommand, inputs, parameters, payloads) -> None:
     try:
         fcntl.flock(lock, fcntl.LOCK_EX)
         manifest_path = os.path.join(out_dir, "manifest.json")
-        manifest = _read_json(manifest_path) if os.path.exists(manifest_path) else {"runs": []}
+        manifest = read_json(manifest_path) if os.path.exists(manifest_path) else {"runs": []}
         if not isinstance(manifest, dict) or not isinstance(manifest.get("runs"), list):
             raise ValueError(f"{manifest_path} is not a manifest written by this tool")
         manifest["runs"].append(record)
@@ -315,8 +306,8 @@ def _rule(name: str, convert, accept, requirement: str):
     return parse
 
 
-_alpha = _rule("_alpha", float, lambda v: 0 < v < 1, "inside (0, 1)")
-_target_pop = _rule("_target_pop", float, lambda v: 0 < v < float("inf"), "finite and above 0")
+_alpha = _rule("float", float, lambda v: 0 < v < 1, "inside (0, 1)")
+_target_pop = _rule("float", float, lambda v: 0 < v < float("inf"), "finite and above 0")
 
 
 def _at_least(low: int):
@@ -449,11 +440,11 @@ def cmd_rhythms(args):
         raise UsageError("rhythms needs exactly one of --series or --region-series")
     if args.series is not None:
         weeks, values = _read_artifact(args.series, "series.csv")
-        ts = TimeSeries(fill_gaps(values), WEEK_STEP_YEARS, _week_grid(args.series, weeks)[0])
+        ts = TimeSeries(fill_gaps(values), _week_grid(args.series, weeks)[0])
         inputs = {"series": args.series}
     else:
         series_set, city = _read_region_series(args.region_series)
-        ts = TimeSeries(fill_gaps(city), WEEK_STEP_YEARS, series_set.week_starts[0])
+        ts = TimeSeries(fill_gaps(city), series_set.week_starts[0])
         inputs = {"region_series": args.region_series}
     anomaly = detrend(ts)
     field = cwt(anomaly, required_band=args.band)
@@ -535,7 +526,7 @@ def cmd_report(args):
     summary["missing"] = missing
     for name, keys in (("fit.json", ("gini", "alpha")), ("entropy_summary.json", ("mean_h",))):
         if name in present:
-            source = _read_json(present[name])
+            source = read_json(present[name])
             for key in keys:
                 value = source.get(key) if isinstance(source, dict) else None
                 # type(), not isinstance(): true and false are not numbers here.

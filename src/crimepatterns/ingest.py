@@ -1,4 +1,4 @@
-"""Reading of CSV files, and validation of the input tables.
+"""Reading of CSV and JSON files, and validation of the input tables.
 
 Every CSV file is read by one reader in blocks of READ_BLOCK_ROWS rows,
 whose cells are cast column by column (`cast`) before the next block is
@@ -13,12 +13,14 @@ one by parse_timestamp; a date is read as the timestamp of its midnight
 and kept only when it prints back as itself.  Point events (timestamp,
 lon, lat, category) are checked row by row: a bad row is set aside with
 a reason, and a file whose rows are mostly malformed is rejected.
-Population cells (lon, lat, population) must all be valid.
+Population cells (lon, lat, population) must all be valid.  A JSON
+file is read by read_json, whose every failure names the file.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, islice, repeat, zip_longest
@@ -282,6 +284,15 @@ def read_csv(path, columns, kinds, header_only_ok: bool = False):
 
 # ---------------------------------------------------------------------------
 # events and population
+
+
+def read_json(path):
+    """The JSON value in a file, or a ValueError that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
+            raise ValueError(f"{path}: not valid JSON") from None
 
 
 def _input_blocks(path, names, what):

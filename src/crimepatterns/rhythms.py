@@ -33,9 +33,10 @@ DOFMIN = 2.0  # a complex wavelet has two degrees of freedom per point
 
 CIRCANNUAL_BAND = (0.8, 1.1)  # scale band, in years
 
-DEFAULT_TREND_WINDOW = 53  # weeks, about one year and odd
+TREND_WINDOW = 53  # weeks, about one year and odd
 MIN_DETREND_LENGTH = 104  # two years of weekly data
 DEFAULT_ALPHA_LEVEL = 0.05
+DEFAULT_S0 = 2 * WEEK_STEP_YEARS  # two weeks
 DEFAULT_DJ = 0.1
 DEFAULT_MAX_SCALE_YEARS = 4.0
 MAX_FILL_GAP = 2
@@ -57,7 +58,6 @@ class WaveletField:
     coefficients: np.ndarray
     scales: np.ndarray
     coi_scale: np.ndarray
-    dt: float
     dj: float
     series_variance: float | np.ndarray
     lag1: float | np.ndarray
@@ -117,8 +117,8 @@ class ComposedPower:
     rejected: list = field(default_factory=list)
 
 
-def fill_gaps(values, max_gap: int = MAX_FILL_GAP) -> np.ndarray:
-    """Linearly interpolate interior NaN runs of at most `max_gap`
+def fill_gaps(values) -> np.ndarray:
+    """Linearly interpolate interior NaN runs of at most MAX_FILL_GAP
     samples.  Longer runs, or NaNs touching either edge, are errors."""
     v = np.asarray(values, dtype=float).copy()
     missing = np.isnan(v)
@@ -132,23 +132,23 @@ def fill_gaps(values, max_gap: int = MAX_FILL_GAP) -> np.ndarray:
     starts = np.nonzero(edges == 1)[0] + 1
     ends = np.nonzero(edges == -1)[0] + 1
     longest = int((ends - starts).max())
-    if longest > max_gap:
-        raise ValueError(f"gap of {longest} weeks exceeds the {max_gap}-week limit")
+    if longest > MAX_FILL_GAP:
+        raise ValueError(f"gap of {longest} weeks exceeds the {MAX_FILL_GAP}-week limit")
     good = np.nonzero(~missing)[0]
     v[missing] = np.interp(np.nonzero(missing)[0], good, v[good])
     return v
 
 
-def _standardized_residuals(y: np.ndarray, window: int):
-    """Residuals from a centered moving average along the last axis of
-    `y`, scaled to unit variance, and the mask of rows that are constant
-    up to rounding after trend removal (left as zeros).  The window is
-    clipped at the series edges (shorter, asymmetric averages there),
-    which keeps the output length equal to the input length."""
+def _standardized_residuals(y: np.ndarray):
+    """Residuals from a centered TREND_WINDOW moving average along the
+    last axis of `y`, scaled to unit variance, and the mask of rows that
+    are constant up to rounding after trend removal (left as zeros).  The
+    window is clipped at the series edges (shorter, asymmetric averages
+    there), which keeps the output length equal to the input length."""
     n = y.shape[-1]
     csum = np.concatenate([np.zeros(y.shape[:-1] + (1,)), np.cumsum(y, axis=-1)], axis=-1)
-    lo = np.maximum(np.arange(n) - window // 2, 0)
-    hi = np.minimum(np.arange(n) + window // 2, n - 1)
+    lo = np.maximum(np.arange(n) - TREND_WINDOW // 2, 0)
+    hi = np.minimum(np.arange(n) + TREND_WINDOW // 2, n - 1)
     residual = y - (csum[..., hi + 1] - csum[..., lo]) / (hi - lo + 1)
     sd = residual.std(axis=-1, keepdims=True)
     flat = sd <= 1e-12 * (1.0 + np.abs(y).max(axis=-1, keepdims=True))
@@ -156,8 +156,9 @@ def _standardized_residuals(y: np.ndarray, window: int):
     return standardized, flat[..., 0]
 
 
-def detrend(series: TimeSeries, window: int = DEFAULT_TREND_WINDOW) -> TimeSeries:
-    """Subtract a centered moving average and scale to unit variance.
+def detrend(series: TimeSeries) -> TimeSeries:
+    """Subtract a centered TREND_WINDOW moving average and scale to unit
+    variance.
 
     Needs two years of weekly data; a series that is constant up to
     rounding after trend removal is an error because it cannot be
@@ -166,14 +167,12 @@ def detrend(series: TimeSeries, window: int = DEFAULT_TREND_WINDOW) -> TimeSerie
     y = series.values
     if y.size < MIN_DETREND_LENGTH:
         raise ValueError(f"detrending needs at least {MIN_DETREND_LENGTH} samples")
-    if window < 3 or window % 2 == 0:
-        raise ValueError("window must be an odd integer of at least 3")
     if np.isnan(y).any():
         raise ValueError("series has missing values; fill gaps first")
-    anomaly, flat = _standardized_residuals(y, window)
+    anomaly, flat = _standardized_residuals(y)
     if flat:
         raise ValueError(FLAT_SERIES)
-    return TimeSeries(anomaly, series.dt, series.t0)
+    return TimeSeries(anomaly, series.t0)
 
 
 def lag1_autocorrelation(values):
@@ -187,12 +186,9 @@ def lag1_autocorrelation(values):
     return np.clip(a, 0.0, 0.999999)
 
 
-def _scale_grid(dt, s0, dj, max_scale_years, required_band) -> np.ndarray:
-    """The dyadic scale grid s0 * 2**(j*dj) up to `max_scale_years`; the
-    default s0 is two sampling steps.  `required_band` asserts that the
-    grid brackets a band of interest."""
-    if s0 is None:
-        s0 = 2.0 * dt
+def _scale_grid(s0, dj, max_scale_years, required_band) -> np.ndarray:
+    """The dyadic scale grid s0 * 2**(j*dj) up to `max_scale_years`.
+    `required_band` asserts that the grid brackets a band of interest."""
     if not (s0 > 0 and dj > 0):
         raise ValueError("s0 and dj must be positive")
     n_scales = int(np.ceil(np.log2(max_scale_years / s0) / dj))
@@ -208,7 +204,7 @@ def _scale_grid(dt, s0, dj, max_scale_years, required_band) -> np.ndarray:
     return scales
 
 
-def _wavelet_field(y, scales, dt=WEEK_STEP_YEARS, dj=DEFAULT_DJ, t0=None) -> WaveletField:
+def _wavelet_field(y, scales, dj=DEFAULT_DJ, t0=None) -> WaveletField:
     """Morlet (omega0 = 6) transform of each series along the last axis
     of `y`, at `scales`.  The transform is computed in the frequency
     domain with zero padding to the next power of two, which both speeds
@@ -218,12 +214,12 @@ def _wavelet_field(y, scales, dt=WEEK_STEP_YEARS, dj=DEFAULT_DJ, t0=None) -> Wav
     nfft = 1 << int(n - 1).bit_length()
     if nfft == n:
         nfft *= 2  # always pad, even when n is a power of two
-    omega = 2.0 * np.pi * np.fft.fftfreq(nfft, d=dt)
+    omega = 2.0 * np.pi * np.fft.fftfreq(nfft, d=WEEK_STEP_YEARS)
     spectrum = np.fft.fft(x, nfft, axis=-1)
     # Frequency-domain daughters with unit-energy normalization.
     arg = scales[:, None] * omega[None, :]
     daughters = (
-        np.sqrt(2.0 * np.pi * scales[:, None] / dt)
+        np.sqrt(2.0 * np.pi * scales[:, None] / WEEK_STEP_YEARS)
         * PSI0
         * np.exp(-0.5 * (arg - MORLET_OMEGA0) ** 2)
         * (omega[None, :] > 0)
@@ -234,8 +230,7 @@ def _wavelet_field(y, scales, dt=WEEK_STEP_YEARS, dj=DEFAULT_DJ, t0=None) -> Wav
     return WaveletField(
         coefficients=coefficients,
         scales=scales,
-        coi_scale=dt * steps_from_edge / np.sqrt(2.0),
-        dt=dt,
+        coi_scale=WEEK_STEP_YEARS * steps_from_edge / np.sqrt(2.0),
         dj=dj,
         series_variance=y.var(axis=-1),
         lag1=lag1_autocorrelation(y),
@@ -245,7 +240,7 @@ def _wavelet_field(y, scales, dt=WEEK_STEP_YEARS, dj=DEFAULT_DJ, t0=None) -> Wav
 
 def cwt(
     series: TimeSeries,
-    s0: float | None = None,
+    s0: float = DEFAULT_S0,
     dj: float = DEFAULT_DJ,
     max_scale_years: float = DEFAULT_MAX_SCALE_YEARS,
     required_band: tuple | None = CIRCANNUAL_BAND,
@@ -254,13 +249,13 @@ def cwt(
     scale grid, which is checked before any work is done."""
     if np.isnan(series.values).any():
         raise ValueError("series has missing values; fill gaps first")
-    scales = _scale_grid(series.dt, s0, dj, max_scale_years, required_band)
-    return _wavelet_field(series.values, scales, series.dt, dj, series.t0)
+    scales = _scale_grid(s0, dj, max_scale_years, required_band)
+    return _wavelet_field(series.values, scales, dj, series.t0)
 
 
-def _red_noise_spectrum(lag1: float | np.ndarray, dt: float, periods: np.ndarray) -> np.ndarray:
+def _red_noise_spectrum(lag1: float | np.ndarray, periods: np.ndarray) -> np.ndarray:
     """Normalized AR(1) spectrum at the Fourier periods of the scales."""
-    freq = dt / periods  # cycles per sampling step
+    freq = WEEK_STEP_YEARS / periods  # cycles per sampling step
     return (1.0 - lag1**2) / (
         1.0 + lag1**2 - 2.0 * lag1 * np.cos(2.0 * np.pi * freq)
     )
@@ -348,15 +343,15 @@ def global_spectrum(
     pointwise value of 2; the correction shrinks with scale because
     fewer independent wavelet samples fit in the series at large
     scales, and only the points inside the cone of influence should be
-    counted (approximated by n - scale/dt).
+    counted (approximated by n - scale / WEEK_STEP_YEARS).
     """
     if not 0 < alpha_level < 1:
         raise ValueError("alpha_level must be inside (0, 1)")
     n = field.n_times
     power = field.power().mean(axis=-1)
-    background = field.series_variance * _red_noise_spectrum(field.lag1, field.dt, field.periods)
-    n_avg = np.maximum(n - field.scales / field.dt, 1.0)
-    dof = DOFMIN * np.sqrt(1.0 + (n_avg * field.dt / (GAMMA_DECORR * field.scales)) ** 2)
+    background = field.series_variance * _red_noise_spectrum(field.lag1, field.periods)
+    n_avg = np.maximum(n - field.scales / WEEK_STEP_YEARS, 1.0)
+    dof = DOFMIN * np.sqrt(1.0 + (n_avg * WEEK_STEP_YEARS / (GAMMA_DECORR * field.scales)) ** 2)
     significance = background * _chi2_quantile(dof, alpha_level) / dof
     return GlobalSpectrum(scales=field.scales.copy(), power=power, significance=significance)
 
@@ -382,27 +377,27 @@ def band_power(
     """Scale-averaged power over `band` and its red-noise threshold,
     per series of `field`.
 
-    The average is the scale-weighted sum (dj * dt / Cdelta) * sum of
-    power / scale, tested as a chi-squared variable whose degrees of
-    freedom account for the number of scales averaged and their
-    decorrelation.  Time steps whose cone of influence excludes any
-    scale in the band are reported in `coi_valid` and masked out of
-    `significant`.
+    The average is the scale-weighted sum
+    (dj * WEEK_STEP_YEARS / Cdelta) * sum of power / scale, tested as a
+    chi-squared variable whose degrees of freedom account for the number
+    of scales averaged and their decorrelation.  Time steps whose cone of
+    influence excludes any scale in the band are reported in `coi_valid`
+    and masked out of `significant`.
     """
     selected = _band_scales(field.scales, band, alpha_level)
     s = field.scales[selected]
     power = field.power()[..., selected, :]
-    averaged = (field.dj * field.dt / CDELTA) * (power / s[:, None]).sum(axis=-2)
+    averaged = (field.dj * WEEK_STEP_YEARS / CDELTA) * (power / s[:, None]).sum(axis=-2)
 
     n_avg = int(selected.sum())
     s_avg = 1.0 / (1.0 / s).sum()
     s_mid = float(np.exp(0.5 * (np.log(s[0]) + np.log(s[-1]))))
     dof = DOFMIN * (n_avg * s_avg / s_mid) * np.sqrt(1.0 + (n_avg * field.dj / DJ0) ** 2)
     lag1 = np.asarray(field.lag1)[..., None]  # one row of scales per series
-    background = _red_noise_spectrum(lag1, field.dt, s * FOURIER_FACTOR)
+    background = _red_noise_spectrum(lag1, s * FOURIER_FACTOR)
     p_avg = s_avg * (background / s).sum(axis=-1)
     threshold = (
-        (field.dj * field.dt / (CDELTA * s_avg))
+        (field.dj * WEEK_STEP_YEARS / (CDELTA * s_avg))
         * field.series_variance
         * p_avg
         * _chi2_quantile(dof, alpha_level)
@@ -423,9 +418,9 @@ def reconstruct_band(field: WaveletField, band: tuple | None = None) -> TimeSeri
     """Invert the transform over a scale band (all scales when None).
 
     Uses the delta-function reconstruction: sum of Re(W)/sqrt(scale)
-    rescaled by dj * sqrt(dt) / (Cdelta * psi0(0)).  With the full
-    grid this recovers the anomaly series up to small discretization
-    and edge errors.
+    rescaled by dj * sqrt(WEEK_STEP_YEARS) / (Cdelta * psi0(0)).  With
+    the full grid this recovers the anomaly series up to small
+    discretization and edge errors.
     """
     if band is None:
         selected = np.ones(field.scales.size, dtype=bool)
@@ -436,8 +431,8 @@ def reconstruct_band(field: WaveletField, band: tuple | None = None) -> TimeSeri
             raise ValueError(f"band {band} does not intersect the scale grid")
     s = field.scales[selected]
     parts = field.coefficients[selected].real / np.sqrt(s)[:, None]
-    values = (field.dj * np.sqrt(field.dt) / (CDELTA * PSI0)) * parts.sum(axis=0)
-    return TimeSeries(values, field.dt, field.t0)
+    values = (field.dj * np.sqrt(WEEK_STEP_YEARS) / (CDELTA * PSI0)) * parts.sum(axis=0)
+    return TimeSeries(values, field.t0)
 
 
 def composed_power(
@@ -459,7 +454,7 @@ def composed_power(
     n_regions, n_weeks = series_set.counts.shape
     if n_weeks < MIN_DETREND_LENGTH:
         raise ValueError(f"composed power needs at least {MIN_DETREND_LENGTH} weeks")
-    scales = _scale_grid(WEEK_STEP_YEARS, None, DEFAULT_DJ, DEFAULT_MAX_SCALE_YEARS, band)
+    scales = _scale_grid(DEFAULT_S0, DEFAULT_DJ, DEFAULT_MAX_SCALE_YEARS, band)
     scales = scales[_band_scales(scales, band, alpha_level)]
     values = series_set.counts.astype(float)
     reasons: dict[int, str] = {}
@@ -469,7 +464,7 @@ def composed_power(
         except ValueError as exc:
             reasons[i] = str(exc)
     filled = np.setdiff1d(np.arange(n_regions), np.fromiter(reasons, dtype=np.intp))
-    anomalies, flat = _standardized_residuals(values[filled], DEFAULT_TREND_WINDOW)
+    anomalies, flat = _standardized_residuals(values[filled])
     reasons.update(dict.fromkeys(filled[flat].tolist(), FLAT_SERIES))
     kept, anomalies = filled[~flat], anomalies[~flat]
     if kept.size < 2:

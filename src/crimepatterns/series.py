@@ -1,8 +1,9 @@
 """Shared containers for evenly sampled weekly series.
 
 Weekly data is indexed on a Monday-anchored grid.  The time step is
-expressed in years, so one week is 1/52 and an annual cycle sits at
-period 1.0 regardless of the calendar length of the year.
+fixed at one week, expressed in years as WEEK_STEP_YEARS = 1/52, so an
+annual cycle sits at period 1.0 regardless of the calendar length of
+the year.
 """
 
 from __future__ import annotations
@@ -32,15 +33,13 @@ def week_starts_from(origin: np.datetime64, n_weeks: int) -> np.ndarray:
 
 @dataclass
 class TimeSeries:
-    """One evenly sampled series.
+    """One weekly series.
 
-    `dt` is the sampling step in years (weekly data: 1/52).  `t0` is the
-    date of the first sample when the series is tied to a calendar, and
-    None for purely synthetic data.
+    `t0` is the date of the first sample when the series is tied to a
+    calendar, and None for purely synthetic data.
     """
 
     values: np.ndarray
-    dt: float = WEEK_STEP_YEARS
     t0: np.datetime64 | None = None
 
     def __post_init__(self):
@@ -49,8 +48,6 @@ class TimeSeries:
             raise ValueError("series values must be one-dimensional")
         if self.values.size == 0:
             raise ValueError("series is empty")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
 
     def __len__(self) -> int:
         return self.values.size
@@ -67,8 +64,8 @@ class RegionSeriesSet:
 
     `counts` has shape (n_regions, n_weeks); row i belongs to
     `region_ids[i]`.  Rows are kept in ascending region-id order.
-    `meta` carries bookkeeping from whatever produced the set (dropped
-    events, generator parameters) and is never used in computations.
+    `meta` carries bookkeeping from whatever produced the set (events
+    that `build_region_series` dropped) and is never used in computations.
     """
 
     week_starts: np.ndarray
@@ -94,4 +91,4 @@ class RegionSeriesSet:
         return self.counts.sum(axis=0)
 
     def city_series(self) -> TimeSeries:
-        return TimeSeries(self.city_totals().astype(float), WEEK_STEP_YEARS, self.week_starts[0])
+        return TimeSeries(self.city_totals().astype(float), self.week_starts[0])

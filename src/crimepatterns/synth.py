@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import sample_power_law
+from .ingest import read_json
 from .series import (
     RegionSeriesSet,
     TimeSeries,
@@ -28,6 +29,7 @@ from .series import (
 
 RNG_ALGORITHM = "numpy-pcg64"
 DEFAULT_WEEK_ORIGIN = np.datetime64("2010-01-04")  # a Monday
+AR1_BURN_IN = 1000  # warm-up steps discarded before an ar1 series starts
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -41,10 +43,10 @@ def gen_powerlaw_counts(alpha: float, xmin: int, n: int, seed: int) -> np.ndarra
     return sample_power_law(alpha, xmin, n, _rng(seed))
 
 
-def gen_ar1(a: float, n: int, seed: int, burn_in: int = 1000) -> TimeSeries:
+def gen_ar1(a: float, n: int, seed: int) -> TimeSeries:
     """Red noise x[t] = a * x[t-1] + e[t] with unit-variance innovations.
 
-    A warm-up stretch of `burn_in` steps is discarded so the returned
+    A warm-up stretch of AR1_BURN_IN steps is discarded so the returned
     series starts in the stationary regime.
     """
     if not 0 <= a < 1:
@@ -53,9 +55,9 @@ def gen_ar1(a: float, n: int, seed: int, burn_in: int = 1000) -> TimeSeries:
         raise ValueError("n must be positive")
     from scipy.signal import lfilter
 
-    innovations = _rng(seed).standard_normal(burn_in + n)
+    innovations = _rng(seed).standard_normal(AR1_BURN_IN + n)
     x = lfilter([1.0], [1.0, -a], innovations)
-    return TimeSeries(x[burn_in:], WEEK_STEP_YEARS, DEFAULT_WEEK_ORIGIN)
+    return TimeSeries(x[AR1_BURN_IN:], DEFAULT_WEEK_ORIGIN)
 
 
 def gen_seasonal(
@@ -82,7 +84,7 @@ def gen_seasonal(
     values = amplitude * np.sin(2.0 * np.pi * t / period_years)
     if noise_sd > 0:
         values = values + noise_sd * _rng(seed).standard_normal(n)
-    return TimeSeries(values, WEEK_STEP_YEARS, DEFAULT_WEEK_ORIGIN)
+    return TimeSeries(values, DEFAULT_WEEK_ORIGIN)
 
 
 def gen_traveling_wave_city(
@@ -132,18 +134,8 @@ def gen_traveling_wave_city(
     values = seasonal[None, :] * active
     if noise_sd > 0:
         values = values + noise_sd * _rng(seed).standard_normal((n_regions, n_weeks))
-    return RegionSeriesSet(
-        week_starts_from(DEFAULT_WEEK_ORIGIN, n_weeks),
-        values,
-        np.arange(n_regions),
-        meta={
-            "kind": "traveling_wave_city",
-            "wave_speed": float(wave_speed),
-            "window_weeks": int(window_weeks),
-            "rng": RNG_ALGORITHM,
-            "seed": int(seed),
-        },
-    )
+    return RegionSeriesSet(week_starts_from(DEFAULT_WEEK_ORIGIN, n_weeks), values,
+                           np.arange(n_regions))
 
 
 @dataclass
@@ -168,11 +160,7 @@ class ScenarioSpec:
 
 def load_scenario(path) -> ScenarioSpec:
     """Read and validate a scenario JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"scenario file is not valid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError("scenario file must hold a JSON object")
     missing = [k for k in ("kind", "seed", "parameters") if k not in raw]

@@ -149,7 +149,7 @@ def test_07_red_noise_false_positive_rates():
 def test_08_full_band_reconstruction_fidelity():
     inputs = [
         detrend(gen_seasonal(1.0, 2.0, 1.0, 520, 2)),
-        detrend(TimeSeries(np.random.default_rng(5).normal(0.0, 1.0, 520), DT)),
+        detrend(TimeSeries(np.random.default_rng(5).normal(0.0, 1.0, 520))),
     ]
     for anomaly in inputs:
         rec = reconstruct_band(cwt(anomaly, s0=DT))

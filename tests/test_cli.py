@@ -416,6 +416,14 @@ class TestFailureHandling:
         assert exc.value.code == 2
         assert f"argument {argv[-2]}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, kind", [
+        ("--alpha-level", "float"), ("--target-pop", "float"), ("--boot", "integer")])
+    def test_unparseable_number_names_its_type(self, flag, kind, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["concentrate", "--counts", "c.csv", flag, "x",
+                                       "--out", "o"])
+        assert f"argument {flag}: invalid {kind} value: 'x'" in capsys.readouterr().err
+
     def test_smallest_boot_perm_and_seed_parse(self):
         args = build_parser().parse_args(["concentrate", "--counts", "c.csv", "--boot", "100",
                                           "--seed", "0", "--out", "o"])
@@ -626,6 +634,19 @@ class TestFailureHandling:
         bad.write_text('{"kind": "ar1", "seed": 1}')
         assert run("simulate", "--scenario", bad, "--out", tmp_path / "o") == 1
         assert "error: synth:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(("[" * 100_000 + "]" * 100_000).encode(), id="nested-too-deep"),
+        pytest.param('{"kind": "ar1", "seed": 1, "parameters": {"a": 0.5, "n": 120}, '
+                     '"note": "caf\xe9"}'.encode("latin-1"), id="not-utf-8"),
+    ])
+    def test_scenario_that_is_not_json_names_the_file(self, tmp_path, capsys, body):
+        scenario = tmp_path / "s.json"
+        scenario.write_bytes(body)
+        out = tmp_path / "out"
+        assert run("simulate", "--scenario", scenario, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: synth: {scenario}: not valid JSON\n"
+        assert not out.exists()
 
     def test_missing_input_file_is_reported_not_raised(self, tmp_path, capsys):
         assert run("concentrate", "--counts", tmp_path / "nope.csv",
@@ -862,6 +883,10 @@ class TestArtifactTable:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {cause}"):
             _read_artifact(path, "composed.csv")
+
+    def test_readme_library_example_runs(self):
+        (example,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+        exec(compile(example, str(README), "exec"), {})
 
     def test_readme_lists_the_table_columns(self):
         text = README.read_text()

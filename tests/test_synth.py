@@ -81,7 +81,6 @@ class TestGenSeasonal:
         t = np.arange(260)
         expected = 2.0 * np.sin(2.0 * np.pi * t / 52.0)
         assert np.allclose(s.values, expected, atol=1e-12)
-        assert s.dt == pytest.approx(1.0 / 52.0)
 
     def test_zero_amplitude_is_pure_noise(self):
         s = gen_seasonal(1.0, 0.0, 1.5, 520, 8)
@@ -173,11 +172,6 @@ class TestGenTravelingWaveCity:
         day = (city.week_starts[0].astype("datetime64[D]").astype(int) + 3) % 7
         assert day == 0  # Monday
         assert city.n_weeks == 120
-
-    def test_meta_records_generator_and_seed(self):
-        city = gen_traveling_wave_city(4, 120, 52, seed=17)
-        assert city.meta["seed"] == 17
-        assert city.meta["rng"] == "numpy-pcg64"
 
 
 class TestScenarioSpec:

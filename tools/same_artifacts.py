@@ -31,17 +31,20 @@ Each SRC is the `src` directory of a checkout (the directory holding the
 The scenarios, pairs, sizes and events come from `bench/run.py` and
 `bench/gen_events.py`, so these pipelines run the benchmark's inputs.
 
-Both trees read the same input files and run one step at a time.  Every
-file a pipeline leaves is compared byte for byte, except `manifest.json`,
-which is compared after dropping each run's `created_utc` and each input's
-path.  For a CSV file that differs, the largest relative difference of
-each column whose cells all read as numbers is printed too, and for a JSON
-file the absolute difference of each numeric key and the parent and
-change values of any other key that differs, so that a stated tolerance
-can be checked against it.  The exit status is 0 when
-every file is identical and every step exited 0 under both trees;
-otherwise it is 1, and the inputs and outputs are kept in the temporary
-directory named on the last line.
+Both trees read the same input files and run one step at a time.  The
+`--help` text of the top level and of every subcommand is compared too,
+with its exit status and anything on stderr, so a change to the command
+line surface shows as well.  Every file a pipeline leaves is compared
+byte for byte, except `manifest.json`, which is compared after dropping
+each run's `created_utc` and each input's path.  For a CSV file that
+differs, the largest relative difference of each column whose cells all
+read as numbers is printed too, and for a JSON file the absolute
+difference of each numeric key and the parent and change values of any
+other key that differs, so that a stated tolerance can be checked
+against it.  The exit status is 0 when every help text and file is
+identical and every step exited 0 under both trees; otherwise it is 1,
+and the inputs and outputs are kept in the temporary directory named on
+the last line.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ import gen_events  # noqa: E402
 import run as bench  # noqa: E402
 
 POWERLAW_PARAMETERS = {"alpha": bench.POWERLAW_ALPHA, "xmin": 1, "n": bench.POWERLAW_SIZE["n"]}
+SUBCOMMANDS = ("tessellate", "concentrate", "ranks", "rhythms", "composed", "independence",
+               "simulate", "report")
 
 
 def write_scenario(d, name, kind, seed, parameters):
@@ -166,6 +171,20 @@ def run_pipeline(src, steps, out):
     return failures
 
 
+def help_texts(src):
+    """{command: (exit status, stdout, stderr) of its `--help`} for the top
+    level and every subcommand, with the package loaded from `src`; the
+    width is fixed so that argparse wraps the same way in every terminal."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
+    texts = {}
+    for command in ("crimepatterns", *SUBCOMMANDS):
+        argv = [] if command == "crimepatterns" else [command]
+        proc = subprocess.run([sys.executable, "-m", "crimepatterns.cli", *argv, "--help"],
+                              env=env, capture_output=True, text=True)
+        texts[command] = (proc.returncode, proc.stdout, proc.stderr)
+    return texts
+
+
 def comparable(path):
     """A file's bytes, or for a manifest its records without the creation
     time and the input paths."""
@@ -260,7 +279,13 @@ def main(argv=None) -> int:
     inputs = os.path.join(work, "inputs")
     os.makedirs(inputs)
     pipelines = write_inputs(inputs, args.seeds)
-    bad, compared = 0, 0
+    helps = {label: help_texts(src) for label, src in trees.items()}
+    differ = [command for command in helps["parent"]
+              if helps["parent"][command] != helps["change"][command]]
+    for command in differ:
+        print(f"help: {command} --help differs")
+    print(f"help: {len(helps['parent'])} commands, {len(differ)} differ", flush=True)
+    bad, compared = len(differ), 0
     for name, steps in pipelines.items():
         outs = {label: os.path.join(work, label, name) for label in trees}
         for label, src in trees.items():
@@ -286,7 +311,8 @@ def main(argv=None) -> int:
               flush=True)
     if not bad:
         shutil.rmtree(work)
-        print(f"{compared} files compared over {len(pipelines)} pipelines; all identical")
+        print(f"{len(helps['parent'])} help texts and {compared} files compared over "
+              f"{len(pipelines)} pipelines; all identical")
         return 0
     print(f"{bad} differences or failures; inputs and outputs kept in {work}")
     return 1
