@@ -274,9 +274,10 @@ def _read_pairs(path) -> PairedSample:
     """The x and y columns of a CSV that may carry other columns too."""
 
     def columns(header):
-        if "x" not in header or "y" not in header:
+        index = {name: i for i, name in enumerate(header)}  # of equal names the last
+        if "x" not in index or "y" not in index:
             raise ValueError(f"{path}: expected a header with x and y columns")
-        return header.index("x"), header.index("y")
+        return index["x"], index["y"]
 
     return PairedSample(*read_csv(path, columns, ["float"])[1])
 
@@ -322,15 +323,27 @@ def _at_least(low: int):
 def _tessellate_events(args):
     """Parse and filter the events, tessellate the population grid.
 
-    Returns the event table, the tessellation, and the manifest's
-    inputs and parameters for this route."""
+    Returns the event table, the tessellation, and the record's inputs,
+    parameters (with the `stats` block) and payloads (`rejects.csv`, when
+    any row was rejected) so far."""
     table = parse_events(args.events)
     if args.category is not None:
         table = filter_events(table, category=args.category)
     tess = build_tessellation(parse_population(args.population), args.target_pop)
     inputs = {"events": args.events, "population": args.population}
-    parameters = {"target_pop": args.target_pop, "category": args.category}
-    return table, tess, inputs, parameters
+    stats = {
+        "n_events": len(table),
+        "n_rejected": len(table.rejections),
+        "n_regions": tess.n_regions,
+        "regions_over_target": int((tess.populations > args.target_pop).sum()),
+    }
+    parameters = {"target_pop": args.target_pop, "category": args.category, "stats": stats}
+    payloads = {}
+    if table.rejections:
+        payloads["rejects.csv"] = _artifact_text(
+            "rejects.csv", *zip(*((r.row, r.reason) for r in table.rejections))
+        )
+    return table, tess, inputs, parameters, payloads
 
 
 # ---------------------------------------------------------------------------
@@ -355,25 +368,13 @@ def cmd_simulate(args):
 
 def cmd_tessellate(args):
     """Record of the regions, their weekly series and the rejected rows."""
-    table, tess, inputs, parameters = _tessellate_events(args)
+    table, tess, inputs, parameters, payloads = _tessellate_events(args)
     series_set = build_region_series(table, tess)
-    payloads = {
-        "tessellation.csv": _artifact_text(
-            "tessellation.csv", np.arange(tess.n_regions), *tess.bounds.T, tess.populations
-        ),
-        "region_series.csv": _region_series_csv(series_set),
-    }
-    if table.rejections:
-        payloads["rejects.csv"] = _artifact_text(
-            "rejects.csv", *zip(*((r.row, r.reason) for r in table.rejections))
-        )
-    parameters["stats"] = {
-        "n_events": len(table),
-        "n_rejected": len(table.rejections),
-        "n_regions": tess.n_regions,
-        "events_outside_area": series_set.meta["events_outside_area"],
-        "events_in_partial_weeks": series_set.meta["events_in_partial_weeks"],
-    }
+    payloads["tessellation.csv"] = _artifact_text(
+        "tessellation.csv", np.arange(tess.n_regions), *tess.bounds.T, tess.populations
+    )
+    payloads["region_series.csv"] = _region_series_csv(series_set)
+    parameters["stats"].update(series_set.meta)
     return inputs, parameters, payloads
 
 
@@ -385,11 +386,13 @@ def cmd_concentrate(args):
         (counts,) = _read_artifact(args.counts, "counts.csv")
         inputs = {"counts": args.counts}
         parameters = {}
+        payloads = {}
     else:
         if args.population is None or args.target_pop is None:
             raise UsageError("--events also needs --population and --target-pop")
-        table, tess, inputs, parameters = _tessellate_events(args)
-        counts, _ = assign_events(table, tess)
+        table, tess, inputs, parameters, payloads = _tessellate_events(args)
+        counts, outside = assign_events(table, tess)
+        parameters["stats"]["events_outside_area"] = outside
     curve = lorenz(counts)
     fit = fit_power_law(counts)
     comparisons = {}
@@ -410,10 +413,8 @@ def cmd_concentrate(args):
         "gof_p": float(gof_p),
         **comparisons,
     }
-    payloads = {
-        "fit.json": _json_text(report),
-        "lorenz.csv": _artifact_text("lorenz.csv", *curve.points.T),
-    }
+    payloads["fit.json"] = _json_text(report)
+    payloads["lorenz.csv"] = _artifact_text("lorenz.csv", *curve.points.T)
     parameters.update(alpha_level=args.alpha_level, boot=args.boot, seed=args.seed,
                       workers=args.workers, rng=RNG_ALGORITHM)
     return inputs, parameters, payloads

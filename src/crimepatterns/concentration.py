@@ -130,13 +130,13 @@ def _newton_min(objective, log_means, qs) -> np.ndarray:
 
 def _ks_rows(values, multiplicity, tail_n, starts, alphas, qs, width=None) -> np.ndarray:
     """Largest gap between the empirical CDF of the tail values[start:]
-    and the fitted zeta(alpha, q) CDF, over the tail's first `width`
-    values (all of them when None), for every (start, alpha, q) at once.
+    and the fitted zeta(alpha, q) CDF, over the integers from q to the
+    tail's `width`-th value (its last when None), for every (start,
+    alpha, q) at once; over the whole tail this is the KS distance.
 
-    Over the whole tail this is the KS distance: both CDFs are
-    right-continuous step functions jumping at the same integer support,
-    so the supremum of their difference is attained at an observed value
-    and no left-limit term is needed.  One zeta call covers the
+    Between observed neighbours a < w the empirical CDF is flat while
+    the model's rises, so the gap peaks at a or at w - 1, where the model
+    CDF is F(w) - w**-alpha / zeta(alpha, q).  One zeta call covers the
     (cutoff, tail value) pairs, in row blocks of about _KS_BLOCK pairs.
     A tail whose normalizer zeta(alpha, q) underflows to 0 cannot be
     evaluated; its gap is infinite."""
@@ -158,8 +158,14 @@ def _ks_rows(values, multiplicity, tail_n, starts, alphas, qs, width=None) -> np
         ecdf = (cum[cols] - below[c]) / tail_n[c]
         with np.errstate(divide="ignore", invalid="ignore"):
             fitted = 1.0 - zeta(alphas[rows], values[cols] + 1.0) / norms[rows]
+            fitted_before = fitted - values[cols] ** -alphas[rows] / norms[rows]
+        ecdf_before = (below[cols] - below[c]) / tail_n[c]
+        # w - 1 is not observed; below a tail's first value lie q .. w - 1
+        previous = np.where(cols > c, values[cols - 1], qs[rows] - 1.0)
+        hole = values[cols] - 1 > previous
+        gap = np.maximum(np.abs(ecdf - fitted), np.abs(ecdf_before - fitted_before) * hole)
         row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        gaps[block] = np.maximum.reduceat(np.abs(ecdf - fitted), row_starts)
+        gaps[block] = np.maximum.reduceat(gap, row_starts)
     return np.where(norms > 0, gaps, np.inf)
 
 

@@ -11,7 +11,6 @@ regions come back as columns in region-id order, `Tessellation.bounds`
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +74,9 @@ def build_tessellation(cells, target_pop: float) -> Tessellation:
     back to the other axis when the longer one is degenerate or would
     leave a side below target_pop / 2.  Regions that cannot be brought
     at or below the target (a single cell larger than the target, or no
-    acceptable split) are kept whole with a warning.  Region ids are
-    assigned in row-major order of the region centres (south to north,
-    then west to east).
+    acceptable split) are kept whole; callers count them from
+    `populations`.  Region ids are assigned in row-major order of the
+    region centres (south to north, then west to east).
     """
     cells = np.asarray(cells, dtype=float)
     if not cells.size:
@@ -119,7 +118,7 @@ def build_tessellation(cells, target_pop: float) -> Tessellation:
                 if chosen is None:
                     chosen = (axis, boundary, low_mask)  # degenerate fallback
         if chosen is None:
-            # At or below the target, or a single unsplittable cell (warned below).
+            # At or below the target, or a single unsplittable cell.
             leaves.append((node, population))
             continue
 
@@ -136,13 +135,7 @@ def build_tessellation(cells, target_pop: float) -> Tessellation:
     order = np.lexsort(0.5 * (corners[:, :2] + corners[:, 2:]).T)  # centre lat, then lon
     node_region = np.full(len(rects), -1)
     node_region[leaf_nodes[order]] = np.arange(order.size)
-    populations = leaf_pops[order]
-    for rank in np.flatnonzero(populations > target_pop):
-        warnings.warn(
-            f"region {rank} population {populations[rank]:.0f} exceeds the "
-            f"target {target_pop:g}"
-        )
-    return Tessellation(corners[order], populations, bbox,
+    return Tessellation(corners[order], leaf_pops[order], bbox,
                         *map(np.array, zip(*splits)), node_region)
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crimepatterns import cli, rhythms
+from crimepatterns import PairedSample, cli, hoeffding_d, rhythms
 from crimepatterns.cli import (
     ARTIFACTS,
     _artifact_text,
@@ -226,6 +226,17 @@ class TestIndependence:
         assert result["p_value"] <= 0.005
         assert result["n"] == 25 and result["n_perm"] == 999
         assert result["D"] > 0.5
+
+    def test_of_equal_column_names_the_last_is_read(self, tmp_path):
+        # As in events and population files, and as csv.DictReader has it.
+        rng = np.random.default_rng(8)
+        first, y = rng.normal(size=(2, 30))
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("x,y,x\n" + "".join(
+            f"{a!r},{b!r},{b**3!r}\n" for a, b in zip(first.tolist(), y.tolist())))
+        assert run("independence", "--pairs", pairs, "--out", tmp_path / "out") == 0
+        result = json.loads((tmp_path / "out" / "independence.json").read_text())
+        assert result["D"] == pytest.approx(hoeffding_d(PairedSample(y**3, y)), rel=1e-12)
 
 
 class TestReport:
@@ -441,12 +452,13 @@ class TestFailureHandling:
         assert exc.value.code == 2
         assert "--target-pop" in capsys.readouterr().err
 
-    def test_tiny_target_pop_warns_with_its_value(self, tmp_path):
+    def test_tiny_target_pop_counts_every_region_over_it(self, tmp_path):
         events, pop = TestTessellateCommand().make_inputs(tmp_path)
-        with pytest.warns(UserWarning, match="exceeds the target 1e-300") as caught:
-            assert run("tessellate", "--events", events, "--population", pop,
-                       "--target-pop", "1e-300", "--out", tmp_path / "out") == 0
-        assert len(caught) == 64
+        assert run("tessellate", "--events", events, "--population", pop,
+                   "--target-pop", "1e-300", "--out", tmp_path / "out") == 0
+        stats = json.loads((tmp_path / "out" / "manifest.json").read_text())["runs"][0][
+            "parameters"]["stats"]
+        assert stats["n_regions"] == stats["regions_over_target"] == 64
 
     def test_unexpected_exception_is_one_internal_error_line(self, tmp_path, capsys,
                                                              monkeypatch):

@@ -55,20 +55,21 @@ class TestBuildTessellation:
         assert np.all(tess.populations == 64.0)
         assert tess.populations.sum() == 1024.0
 
-    def test_indivisible_single_cell_warns_and_degenerates(self):
-        with pytest.warns(UserWarning):
-            tess = build_tessellation(np.array([[0.0, 0.0, 500.0]]), 100.0)
+    def test_indivisible_single_cell_stays_over_the_target(self):
+        tess = build_tessellation(np.array([[0.0, 0.0, 500.0]]), 100.0)
         assert tess.n_regions == 1
         assert tess.populations[0] == 500.0
+        assert (tess.populations > 100.0).sum() == 1
 
     @pytest.mark.parametrize("target", [0.0, -4.0, np.inf, np.nan])
     def test_target_must_be_finite_and_positive(self, target):
         with pytest.raises(ValueError, match="finite and positive"):
             build_tessellation(grid_cells(4, 4), target)
 
-    def test_tiny_target_is_named_in_the_warning(self):
-        with pytest.warns(UserWarning, match="exceeds the target 1e-300$"):
-            build_tessellation(np.array([[0.0, 0.0, 5.0]]), 1e-300)
+    def test_tiny_target_leaves_every_cell_over_it(self):
+        tess = build_tessellation(grid_cells(4, 4, pop=5.0), 1e-300)
+        assert tess.n_regions == 16
+        assert (tess.populations > 1e-300).all()
 
     @pytest.mark.parametrize("bad_cell", [
         (np.nan, 0.0, 1.0),   # no boundary splits off a NaN: endless splitting
@@ -290,7 +291,6 @@ class TestTessellationOracle:
     """Every tessellation checked by brute force over all regions' closed
     rectangles."""
 
-    @pytest.mark.filterwarnings("ignore:region .* exceeds the target:UserWarning")
     @settings(max_examples=200, deadline=None)
     @given(oracle_cells, st.floats(0.02, 1.5), st.data())
     def test_regions_and_locations_match_brute_force(self, cells, share, data):

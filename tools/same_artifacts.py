@@ -38,10 +38,11 @@ line surface shows as well.  Every file a pipeline leaves is compared
 byte for byte, except `manifest.json`, which is compared after dropping
 each run's `created_utc` and each input's path.  For a CSV file that
 differs, the largest relative difference of each column whose cells all
-read as numbers is printed too, and for a JSON file the absolute
-difference of each numeric key and the parent and change values of any
-other key that differs, so that a stated tolerance can be checked
-against it.  The exit status is 0 when every help text and file is
+read as numbers is printed too, and for a JSON file, the manifest
+included, every key that differs or that only one file holds: the
+absolute difference of a numeric one and the parent and change values of
+any other, so that a stated tolerance, or the keys a change means to
+add, can be checked against it.  The exit status is 0 when every help text and file is
 identical and every step exited 0 under both trees; otherwise it is 1,
 and the inputs and outputs are kept in the temporary directory named on
 the last line.
@@ -236,21 +237,19 @@ def leaves(value, key=""):
 
 
 def json_differences(p, q):
-    """{key: |change - parent|} over the numeric keys of two JSON files
-    (parent p, change q), and {key: "parent -> change"} over every other
-    key whose value differs or that only one file holds."""
-    with open(p, encoding="utf-8") as fh:
-        parent = leaves(json.load(fh))
-    with open(q, encoding="utf-8") as fh:
-        change = leaves(json.load(fh))
+    """{key: |change - parent|} over the numeric keys whose values differ
+    between two JSON files (parent p, change q; manifests as `comparable`
+    gives them), and {key: "parent -> change"} over every other key whose
+    value differs or that only one file holds."""
+    parent, change = (leaves(json.loads(v) if isinstance(v, bytes) else v)
+                      for v in map(comparable, (p, q)))
     found = {}
     for key in sorted(set(parent) | set(change)):
         a, b = parent.get(key), change.get(key)
+        if a == b:
+            continue
         numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
-        if numbers:
-            found[key] = float(abs(b - a))
-        elif a != b:
-            found[key] = f"{json.dumps(a)} -> {json.dumps(b)}"
+        found[key] = float(abs(b - a)) if numbers else f"{json.dumps(a)} -> {json.dumps(b)}"
     return found
 
 
@@ -297,7 +296,7 @@ def main(argv=None) -> int:
         for file_name in differ:
             paths = [os.path.join(outs[label], file_name) for label in trees]
             numeric, kind = {}, ""
-            if all(map(os.path.isfile, paths)) and file_name != "manifest.json":
+            if all(map(os.path.isfile, paths)):
                 if file_name.endswith(".csv"):
                     numeric, kind = numeric_differences(*paths), "largest relative"
                 elif file_name.endswith(".json"):
