@@ -28,7 +28,8 @@ _NEWTON_MAX_STEPS = 100  # guard against a search that stalls
 _KS_BLOCK = 1 << 20  # (cutoff, value) pairs per zeta call of the KS scan
 _KS_PROBE = 8  # leading tail values whose gaps bound a tail's KS distance
 _TABLE_SIZE = 100_000  # support points of the sampler's inverse-CDF table
-_TABLE_HEAD = 64  # leading table entries every draw is looked up in first
+_GUIDE = 1024  # buckets of the sampler's guide table
+_GROUP = 32  # bootstrap replicates refit together
 
 
 @dataclass
@@ -128,10 +129,10 @@ def _newton_min(objective, log_means, qs) -> np.ndarray:
     return x.reshape(log_means.shape)
 
 
-def _ks_rows(values, multiplicity, tail_n, starts, alphas, qs, width=None) -> np.ndarray:
-    """Largest gap between the empirical CDF of the tail values[start:]
+def _ks_rows(values, multiplicity, tail_n, starts, ends, alphas, qs, width=None) -> np.ndarray:
+    """Largest gap between the empirical CDF of the tail values[start:end]
     and the fitted zeta(alpha, q) CDF, over the integers from q to the
-    tail's `width`-th value (its last when None), for every (start,
+    tail's `width`-th value (its last when None), for every (start, end,
     alpha, q) at once; over the whole tail this is the KS distance.
 
     Between observed neighbours a < w the empirical CDF is flat while
@@ -145,15 +146,13 @@ def _ks_rows(values, multiplicity, tail_n, starts, alphas, qs, width=None) -> np
     cum = np.cumsum(multiplicity)
     below = cum - multiplicity  # observations under each distinct value
     norms = zeta(alphas, qs)
-    positions = np.arange(values.size)
+    lengths = ends - starts if width is None else np.minimum(ends - starts, width)
+    firsts = np.cumsum(lengths) - lengths  # each row's first pair
     gaps = np.empty(starts.size)
-    n_blocks = -(-starts.size * values.size // _KS_BLOCK)
-    for block in np.array_split(np.arange(starts.size), n_blocks):
-        inside = positions >= starts[block, None]
-        if width is not None:
-            inside &= positions < starts[block, None] + width
-        rows, cols = np.nonzero(inside)
-        rows = block[rows]
+    for block in np.split(np.arange(starts.size), np.flatnonzero(np.diff(firsts // _KS_BLOCK)) + 1):
+        heads = np.cumsum(lengths[block]) - lengths[block]
+        rows = np.repeat(block, lengths[block])
+        cols = np.arange(rows.size) + np.repeat(starts[block] - heads, lengths[block])
         c = starts[rows]
         ecdf = (cum[cols] - below[c]) / tail_n[c]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -164,29 +163,39 @@ def _ks_rows(values, multiplicity, tail_n, starts, alphas, qs, width=None) -> np
         previous = np.where(cols > c, values[cols - 1], qs[rows] - 1.0)
         hole = values[cols] - 1 > previous
         gap = np.maximum(np.abs(ecdf - fitted), np.abs(ecdf_before - fitted_before) * hole)
-        row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        gaps[block] = np.maximum.reduceat(gap, row_starts)
+        gaps[block] = np.maximum.reduceat(gap, heads)
     return np.where(norms > 0, gaps, np.inf)
 
 
-def _best_ks(values, multiplicity, tail_n, starts, alphas, qs):
-    """Index of the tail with the smallest KS distance (the first on
-    ties) and that distance.
+def _first_min(v, owner):
+    """Per run of equal `owner` labels (ascending), the index of its
+    smallest v, the first on ties as np.argmin picks it."""
+    return np.lexsort((v, owner))[np.flatnonzero(np.diff(owner, prepend=-1))]
+
+
+def _best_ks(values, multiplicity, tail_n, starts, ends, alphas, qs):
+    """Per replicate (a run of rows with one tail end), the row whose tail
+    has the smallest KS distance (the first on ties) and that distance;
+    row -1 where no row's fitted law can be evaluated.
 
     A tail's gap over its first _KS_PROBE values bounds its KS distance
     from below, so only tails whose bound does not exceed the KS distance
-    of the tail with the smallest bound can win; only those are scanned
-    in full.  The result is the argmin of every tail's KS distance."""
-    tails = (values, multiplicity, tail_n)
-    lower = _ks_rows(*tails, starts, alphas, qs, width=_KS_PROBE)
-    first = [int(np.argmin(lower))]
-    if np.isinf(lower[first]):
-        raise ValueError("no cutoff leaves a tail whose fitted law can be evaluated")
-    upper = _ks_rows(*tails, starts[first], alphas[first], qs[first])[0]
-    kept = np.flatnonzero(lower <= upper)
-    ks = _ks_rows(*tails, starts[kept], alphas[kept], qs[kept])
-    best = int(np.argmin(ks))
-    return int(kept[best]), float(ks[best])
+    of their replicate's tail with the smallest bound can win; only those
+    are scanned in full.  The result is each replicate's argmin of its
+    tails' KS distances."""
+    tails, rows = (values, multiplicity, tail_n), (starts, ends, alphas, qs)
+    owner = np.cumsum(np.diff(ends, prepend=-1) != 0) - 1
+    lower = _ks_rows(*tails, *rows, width=_KS_PROBE)
+    first = _first_min(lower, owner)
+    evaluable = ~np.isinf(lower[first])
+    upper = np.full(first.size, -np.inf)  # keeps no row of a replicate that cannot be evaluated
+    upper[evaluable] = _ks_rows(*tails, *(a[first[evaluable]] for a in rows))
+    kept = np.flatnonzero(lower <= upper[owner])
+    ks = _ks_rows(*tails, *(a[kept] for a in rows))
+    best, distance = np.full(first.size, -1), np.full(first.size, np.inf)
+    chosen = _first_min(ks, owner[kept])
+    best[evaluable], distance[evaluable] = kept[chosen], ks[chosen]
+    return best, distance
 
 
 def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
@@ -205,43 +214,56 @@ def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
         raise ValueError("counts must be a vector")
     if np.any(x < 0):
         raise ValueError("counts must be non-negative")
-    x = x[x > 0].astype(np.int64)
-    if x.size < MIN_OBSERVATIONS:
-        raise ValueError(
-            f"need at least {MIN_OBSERVATIONS} positive counts, got {x.size}"
-        )
-    values, multiplicity = np.unique(x, return_counts=True)
-    values = values.astype(float)
-    weighted_log = multiplicity * np.log(values)
-    # Suffix aggregates over distinct values: tail size and sum of logs
-    # for every candidate cutoff position.
-    tail_n = np.cumsum(multiplicity[::-1])[::-1]
-    tail_logsum = np.cumsum(weighted_log[::-1])[::-1]
+    (fit,) = _fit_group([np.unique(x[x > 0].astype(np.int64), return_counts=True)], xmin)
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
 
-    if xmin is not None:
-        if xmin < 1:
-            raise ValueError("xmin must be a positive integer")
-        start = int(np.searchsorted(values, xmin))
-        if start >= values.size or tail_n[start] < MIN_TAIL_SIZE:
-            raise ValueError(
-                f"tail above xmin={xmin} holds fewer than {MIN_TAIL_SIZE} observations"
-            )
-        candidates = np.array([start])
-        qs = np.array([float(xmin)])
-    else:
-        candidates = np.nonzero(tail_n >= MIN_TAIL_SIZE)[0]
-        candidates = candidates[candidates < values.size - 1]  # need >= 2 distinct values
-        if candidates.size == 0:
-            raise ValueError(
-                f"no cutoff leaves a tail of at least {MIN_TAIL_SIZE} observations"
-            )
-        qs = values[candidates]
+
+def _fit_group(replicates, xmin: int | None = None) -> list:
+    """fit_power_law of each replicate, given as its (distinct values,
+    multiplicity), or the ValueError that fit_power_law raises for it.
+
+    The replicates' values are laid end to end, so one exponent search
+    and one KS scan of each kind serve every replicate's candidate
+    cutoffs.  Each step works elementwise or within one replicate, so a
+    replicate's fit does not depend on the rest of its group."""
+    sizes = np.array([v.size for v, _ in replicates])
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    values = np.concatenate([v for v, _ in replicates]).astype(float)
+    multiplicity = np.concatenate([m for _, m in replicates])
+    cum = np.concatenate([[0], np.cumsum(multiplicity)])
+    # Suffix aggregates within each replicate: tail size and sum of logs
+    # for every candidate cutoff position.
+    tail_n = cum[ends][owner] - cum[:-1]
+    tail_logsum = np.concatenate(
+        [np.cumsum(w[::-1])[::-1] for w in np.split(multiplicity * np.log(values), ends[:-1])]
+    )
+    if xmin is None:  # every value whose tail is long enough and holds two distinct values
+        cutoffs = (tail_n >= MIN_TAIL_SIZE) & (np.arange(values.size) < ends[owner] - 1)
+        problem = f"no cutoff leaves a tail of at least {MIN_TAIL_SIZE} observations"
+    else:  # the first value from xmin on, if its tail is long enough
+        first = (np.diff(owner, prepend=-1) != 0) | (np.roll(values, 1) < xmin)
+        cutoffs = (tail_n >= MIN_TAIL_SIZE) & (values >= xmin) & first & (xmin >= 1)
+        problem = (f"tail above xmin={xmin} holds fewer than {MIN_TAIL_SIZE} observations"
+                   if xmin >= 1 else "xmin must be a positive integer")
+    n = cum[ends] - cum[ends - sizes]
+    fits = [ValueError(f"need at least {MIN_OBSERVATIONS} positive counts, got {k}")
+            if k < MIN_OBSERVATIONS else ValueError(problem) for k in n]
+    candidates = np.flatnonzero(cutoffs & (n >= MIN_OBSERVATIONS)[owner])
+    qs = values[candidates] if xmin is None else np.full(candidates.size, float(xmin))
     log_means = tail_logsum[candidates] / tail_n[candidates]
     alphas = _newton_min(
         lambda a, rows: _zeta_log_likelihood(a, log_means[rows], qs[rows]), log_means, qs
     )
-    best, ks = _best_ks(values, multiplicity, tail_n, candidates, alphas, qs)
-    return PowerLawFit(float(alphas[best]), int(qs[best]), ks, int(tail_n[candidates[best]]))
+    tails = (values, multiplicity, tail_n)
+    best, ks = _best_ks(*tails, candidates, ends[owner[candidates]], alphas, qs)
+    for r, b, d in zip(np.unique(owner[candidates]), best, ks):
+        fits[r] = (PowerLawFit(float(alphas[b]), int(qs[b]), float(d), int(tail_n[candidates[b]]))
+                   if b >= 0 else
+                   ValueError("no cutoff leaves a tail whose fitted law can be evaluated"))
+    return fits
 
 
 def _powerlaw_pointwise_loglik(x, alpha, xmin):
@@ -385,25 +407,31 @@ def likelihood_ratio(
 
 @functools.lru_cache(maxsize=8)
 def _cdf_table(alpha: float, xmin: int):
-    """Inverse-CDF table of the first _TABLE_SIZE support points, a view
-    of its first _TABLE_HEAD entries, and the normalizer zeta(alpha,
-    xmin); read-only, shared by every draw."""
+    """Inverse-CDF table of the first _TABLE_SIZE support points; its
+    guide: the table index of each bucket's lower edge k / _GUIDE, and
+    whether the upper edge's index differs; and the normalizer
+    zeta(alpha, xmin).  Read-only, shared by every draw."""
     from scipy.special import zeta
 
     support = np.arange(xmin, xmin + _TABLE_SIZE, dtype=float)
     normalizer = zeta(alpha, float(xmin))
     cdf = np.cumsum(support**-alpha) / normalizer
-    cdf.flags.writeable = False
-    return cdf, cdf[:_TABLE_HEAD], normalizer
+    edges = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE, side="left")
+    first, spread = edges[:-1], edges[1:] != edges[:-1]
+    for table in (cdf, first, spread):
+        table.flags.writeable = False
+    return cdf, first, spread, normalizer
 
 
 def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw from the discrete power law by inverse-CDF lookup.
 
-    A cumulative table covers the first 100000 support points.  Each
-    draw is looked up in the table's first 64 entries, and only a draw
-    past them in the whole table; since the table is nondecreasing, this
-    gives the index one search of the whole table would.  Draws falling
+    A cumulative table covers the first 100000 support points.  A guide
+    table (Chen & Asau, 1974) splits [0, 1) into 1024 equal buckets and
+    holds the table index of each bucket's edges; a draw whose bucket
+    edges share an index takes it, and only the others are searched in
+    the whole table.  Since the table is nondecreasing, this gives the
+    index one search of the whole table would.  Draws falling
     beyond the table (rare for any alpha > 1 of interest) are resolved
     exactly by bisection on the zeta tail.  The table is built once per
     (alpha, xmin) and reused across calls.
@@ -412,20 +440,21 @@ def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generato
         raise ValueError("alpha must exceed 1 and be finite")
     if xmin < 1:
         raise ValueError("xmin must be at least 1")
-    cdf, head, normalizer = _cdf_table(alpha, xmin)
+    cdf, first, spread, normalizer = _cdf_table(alpha, xmin)
     u = rng.random(size)
-    index = np.searchsorted(head, u, side="left")
-    past = np.flatnonzero(index == head.size)
-    index[past] = np.searchsorted(cdf, u[past], side="left")
-    draws = xmin + index
-    for i in np.nonzero(draws == xmin + _TABLE_SIZE)[0]:
+    bucket = (u * _GUIDE).astype(np.intp)  # exact: _GUIDE is a power of two
+    draws = first[bucket]
+    search = np.flatnonzero(spread[bucket])
+    draws[search] = np.searchsorted(cdf, u[search], side="left")
+    draws += xmin
+    for i in np.flatnonzero(draws == xmin + _TABLE_SIZE):
         draw = _tail_quantile(u[i], alpha, normalizer, xmin + _TABLE_SIZE)
         if draw > np.iinfo(np.int64).max:
             raise ValueError(
                 f"power-law draw exceeds the int64 range; alpha {alpha} is too close to 1"
             )
         draws[i] = draw
-    return draws.astype(np.int64)
+    return draws.astype(np.int64, copy=False)
 
 
 def _tail_quantile(u, alpha, normalizer, lo):
@@ -445,19 +474,21 @@ def _tail_quantile(u, alpha, normalizer, lo):
     return lo
 
 
-def _gof_replicate(args) -> bool:
-    (seed, alpha, xmin, p_tail, body, n, observed_ks) = args
-    rng = np.random.Generator(np.random.PCG64(seed))
-    m = int(rng.binomial(n, p_tail))
-    parts = [sample_power_law(alpha, xmin, m, rng)]
-    if n - m > 0:
-        parts.append(rng.choice(body, size=n - m, replace=True))
-    synthetic = np.concatenate(parts)
-    try:
-        refit = fit_power_law(synthetic)
-    except ValueError:
-        return False  # a replicate that cannot be refit counts against the model
-    return refit.ks_statistic > observed_ks
+def _gof_group(args) -> int:
+    """How many replicates of one group of seeds have a KS distance
+    beyond the observed one."""
+    (seeds, alpha, xmin, p_tail, body, n, observed_ks) = args
+    replicates = []
+    for seed in seeds:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        m = int(rng.binomial(n, p_tail))
+        parts = [sample_power_law(alpha, xmin, m, rng)]
+        if n - m > 0:
+            parts.append(rng.choice(body, size=n - m, replace=True))
+        replicates.append(np.unique(np.concatenate(parts), return_counts=True))
+    # a replicate that cannot be refit counts against the model
+    return sum(isinstance(fit, PowerLawFit) and fit.ks_statistic > observed_ks
+               for fit in _fit_group(replicates))
 
 
 def gof_bootstrap(
@@ -473,7 +504,10 @@ def gof_bootstrap(
     the fitted law), refits cutoff and exponent from scratch, and the
     p-value is the share of replicates whose KS distance beats the
     observed one.  Replicate r uses seed `seed + r`, so partial runs
-    are reproducible and `workers` does not change the result.
+    are reproducible.  Replicates are refit in groups of 32 (the last
+    group may be smaller), and `workers` processes share out whole
+    groups; a replicate's refit does not depend on its group, so neither
+    the grouping nor `workers` changes the p-value.
     """
     if n_boot < MIN_BOOTSTRAP:
         raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAP}")
@@ -483,14 +517,15 @@ def gof_bootstrap(
     n = x.size
     p_tail = fit.n_tail / n
     tasks = [
-        (seed + r, fit.alpha, fit.xmin, p_tail, body, n, fit.ks_statistic)
-        for r in range(n_boot)
+        (range(seed + r, seed + min(r + _GROUP, n_boot)), fit.alpha, fit.xmin, p_tail, body, n,
+         fit.ks_statistic)
+        for r in range(0, n_boot, _GROUP)
     ]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            exceed = sum(pool.map(_gof_replicate, tasks, chunksize=16))
+            exceed = sum(pool.map(_gof_group, tasks))
     else:
-        exceed = sum(_gof_replicate(t) for t in tasks)
+        exceed = sum(map(_gof_group, tasks))
     return exceed / n_boot

@@ -244,6 +244,34 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError, match="can be evaluated"):
             fit_power_law(x)
 
+    @settings(max_examples=60, deadline=None)
+    @given(count_multisets, st.sampled_from([1, 2, 7, 33]), st.sampled_from([None, 1, 2, 5]),
+           st.integers(0, 2**32 - 1))
+    def test_grouped_refit_equals_one_fit_per_replicate(self, x, size, xmin, seed):
+        # Replicates that fit sit beside ones that cannot be fit: a single
+        # distinct value, too few observations, a tail too short above a
+        # pinned cutoff, and a tail whose fitted law cannot be evaluated.
+        rng = np.random.default_rng(seed)
+        makers = [
+            lambda: rng.choice([6, 60, 3000]) ** rng.random(rng.integers(50, 400)),
+            lambda: np.full(rng.integers(50, 100), rng.integers(1, 3000)),
+            lambda: rng.integers(1, 3000, size=rng.integers(1, 50)),
+            lambda: np.concatenate([np.ones(rng.integers(50, 100)), rng.integers(2, 9, size=9)]),
+            lambda: np.array([10**13] * 40 + [10**13 + 1] * 20),
+        ]
+        group = [x] + [makers[rng.integers(len(makers))]() for _ in range(size - 1)]
+        group = [np.ceil(g).astype(np.int64) for g in group]
+        fits = concentration._fit_group([np.unique(g, return_counts=True) for g in group], xmin)
+        assert len(fits) == size
+        for g, fit in zip(group, fits):
+            try:
+                single = fit_power_law(g, xmin=xmin)
+            except ValueError as error:
+                assert isinstance(fit, ValueError) and str(fit) == str(error)
+                continue
+            assert (fit.alpha, fit.xmin, fit.ks_statistic, fit.n_tail) == (
+                single.alpha, single.xmin, single.ks_statistic, single.n_tail)
+
     def test_gini_decreases_as_alpha_grows(self):
         ginis = [
             lorenz(gen_powerlaw_counts(a, 1, 10_000, 60)).gini
@@ -355,9 +383,10 @@ class TestSamplePowerLaw:
     def test_two_step_lookup_equals_one_search_of_the_whole_table(self, alpha, xmin):
         support = np.arange(xmin, xmin + 100_000, dtype=float)
         cdf = np.cumsum(support**-alpha) / zeta(alpha, float(xmin))
-        # Uniforms on, just under and just over the table's first entries,
-        # random ones, and ones past the table's last entry.
-        edges = cdf[:200]
+        # Uniforms on, just under and just over the table's first entries
+        # and the guide's bucket edges k / 1024, random ones, and ones past
+        # the table's last entry.
+        edges = np.concatenate([cdf[:200], np.arange(1024) / 1024])
         u = np.concatenate([
             edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
             np.random.default_rng(int(10 * alpha) + xmin).random(20_000),
@@ -462,15 +491,36 @@ class TestGofBootstrap:
         with pytest.raises(ValueError):
             gof_bootstrap(x, fit, n_boot=50)
 
-    def test_failed_refits_count_against_the_model(self, monkeypatch):
-        x = gen_powerlaw_counts(2.5, 1, 600, 9)
+    def test_failed_refits_count_against_the_model(self):
+        # All ones fit an exponent of about 30, so each replicate draws 600
+        # ones: a single distinct value, which leaves no cutoff to refit.
+        x = np.ones(600, dtype=np.int64)
         fit = fit_power_law(x, xmin=1)
-
-        def failing_fit(counts, xmin=None):
-            raise ValueError("degenerate replicate")
-
-        monkeypatch.setattr(concentration, "fit_power_law", failing_fit)
+        with pytest.raises(ValueError, match="no cutoff"):
+            fit_power_law(sample_power_law(fit.alpha, 1, 600, np.random.default_rng(4)))
         assert gof_bootstrap(x, fit, n_boot=100, seed=4) == 0.0
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_grouped_replicates_equal_the_per_replicate_loop(self, workers):
+        # A body below the cutoff is resampled; 101 replicates do not fill
+        # the last group.
+        x = np.concatenate([gen_powerlaw_counts(2.5, 4, 400, 2),
+                            np.random.default_rng(2).integers(1, 4, 200)])
+        fit = fit_power_law(x)
+        body = x[x < fit.xmin]
+        assert fit.xmin == 4 and body.size == 200
+        exceed = 0
+        for r in range(101):
+            rng = np.random.Generator(np.random.PCG64(4 + r))
+            m = int(rng.binomial(x.size, fit.n_tail / x.size))
+            synthetic = np.concatenate([sample_power_law(fit.alpha, fit.xmin, m, rng),
+                                        rng.choice(body, size=x.size - m, replace=True)])
+            try:
+                exceed += fit_power_law(synthetic).ks_statistic > fit.ks_statistic
+            except ValueError:
+                pass
+        assert 0 < exceed < 101
+        assert gof_bootstrap(x, fit, n_boot=101, seed=4, workers=workers) == exceed / 101
 
     def test_parallel_run_matches_serial(self):
         x = gen_powerlaw_counts(2.5, 1, 600, 9)

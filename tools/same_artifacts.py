@@ -26,7 +26,11 @@ Each SRC is the `src` directory of a checkout (the directory holding the
   `report`;
 * `powerlaw_counts-<seed>`: the benchmark's 50,000 power-law counts
   (alpha 2.5, xmin 1) through `simulate`, `concentrate --boot 500
-  --workers 1` and `report`.
+  --workers 1` and `report`;
+* `powerlaw_counts_workers2-<seed>`: the same counts through `simulate` and
+  `concentrate --boot 500 --workers 2`, the bootstrap's parallel path.
+  Its `fit.json` must also equal the `powerlaw_counts-<seed>` one under
+  the same tree, so that `--workers` moves no result.
 
 The scenarios, pairs, sizes and events come from `bench/run.py` and
 `bench/gen_events.py`, so these pipelines run the benchmark's inputs.
@@ -148,11 +152,16 @@ def write_inputs(d, seeds):
         ]
         scenario = write_scenario(d, f"powerlaw_counts-{seed}.json", "powerlaw_counts", seed,
                                   POWERLAW_PARAMETERS)
+        concentrate = ["concentrate", "--counts", "{out}/counts.csv", "--boot",
+                       str(bench.POWERLAW_SIZE["boot"]), "--seed", str(seed)]
         pipelines[f"powerlaw_counts-{seed}"] = [
             ["simulate", "--scenario", scenario],
-            ["concentrate", "--counts", "{out}/counts.csv", "--boot",
-             str(bench.POWERLAW_SIZE["boot"]), "--seed", str(seed), "--workers", "1"],
+            [*concentrate, "--workers", "1"],
             ["report"],
+        ]
+        pipelines[f"powerlaw_counts_workers2-{seed}"] = [
+            ["simulate", "--scenario", scenario],
+            [*concentrate, "--workers", "2"],
         ]
     return pipelines
 
@@ -308,6 +317,15 @@ def main(argv=None) -> int:
         bad += len(differ)
         print(f"{name}: {len(os.listdir(outs['parent']))} files, {len(differ)} differ",
               flush=True)
+    for name in pipelines:
+        if not name.startswith("powerlaw_counts_workers2-"):
+            continue
+        serial = name.replace("_workers2", "")
+        for label in trees:
+            paths = [os.path.join(work, label, run, "fit.json") for run in (serial, name)]
+            if not all(map(os.path.isfile, paths)) or comparable(paths[0]) != comparable(paths[1]):
+                print(f"{name}: {label}: fit.json differs from {serial}'s")
+                bad += 1
     if not bad:
         shutil.rmtree(work)
         print(f"{len(helps['parent'])} help texts and {compared} files compared over "
