@@ -26,8 +26,6 @@ from .ingest import (
 )
 from .rankdyn import (
     EntropyProfile,
-    RankShapeSummary,
-    entropy_vs_rank_shape,
     position_entropy,
     weekly_ranks,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "LorenzCurve",
     "PairedSample",
     "PowerLawFit",
-    "RankShapeSummary",
     "RegionSeriesSet",
     "RowRejection",
     "ScenarioSpec",
@@ -104,7 +101,6 @@ __all__ = [
     "composed_power",
     "cwt",
     "detrend",
-    "entropy_vs_rank_shape",
     "fill_gaps",
     "filter_events",
     "fit_power_law",

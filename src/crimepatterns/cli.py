@@ -26,7 +26,6 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .concentration import MIN_BOOTSTRAP, fit_power_law, gof_bootstrap, likelihood_ratio, lorenz
@@ -75,7 +74,7 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _emit(out_dir, subcommand, inputs, parameters, payloads) -> None:
+def _emit(out_dir, subcommand, inputs, parameters, payloads, diagnostics=None) -> None:
     """Write every artifact plus the manifest, replacing them as a group.
 
     `payloads` maps file name to full text; nothing is written until
@@ -89,6 +88,7 @@ def _emit(out_dir, subcommand, inputs, parameters, payloads) -> None:
     multi-step pipeline keeps the provenance of every artifact.  Inputs
     that live inside the output directory are recorded relative to it,
     which keeps the bundle self-contained and location-independent.
+    `diagnostics`, when given, records what happened inside the run.
     """
     os.makedirs(out_dir, exist_ok=True)
     out_abs = os.path.abspath(out_dir)
@@ -108,12 +108,13 @@ def _emit(out_dir, subcommand, inputs, parameters, payloads) -> None:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "inputs": {name: describe(path) for name, path in inputs.items()},
         "parameters": parameters,
         "artifacts": {name: _sha256_text(text) for name, text in payloads.items()},
     }
+    if diagnostics is not None:
+        record["diagnostics"] = diagnostics
     # The directory stays locked from the manifest read until the group is
     # replaced, so concurrent runs into it each keep their record.
     lock = os.open(out_dir, os.O_RDONLY)
@@ -348,7 +349,8 @@ def _tessellate_events(args):
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns its manifest record, (inputs, parameters,
-# payloads), which `main` writes into --out with `_emit`
+# payloads) and for `concentrate` its diagnostics, which `main` writes into
+# --out with `_emit`
 
 
 def cmd_simulate(args):
@@ -395,14 +397,18 @@ def cmd_concentrate(args):
         parameters["stats"]["events_outside_area"] = outside
     curve = lorenz(counts)
     fit = fit_power_law(counts)
-    comparisons = {}
-    for alternative in ("exponential", "lognormal"):
-        res = likelihood_ratio(counts, fit, alternative, significance=args.alpha_level)
-        comparisons[f"lr_{alternative}"] = {
+    results = {
+        alternative: likelihood_ratio(counts, fit, alternative, significance=args.alpha_level)
+        for alternative in ("exponential", "lognormal")
+    }
+    comparisons = {
+        f"lr_{alternative}": {
             "stat": float(res.statistic),
             "p": float(res.p_value),
             "favored": alternative if res.favored == "alternative" else res.favored,
         }
+        for alternative, res in results.items()
+    }
     gof_p = gof_bootstrap(counts, fit, n_boot=args.boot, seed=args.seed, workers=args.workers)
     report = {
         "alpha": float(fit.alpha),
@@ -417,7 +423,7 @@ def cmd_concentrate(args):
     payloads["lorenz.csv"] = _artifact_text("lorenz.csv", *curve.points.T)
     parameters.update(alpha_level=args.alpha_level, boot=args.boot, seed=args.seed,
                       workers=args.workers, rng=RNG_ALGORITHM)
-    return inputs, parameters, payloads
+    return inputs, parameters, payloads, {"lognormal_mle": results["lognormal"].mle_outcome}
 
 
 def cmd_ranks(args):

@@ -11,6 +11,7 @@ goodness-of-fit bootstrap.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,21 @@ _KS_PROBE = 8  # leading tail values whose gaps bound a tail's KS distance
 _TABLE_SIZE = 100_000  # support points of the sampler's inverse-CDF table
 _GUIDE = 1024  # buckets of the sampler's guide table
 _GROUP = 32  # bootstrap replicates refit together
+_ZETA_CHUNK = 1 << 14  # elements per pass of _zeta, which keeps its temporaries small
+# Euler-Maclaurin denominators (2j)! / B_2j of the Hurwitz zeta sum (Cephes zeta.c)
+_ZETA_EM = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+            7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+            -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+_SQRT1_2 = math.sqrt(0.5)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOGNORMAL_H = 1e-3  # central-difference half-width in (mu, log sigma)
+_LOGNORMAL_TOL = 1e-10  # the lognormal MLE stops once its step is at most this
+_LOGNORMAL_MAX_STEPS = 100  # past this the lognormal MLE has not converged
+# (mu, log sigma) offsets of the central differences: the centre, 1 and 2
+# half-widths along each axis, and the four diagonal neighbours
+_STENCIL = np.array([(0, 0), (-2, 0), (-1, 0), (1, 0), (2, 0), (0, -2), (0, -1), (0, 1), (0, 2),
+                     (-1, -1), (-1, 1), (1, -1), (1, 1)], float)
 
 
 @dataclass
@@ -56,6 +72,7 @@ class LikelihoodRatioResult:
     statistic: float
     p_value: float
     favored: str  # "power_law", "alternative" or "inconclusive"
+    mle_outcome: str | None = None  # lognormal: "interior", "boundary" or "not converged"
 
 
 def lorenz(counts) -> LorenzCurve:
@@ -85,12 +102,47 @@ def lorenz(counts) -> LorenzCurve:
     return LorenzCurve(points=points, gini=1.0 - 2.0 * area)
 
 
+def _zeta(x, q) -> np.ndarray:
+    """Hurwitz zeta(x, q), the sum of (q + k)**-x over k >= 0, elementwise
+    for x > 1 and q >= 1, by the route of Cephes' zeta.c (Moshier), which
+    scipy.special.zeta follows: nine direct terms, then twelve
+    Euler-Maclaurin terms (DLMF 25.11), and above q = 1e8 the leading
+    term of the asymptotic expansion (DLMF 25.11.43).  Cephes stops a sum
+    early once a term falls below 2**-53 of it; adding every term moves a
+    result by at most one ulp.  It underflows to 0 where Cephes does, as
+    zeta(30, q) does above q = 4e10."""
+    x, q = np.broadcast_arrays(np.asarray(x, float), np.asarray(q, float))
+    shape, x, q = x.shape, x.ravel(), q.ravel()
+    out = np.empty(x.size)
+    for first in range(0, x.size, _ZETA_CHUNK):
+        part = slice(first, first + _ZETA_CHUNK)
+        xs, qs = x[part], q[part]
+        a, s = qs.copy(), qs**-xs
+        for _ in range(9):
+            a += 1.0
+            b = a**-xs
+            s += b
+        s += b * a / (xs - 1.0)
+        s -= 0.5 * b
+        rising, k = np.ones(xs.size), 0.0  # x (x + 1) ... (x + 2j - 2)
+        for denominator in _ZETA_EM:
+            rising *= xs + k
+            b /= a
+            s += rising * b / denominator
+            k += 1.0
+            rising *= xs + k
+            b /= a
+            k += 1.0
+        far = qs > 1e8
+        s[far] = (1.0 / (xs[far] - 1.0) + 1.0 / (2.0 * qs[far])) * qs[far] ** (1.0 - xs[far])
+        out[part] = s
+    return out.reshape(shape)
+
+
 def _zeta_log_likelihood(alpha, log_mean, q):
     """Negative mean log-likelihood of a zeta(alpha, q) tail, up to sign."""
-    from scipy.special import zeta
-
     with np.errstate(divide="ignore"):  # zeta(30, q) underflows to 0 above q = 4e10
-        return alpha * log_mean + np.log(zeta(alpha, q))
+        return alpha * log_mean + np.log(_zeta(alpha, q))
 
 
 def _newton_min(objective, log_means, qs) -> np.ndarray:
@@ -141,11 +193,9 @@ def _ks_rows(values, multiplicity, tail_n, starts, ends, alphas, qs, width=None)
     (cutoff, tail value) pairs, in row blocks of about _KS_BLOCK pairs.
     A tail whose normalizer zeta(alpha, q) underflows to 0 cannot be
     evaluated; its gap is infinite."""
-    from scipy.special import zeta
-
     cum = np.cumsum(multiplicity)
     below = cum - multiplicity  # observations under each distinct value
-    norms = zeta(alphas, qs)
+    norms = _zeta(alphas, qs)
     lengths = ends - starts if width is None else np.minimum(ends - starts, width)
     firsts = np.cumsum(lengths) - lengths  # each row's first pair
     gaps = np.empty(starts.size)
@@ -156,7 +206,7 @@ def _ks_rows(values, multiplicity, tail_n, starts, ends, alphas, qs, width=None)
         c = starts[rows]
         ecdf = (cum[cols] - below[c]) / tail_n[c]
         with np.errstate(divide="ignore", invalid="ignore"):
-            fitted = 1.0 - zeta(alphas[rows], values[cols] + 1.0) / norms[rows]
+            fitted = 1.0 - _zeta(alphas[rows], values[cols] + 1.0) / norms[rows]
             fitted_before = fitted - values[cols] ** -alphas[rows] / norms[rows]
         ecdf_before = (below[cols] - below[c]) / tail_n[c]
         # w - 1 is not observed; below a tail's first value lie q .. w - 1
@@ -267,9 +317,7 @@ def _fit_group(replicates, xmin: int | None = None) -> list:
 
 
 def _powerlaw_pointwise_loglik(x, alpha, xmin):
-    from scipy.special import zeta
-
-    return -alpha * np.log(x) - np.log(zeta(alpha, float(xmin)))
+    return -alpha * np.log(x) - np.log(_zeta(alpha, float(xmin)))
 
 
 def _geometric_tail_loglik(x, weights, xmin):
@@ -284,6 +332,27 @@ def _geometric_tail_loglik(x, weights, xmin):
     return np.log1p(-q) + shifted * np.log(q)
 
 
+def _log_ndtr(z) -> np.ndarray:
+    """Log of the standard normal CDF, elementwise: from math.erfc down to
+    z = -20, and below it, where erfc would underflow, from the
+    asymptotic series -z**2/2 - log(-z sqrt(2 pi)) + log(1 - 1/z**2 +
+    3/z**4 - ...) that scipy.special.log_ndtr (Cephes ndtr.c) uses."""
+    z = np.asarray(z, float)
+    upper = z > -1.0
+    with np.errstate(divide="ignore", under="ignore"):  # erfc is 0 below z = -37.5, past the series
+        half = 0.5 * np.asarray(_erfc(np.where(upper, z, -z) * _SQRT1_2), float)
+        out = np.where(upper, np.log1p(-half), np.log(half))
+    far = z <= -20.0
+    if far.any():
+        v = z[far]
+        total, term = np.ones(v.size), np.ones(v.size)
+        for k in range(1, 20, 2):  # (2k - 1)!! / (-z**2)**k: below 2**-53 by the tenth
+            term *= -k / (v * v)
+            total += term
+        out[far] = -0.5 * v * v - np.log(-v) - _LOG_SQRT_2PI + np.log(total)
+    return out
+
+
 def _lognormal_cell_logprobs(x, xmin, mu, sigma):
     """Log cell probabilities of a discretized lognormal truncated to
     x >= xmin: mass of [x-1/2, x+1/2] under the continuous lognormal,
@@ -291,19 +360,18 @@ def _lognormal_cell_logprobs(x, xmin, mu, sigma):
 
     Cell mass is taken as a CDF difference left of the median and a
     survival-function difference right of it; one-sided differences
-    underflow to zero deep in the opposite tail."""
-    from scipy.special import log_ndtr
-
+    underflow to zero deep in the opposite tail.  `mu` and `sigma` may be
+    columns, one row of cells each."""
     za = (np.log(x - 0.5) - mu) / sigma
     zb = (np.log(x + 0.5) - mu) / sigma
     cell = np.empty_like(za)
     left = zb <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ub, lb = log_ndtr(zb[left]), log_ndtr(za[left])
+        ub, lb = _log_ndtr(zb[left]), _log_ndtr(za[left])
         cell[left] = ub + np.log1p(-np.exp(lb - ub))
-        ua, va = log_ndtr(-za[~left]), log_ndtr(-zb[~left])
+        ua, va = _log_ndtr(-za[~left]), _log_ndtr(-zb[~left])
         cell[~left] = ua + np.log1p(-np.exp(va - ua))
-    tail = log_ndtr((mu - np.log(xmin - 0.5)) / sigma)
+    tail = _log_ndtr((mu - np.log(xmin - 0.5)) / sigma)
     return cell - tail
 
 
@@ -326,37 +394,58 @@ def _power_law_limit_loglik(x, weights, xmin) -> float:
 
 
 def _lognormal_tail_loglik(x, weights, xmin):
-    """Log-likelihood at each distinct tail value x (observed `weights`
-    times) of the discretized-lognormal MLE on the tail.
+    """The outcome of the discretized-lognormal MLE on the tail, and the
+    log-likelihood at each distinct tail value x (observed `weights`
+    times) of that fit, or None when the outcome is not "interior".
 
-    Returns None when the optimizer fails to converge, or when its best
-    fit does not beat the power-law limit of the lognormal family: the
-    MLE then runs off to that boundary (mu -> -inf, sigma -> inf) and
-    no interior lognormal is there to compare with."""
-    from scipy.optimize import minimize
+    The search runs over (mu, log sigma) from the moment estimates of
+    log x: damped Newton steps on central differences (a step that does
+    not lower the objective is halved; where the Hessian is not positive
+    definite the step goes downhill instead), until a step is at most
+    1e-10 ("interior"), or _LOGNORMAL_MAX_STEPS steps ("not converged").
+    A fit that does not beat the lognormal's power-law limit is
+    "boundary": the MLE runs off to that limit (mu -> -inf,
+    sigma -> inf) and no interior lognormal is there to compare with."""
+
+    def objective(points):
+        """Negative log-likelihood at each (mu, log sigma) row of `points`;
+        inf where it cannot be evaluated, as at a trial step far out."""
+        mu, log_sigma = np.asarray(points).T[:, :, None]
+        with np.errstate(all="ignore"):
+            f = -(weights * _lognormal_cell_logprobs(x, xmin, mu, np.exp(log_sigma))).sum(axis=1)
+        return np.where(np.isfinite(f), f, np.inf)
 
     logs = np.log(x)
     n = weights.sum()
     mean = (weights * logs).sum() / n
     sd = np.sqrt((weights * (logs - mean) ** 2).sum() / n)
-
-    def objective(params):
-        mu, sigma = params[0], abs(params[1])
-        if sigma < 1e-6:
-            return 1e12
-        ll = _lognormal_cell_logprobs(x, xmin, mu, sigma)
-        if not np.all(np.isfinite(ll)):
-            return 1e12
-        return -(weights * ll).sum()
-
-    result = minimize(objective, np.array([mean, max(sd, 0.1)]), method="Nelder-Mead",
-                      options={"xatol": 1e-8, "fatol": 1e-8, "maxiter": 2000})
-    if not result.success or not np.isfinite(result.fun) or result.fun >= 1e12:
-        return None
-    if -result.fun <= _power_law_limit_loglik(x, weights, xmin):
-        return None
-    mu, sigma = result.x[0], abs(result.x[1])
-    return _lognormal_cell_logprobs(x, xmin, mu, sigma)
+    theta, h, converged = np.array([mean, np.log(max(sd, 0.1))]), _LOGNORMAL_H, False
+    for _ in range(_LOGNORMAL_MAX_STEPS):
+        f = objective(theta + h * _STENCIL)
+        axes = f[1:9].reshape(2, 4)  # per axis: -2h, -h, +h, +2h
+        # fourth-order central differences along each axis
+        gradient = (8.0 * (axes[:, 2] - axes[:, 1]) - (axes[:, 3] - axes[:, 0])) / (12.0 * h)
+        curvature = (16.0 * (axes[:, 1] + axes[:, 2]) - (axes[:, 0] + axes[:, 3]) - 30.0 * f[0])
+        cross = (f[12] - f[10] - f[11] + f[9]) / 4.0
+        hessian = np.array([[curvature[0] / 12.0, cross], [cross, curvature[1] / 12.0]]) / h**2
+        if not np.isfinite(hessian).all():  # every stencil point enters the Hessian
+            break
+        if hessian[0, 0] > 0 and np.linalg.det(hessian) > 0:
+            step = -np.linalg.solve(hessian, gradient)
+        else:
+            step = -gradient / max(np.abs(gradient).max(), 1.0)
+        while np.abs(step).max() > _LOGNORMAL_TOL and not objective([theta + step])[0] < f[0]:
+            step /= 2.0
+        theta = theta + step
+        if np.abs(step).max() <= _LOGNORMAL_TOL:
+            converged = True
+            break
+    loglik = -objective([theta])[0]
+    if -np.inf < loglik <= _power_law_limit_loglik(x, weights, xmin):
+        return "boundary", None
+    if not converged:
+        return "not converged", None
+    return "interior", _lognormal_cell_logprobs(x, xmin, theta[0], np.exp(theta[1]))
 
 
 def likelihood_ratio(
@@ -373,22 +462,22 @@ def likelihood_ratio(
     A positive statistic favors the power law.  The verdict is
     "inconclusive" when the two-sided normal p-value exceeds
     `significance`, which keeps sign noise from being over-read, and
-    (statistic 0, p 1) when the lognormal MLE has no interior optimum.
+    (statistic 0, p 1) when the lognormal MLE has no interior optimum;
+    its outcome is `mle_outcome`.
     """
-    from scipy.special import ndtr
-
     x = np.asarray(counts)
     x = x[x >= fit.xmin].astype(float)
     if x.size != fit.n_tail:
         raise ValueError("counts do not match the fitted tail")
     values, weights = np.unique(x, return_counts=True)
+    outcome = None
     if alternative == "exponential":
         alt = _geometric_tail_loglik(values, weights, fit.xmin)
     elif alternative == "lognormal":
-        alt = _lognormal_tail_loglik(values, weights, fit.xmin)
+        outcome, alt = _lognormal_tail_loglik(values, weights, fit.xmin)
     else:
         raise ValueError(f"unknown alternative '{alternative}'")
-    inconclusive = LikelihoodRatioResult(0.0, 1.0, "inconclusive")
+    inconclusive = LikelihoodRatioResult(0.0, 1.0, "inconclusive", outcome)
     if alt is None or x.size < 2:
         return inconclusive
     diff = _powerlaw_pointwise_loglik(values, fit.alpha, fit.xmin) - alt
@@ -397,12 +486,12 @@ def likelihood_ratio(
     total = (weights * diff).sum()
     sd = np.sqrt((weights * (diff - total / x.size) ** 2).sum() / x.size)
     statistic = total / (sd * np.sqrt(x.size))
-    p_value = 2.0 * ndtr(-abs(statistic))
+    p_value = math.erfc(abs(statistic) * _SQRT1_2)  # 2 Phi(-|statistic|)
     if p_value > significance:
         favored = "inconclusive"
     else:
         favored = "power_law" if statistic > 0 else "alternative"
-    return LikelihoodRatioResult(float(statistic), float(p_value), favored)
+    return LikelihoodRatioResult(float(statistic), float(p_value), favored, outcome)
 
 
 @functools.lru_cache(maxsize=8)
@@ -411,10 +500,8 @@ def _cdf_table(alpha: float, xmin: int):
     guide: the table index of each bucket's lower edge k / _GUIDE, and
     whether the upper edge's index differs; and the normalizer
     zeta(alpha, xmin).  Read-only, shared by every draw."""
-    from scipy.special import zeta
-
     support = np.arange(xmin, xmin + _TABLE_SIZE, dtype=float)
-    normalizer = zeta(alpha, float(xmin))
+    normalizer = float(_zeta(alpha, float(xmin)))
     cdf = np.cumsum(support**-alpha) / normalizer
     edges = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE, side="left")
     first, spread = edges[:-1], edges[1:] != edges[:-1]
@@ -459,15 +546,13 @@ def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generato
 
 def _tail_quantile(u, alpha, normalizer, lo):
     """Smallest x >= lo with survival zeta(alpha, x+1)/normalizer <= 1-u."""
-    from scipy.special import zeta
-
     target = (1.0 - u) * normalizer
     hi = lo
-    while zeta(alpha, float(hi + 1)) > target:
+    while _zeta(alpha, float(hi + 1)) > target:
         hi *= 2
     while lo < hi:
         mid = (lo + hi) // 2
-        if zeta(alpha, float(mid + 1)) <= target:
+        if _zeta(alpha, float(mid + 1)) <= target:
             hi = mid
         else:
             lo = mid + 1

@@ -23,15 +23,6 @@ class EntropyProfile:
     mean_h: float
 
 
-@dataclass
-class RankShapeSummary:
-    """Monotonicity of the entropy profile over the top positions."""
-
-    correlation: float
-    top_k: int
-    h_top: np.ndarray
-
-
 def weekly_ranks(series_set) -> np.ndarray:
     """Rank regions within each week of a RegionSeriesSet.
 
@@ -70,24 +61,3 @@ def position_entropy(ranks: np.ndarray) -> EntropyProfile:
     h = np.clip(h, 0.0, 1.0) + 0.0  # clip float fuzz; +0.0 avoids -0.0
     return EntropyProfile(h=h, mean_h=float(h.mean()))
 
-
-def entropy_vs_rank_shape(profile: EntropyProfile) -> RankShapeSummary:
-    """Spearman correlation of entropy with rank position over the top
-    decile of positions (at least two).
-
-    A strongly positive value reproduces the characteristic shape where
-    the very top positions are frozen and entropy rises with rank; zero
-    is returned when the top entropies have no variance.
-    """
-    n = profile.h.size
-    if n < 10:
-        raise ValueError("shape summary needs at least 10 rank positions")
-    k = max(2, n // 10)
-    top = profile.h[:k]
-    if np.allclose(top, top[0]):
-        correlation = 0.0
-    else:
-        from scipy.stats import spearmanr
-
-        correlation = float(spearmanr(np.arange(k), top).statistic)
-    return RankShapeSummary(correlation=correlation, top_k=k, h_top=top.copy())

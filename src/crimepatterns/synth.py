@@ -53,11 +53,11 @@ def gen_ar1(a: float, n: int, seed: int) -> TimeSeries:
         raise ValueError("a must lie in [0, 1)")
     if n < 1:
         raise ValueError("n must be positive")
-    from scipy.signal import lfilter
-
-    innovations = _rng(seed).standard_normal(AR1_BURN_IN + n)
-    x = lfilter([1.0], [1.0, -a], innovations)
-    return TimeSeries(x[AR1_BURN_IN:], DEFAULT_WEEK_ORIGIN)
+    x, previous = [], 0.0
+    for e in _rng(seed).standard_normal(AR1_BURN_IN + n).tolist():
+        previous = e + a * previous
+        x.append(previous)
+    return TimeSeries(np.array(x[AR1_BURN_IN:]), DEFAULT_WEEK_ORIGIN)
 
 
 def gen_seasonal(

@@ -292,6 +292,10 @@ class TestReport:
         assert concentrate["inputs"]["counts"]["path"] == "counts.csv"
         assert len(concentrate["inputs"]["counts"]["sha256"]) == 64
         assert "fit.json" in concentrate["artifacts"]
+        # what happened inside the run: only concentrate records it
+        assert concentrate["diagnostics"] == {"lognormal_mle": "interior"}
+        assert [r["subcommand"] for r in manifest["runs"] if "diagnostics" in r] == ["concentrate"]
+        assert all(set(r["versions"]) == {"python", "numpy"} for r in manifest["runs"])
 
 
 class TestTessellateCommand:
@@ -781,6 +785,72 @@ def test_subcommand_leaves_scipy_special_stats_optimize_signal_unloaded(subcomma
     assert (out / "manifest.json").exists()
     if subcommand == "report":
         assert json.loads((out / "report.json").read_text())["alpha"] == 2.5
+
+
+def test_concentrate_records_a_lognormal_fit_at_its_power_law_limit(tmp_path):
+    scenario = write_scenario(tmp_path / "pl.json", "powerlaw_counts", 8, alpha=2.5, xmin=1, n=200)
+    out = tmp_path / "out"
+    assert run("simulate", "--scenario", scenario, "--out", out) == 0
+    assert run("concentrate", "--counts", out / "counts.csv", "--boot", 100, "--out", out) == 0
+    record = json.loads((out / "manifest.json").read_text())["runs"][-1]
+    assert record["diagnostics"] == {"lognormal_mle": "boundary"}
+    lr = json.loads((out / "fit.json").read_text())["lr_lognormal"]
+    assert lr == {"stat": 0.0, "p": 1.0, "favored": "inconclusive"}
+
+
+_SMALL_SCENARIOS = {
+    "powerlaw_counts": {"alpha": 2.5, "xmin": 1, "n": 2000},
+    "ar1": {"a": 0.5, "n": 120},
+    "seasonal": {"period_years": 1.0, "amplitude": 1.0, "noise_sd": 0.1, "n": 156},
+    "traveling_wave_city": {"n_regions": 4, "n_weeks": 156, "window_weeks": 52},
+}
+
+
+def _case_argv(case, tmp_path):
+    """A run of `case` on small inputs written under tmp_path, less --out:
+    `concentrate --counts`, `concentrate --events`, `simulate <kind>` or a
+    subcommand of `_argv_with_inputs`."""
+    if case.startswith("simulate "):
+        kind = case.split()[1]
+        return ["simulate", "--scenario",
+                write_scenario(tmp_path / "s.json", kind, 3, **_SMALL_SCENARIOS[kind])]
+    if case == "concentrate --counts":
+        scenario = write_scenario(tmp_path / "pl.json", "powerlaw_counts", 3,
+                                  **_SMALL_SCENARIOS["powerlaw_counts"])
+        assert run("simulate", "--scenario", scenario, "--out", tmp_path / "sim") == 0
+        return ["concentrate", "--counts", tmp_path / "sim" / "counts.csv", "--boot", 100]
+    if case == "concentrate --events":
+        events, pop = TestTessellateCommand().make_inputs(tmp_path)
+        return ["concentrate", "--events", events, "--population", pop, "--target-pop", 1,
+                "--category", "theft", "--boot", 100]
+    return _argv_with_inputs(case, tmp_path)
+
+
+@pytest.mark.parametrize("case", [
+    "concentrate --counts", "concentrate --events",
+    *(f"simulate {kind}" for kind in _SMALL_SCENARIOS),
+    # the other subcommands of the test above; its `simulate` is the traveling-wave city
+    "report", "ranks", "rhythms", "composed", "tessellate", "independence",
+])
+def test_subcommand_runs_without_scipy(case, tmp_path):
+    """A fresh process that runs one subcommand loads no module of scipy."""
+    out = tmp_path / "out"
+    argv = [str(a) for a in _case_argv(case, tmp_path)] + ["--out", str(out)]
+    code = (
+        "import json, sys\n"
+        "import crimepatterns.cli\n"
+        "assert crimepatterns.cli.main(json.loads(sys.argv[1])) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    assert (out / "manifest.json").exists()
 
 
 class TestSimulateFormats:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import zeta
+from scipy.special import log_ndtr, ndtr, zeta
 
 from crimepatterns import (
     concentration,
@@ -451,12 +451,29 @@ class TestLikelihoodRatio:
         fit = fit_power_law(x)
         res = likelihood_ratio(x, fit, "lognormal")
         assert (res.statistic, res.p_value, res.favored) == (0.0, 1.0, "inconclusive")
+        assert res.mle_outcome == "boundary"
 
     def test_interior_lognormal_beats_its_power_law_limit(self):
         x = np.random.default_rng(3).lognormal(2.0, 1.0, 5000).round().astype(int) + 1
         fit = fit_power_law(x, xmin=1)
         res = likelihood_ratio(x, fit, "lognormal")
         assert res.favored == "alternative" and res.statistic < 0
+        assert res.mle_outcome == "interior"
+
+    def test_lognormal_search_cut_short_has_not_converged(self, monkeypatch):
+        # No fixture found stops the search short of both an interior optimum
+        # and the power-law limit, so the step budget is cut to one step.
+        monkeypatch.setattr(concentration, "_LOGNORMAL_MAX_STEPS", 1)
+        x = np.random.default_rng(3).lognormal(2.0, 1.0, 5000).round().astype(int) + 1
+        fit = fit_power_law(x, xmin=1)
+        res = likelihood_ratio(x, fit, "lognormal")
+        assert (res.statistic, res.p_value, res.favored) == (0.0, 1.0, "inconclusive")
+        assert res.mle_outcome == "not converged"
+
+    def test_exponential_alternative_names_no_search(self):
+        x = gen_powerlaw_counts(2.5, 1, 1000, 1)
+        fit = fit_power_law(x, xmin=1)
+        assert likelihood_ratio(x, fit, "exponential").mle_outcome is None
 
     def test_unknown_alternative_is_an_error(self):
         x = gen_powerlaw_counts(2.5, 1, 1000, 1)
@@ -609,3 +626,78 @@ class TestDistinctValueOracles:
         inside = inline < xmin + 100_000
         assert np.array_equal(cold, warm)
         assert np.array_equal(cold[inside], inline[inside])
+
+
+class TestSpecialFunctionOracles:
+    """The numpy Hurwitz zeta, normal tail and lognormal MLE against scipy,
+    which serves only as a test oracle."""
+
+    def test_zeta_matches_scipy(self):
+        qs = np.concatenate([
+            np.geomspace(1.0, 1e12, 241),
+            np.arange(1.0, 40.0),
+            1e8 + np.arange(-3.0, 4.0),  # both sides of the switch to the asymptotic term
+            [np.nextafter(1e8, 0), np.nextafter(1e8, np.inf)],
+        ])
+        alphas, qs = (a.ravel() for a in np.meshgrid(np.linspace(1.000001, 30.0, 59), qs))
+        # zeta(30, q) passes through the subnormals to 0 above q = 4e10
+        alphas = np.concatenate([alphas, np.full(60, 30.0)])
+        qs = np.concatenate([qs, np.geomspace(4e10, 1e12, 60)])
+        ours, oracle = concentration._zeta(alphas, qs), zeta(alphas, qs)
+        assert np.array_equal(ours == 0, oracle == 0)
+        assert (oracle == 0).sum() > 30
+        normal = oracle >= np.finfo(float).tiny
+        assert np.abs(ours[normal] / oracle[normal] - 1.0).max() <= 2e-15
+        assert np.abs(ours - oracle)[~normal].max() <= 1e-320
+        assert np.array_equal(concentration._zeta(alphas[:6].reshape(2, 3), qs[:6].reshape(2, 3)),
+                              ours[:6].reshape(2, 3))
+
+    def test_log_ndtr_matches_scipy(self):
+        z = np.concatenate([
+            np.linspace(-1e3, 40.0, 20_801),
+            np.linspace(-20.5, -19.5, 1001),  # both sides of the switch to the series
+            [-20.0, np.nextafter(-20.0, 0), np.nextafter(-20.0, -np.inf),
+             -1.0, np.nextafter(-1.0, 0), -np.inf, np.inf],
+        ])
+        ours, oracle = concentration._log_ndtr(z), log_ndtr(z)
+        assert np.array_equal(ours == -np.inf, oracle == -np.inf)
+        finite = np.isfinite(oracle)
+        normal = finite & (np.abs(oracle) >= np.finfo(float).tiny)
+        assert np.abs(ours[normal] / oracle[normal] - 1.0).max() <= 1e-13
+        # far in the upper tail log Phi(z) = -Phi(-z) is subnormal or 0
+        assert np.abs(ours[finite & ~normal] - oracle[finite & ~normal]).max() <= 1e-300
+        assert np.array_equal(concentration._log_ndtr(z[:6].reshape(2, 3)), ours[:6].reshape(2, 3))
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_powerlaw_counts(2.5, 1, 10_000, 21),
+        lambda: gen_powerlaw_counts(2.0, 1, 300, 4),
+        lambda: np.random.default_rng(22).geometric(0.25, size=10_000),
+        lambda: np.random.default_rng(23).geometric(0.6, size=500),
+    ])
+    def test_p_value_matches_the_scipy_normal_tail(self, make):
+        x = make()
+        fit = fit_power_law(x, xmin=1)
+        res = likelihood_ratio(x, fit, "exponential")
+        assert res.p_value == pytest.approx(2.0 * ndtr(-abs(res.statistic)), rel=1e-12)
+
+    def test_lognormal_newton_matches_nelder_mead(self):
+        from scipy.optimize import minimize
+
+        # the data of test_interior_lognormal_beats_its_power_law_limit
+        x = np.random.default_rng(3).lognormal(2.0, 1.0, 5000).round().astype(int) + 1
+        values, weights = np.unique(x.astype(float), return_counts=True)
+
+        def cells(params):
+            return concentration._lognormal_cell_logprobs(values, 1, params[0], np.exp(params[1]))
+
+        logs = np.log(values)
+        mean = (weights * logs).sum() / weights.sum()
+        sd = np.sqrt((weights * (logs - mean) ** 2).sum() / weights.sum())
+        oracle = minimize(lambda p: -(weights * cells(p)).sum(), [mean, np.log(sd)],
+                          method="Nelder-Mead",
+                          options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 10_000})
+        assert oracle.success
+        outcome, ours = concentration._lognormal_tail_loglik(values, weights, 1)
+        assert outcome == "interior"
+        assert (weights * ours).sum() == pytest.approx(-oracle.fun, rel=1e-13)
+        np.testing.assert_allclose(ours, cells(oracle.x), rtol=1e-6)

@@ -5,7 +5,6 @@ import pytest
 
 from crimepatterns import (
     RegionSeriesSet,
-    entropy_vs_rank_shape,
     position_entropy,
     week_starts_from,
     weekly_ranks,
@@ -93,34 +92,11 @@ class TestPositionEntropy:
         prof_b = position_entropy(weekly_ranks(series_set(shuffled)))
         assert prof_a.mean_h == pytest.approx(prof_b.mean_h, abs=1e-12)
 
-
-class TestEntropyVsRankShape:
-    def test_ascending_profile_has_unit_correlation(self):
-        counts = np.random.default_rng(1).integers(0, 9, size=(20, 40))
-        prof = position_entropy(weekly_ranks(series_set(counts)))
-        prof.h = np.linspace(0.0, 0.95, 20)
-        summary = entropy_vs_rank_shape(prof)
-        assert summary.correlation == pytest.approx(1.0)
-        assert summary.top_k == 2
-
-    def test_constant_profile_has_zero_correlation_by_convention(self):
-        counts = np.random.default_rng(2).integers(0, 9, size=(20, 40))
-        prof = position_entropy(weekly_ranks(series_set(counts)))
-        prof.h = np.full(20, 0.5)
-        assert entropy_vs_rank_shape(prof).correlation == 0.0
-
     def test_hotspot_city_entropy_rises_from_zero(self):
         rng = np.random.default_rng(77)
         counts = np.vstack(
             [np.full((1, 260), 1000), rng.integers(0, 50, size=(49, 260))]
         )
         prof = position_entropy(weekly_ranks(series_set(counts)))
-        summary = entropy_vs_rank_shape(prof)
-        assert summary.h_top[0] == 0.0
+        assert prof.h[0] == 0.0
         assert prof.mean_h > 0.5
-
-    def test_small_profile_is_an_error(self):
-        counts = np.random.default_rng(3).integers(0, 9, size=(4, 20))
-        prof = position_entropy(weekly_ranks(series_set(counts)))
-        with pytest.raises(ValueError):
-            entropy_vs_rank_shape(prof)

@@ -14,6 +14,7 @@ from crimepatterns import (
     gen_traveling_wave_city,
     load_scenario,
     run_scenario,
+    synth,
 )
 
 
@@ -73,6 +74,18 @@ class TestGenAr1:
             gen_ar1(1.0, 100, 0)
         with pytest.raises(ValueError):
             gen_ar1(-0.2, 100, 0)
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.7, 0.95, 0.999])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 17])
+    def test_recursion_equals_the_lfilter_oracle_bit_for_bit(self, a, seed):
+        # The generator before the recursion replaced scipy.signal.lfilter.
+        from scipy.signal import lfilter
+
+        n = 1520
+        innovations = np.random.Generator(np.random.PCG64(seed)).standard_normal(
+            synth.AR1_BURN_IN + n)
+        oracle = lfilter([1.0], [1.0, -a], innovations)[synth.AR1_BURN_IN:]
+        assert np.array_equal(gen_ar1(a, n, seed).values, oracle)
 
 
 class TestGenSeasonal:
