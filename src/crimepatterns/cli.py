@@ -417,6 +417,7 @@ def cmd_concentrate(args):
         "n_tail": int(fit.n_tail),
         "gini": float(curve.gini),
         "gof_p": float(gof_p),
+        "gof_p_se": float(np.sqrt(gof_p * (1.0 - gof_p) / args.boot)),
         **comparisons,
     }
     payloads["fit.json"] = _json_text(report)

@@ -31,6 +31,7 @@ _KS_PROBE = 8  # leading tail values whose gaps bound a tail's KS distance
 _TABLE_SIZE = 100_000  # support points of the sampler's inverse-CDF table
 _GUIDE = 1024  # buckets of the sampler's guide table
 _GROUP = 32  # bootstrap replicates refit together
+_TAIL_HEAD = 256  # leading support points of a bootstrap tail drawn by one multinomial
 _ZETA_CHUNK = 1 << 14  # elements per pass of _zeta, which keeps its temporaries small
 # Euler-Maclaurin denominators (2j)! / B_2j of the Hurwitz zeta sum (Cephes zeta.c)
 _ZETA_EM = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
@@ -535,13 +536,16 @@ def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generato
     draws[search] = np.searchsorted(cdf, u[search], side="left")
     draws += xmin
     for i in np.flatnonzero(draws == xmin + _TABLE_SIZE):
-        draw = _tail_quantile(u[i], alpha, normalizer, xmin + _TABLE_SIZE)
-        if draw > np.iinfo(np.int64).max:
-            raise ValueError(
-                f"power-law draw exceeds the int64 range; alpha {alpha} is too close to 1"
-            )
-        draws[i] = draw
+        draws[i] = _past_table(u[i], alpha, normalizer, xmin)
     return draws.astype(np.int64, copy=False)
+
+
+def _past_table(u, alpha, normalizer, xmin) -> int:
+    """The draw of a uniform u beyond the table's last entry."""
+    draw = _tail_quantile(u, alpha, normalizer, xmin + _TABLE_SIZE)
+    if draw > np.iinfo(np.int64).max:
+        raise ValueError(f"power-law draw exceeds the int64 range; alpha {alpha} is too close to 1")
+    return draw
 
 
 def _tail_quantile(u, alpha, normalizer, lo):
@@ -559,21 +563,56 @@ def _tail_quantile(u, alpha, normalizer, lo):
     return lo
 
 
+def _past_head(v, alpha, xmin) -> np.ndarray:
+    """Power-law draws conditioned on lying past the first _TAIL_HEAD
+    support points, one per uniform v in [0, 1).
+
+    u = c + (1 - c) v, with c the CDF at the head's last point, is
+    uniform on the rest of the CDF's range; it is looked up in the table
+    and, beyond it, solved on the zeta tail.  A u that rounds down to c
+    still maps past the head, as every u above c does."""
+    cdf, _, _, normalizer = _cdf_table(alpha, xmin)
+    c = cdf[_TAIL_HEAD - 1]
+    u = np.minimum(c + (1.0 - c) * v, np.nextafter(1.0, 0.0))  # rounding must not reach 1
+    draws = np.maximum(np.searchsorted(cdf, u, side="left"), _TAIL_HEAD) + xmin
+    for i in np.flatnonzero(draws == xmin + _TABLE_SIZE):
+        draws[i] = _past_table(u[i], alpha, normalizer, xmin)
+    return draws
+
+
+def _draw_replicate(rng, n, p_tail, alpha, xmin, body_values, body_shares):
+    """One bootstrap replicate of n counts as its (distinct values,
+    multiplicity), ascending.
+
+    Its tail size is binomial(n, p_tail).  The tail's multiplicities at
+    the first _TAIL_HEAD support points and past them are one multinomial
+    draw over the fitted law's probabilities; each draw past the head then
+    takes its own uniform (_past_head).  The body's multiplicities are one
+    multinomial draw over its distinct values with their empirical
+    shares, which is resampling the body with replacement."""
+    cdf = _cdf_table(alpha, xmin)[0]
+    shares = np.append(np.diff(cdf[:_TAIL_HEAD], prepend=0.0), max(0.0, 1.0 - cdf[_TAIL_HEAD - 1]))
+    m = int(rng.binomial(n, p_tail))
+    tail = rng.multinomial(m, shares)
+    past, past_counts = np.unique(_past_head(rng.random(tail[-1]), alpha, xmin), return_counts=True)
+    head = np.flatnonzero(tail[:-1])
+    body = rng.multinomial(n - m, body_shares) if body_values.size else body_values
+    kept = np.flatnonzero(body)
+    return (np.concatenate([body_values[kept], head + xmin, past]),
+            np.concatenate([body[kept], tail[head], past_counts]))
+
+
 def _gof_group(args) -> int:
-    """How many replicates of one group of seeds have a KS distance
-    beyond the observed one."""
-    (seeds, alpha, xmin, p_tail, body, n, observed_ks) = args
-    replicates = []
-    for seed in seeds:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        m = int(rng.binomial(n, p_tail))
-        parts = [sample_power_law(alpha, xmin, m, rng)]
-        if n - m > 0:
-            parts.append(rng.choice(body, size=n - m, replace=True))
-        replicates.append(np.unique(np.concatenate(parts), return_counts=True))
+    """How many replicates of one group have a KS distance beyond the
+    observed one."""
+    (replicates, seed, n, p_tail, alpha, xmin, body_values, body_shares, observed_ks) = args
+    drawn = []
+    for r in replicates:  # the stream of SeedSequence(seed).spawn(n_boot)[r]
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))))
+        drawn.append(_draw_replicate(rng, n, p_tail, alpha, xmin, body_values, body_shares))
     # a replicate that cannot be refit counts against the model
     return sum(isinstance(fit, PowerLawFit) and fit.ks_statistic > observed_ks
-               for fit in _fit_group(replicates))
+               for fit in _fit_group(drawn))
 
 
 def gof_bootstrap(
@@ -588,22 +627,25 @@ def gof_bootstrap(
     Each replicate redraws the data (body resampled, tail drawn from
     the fitted law), refits cutoff and exponent from scratch, and the
     p-value is the share of replicates whose KS distance beats the
-    observed one.  Replicate r uses seed `seed + r`, so partial runs
-    are reproducible.  Replicates are refit in groups of 32 (the last
-    group may be smaller), and `workers` processes share out whole
-    groups; a replicate's refit does not depend on its group, so neither
-    the grouping nor `workers` changes the p-value.
+    observed one.  A replicate is drawn as its distinct values and their
+    multiplicities (see _draw_replicate), never as n single draws.
+    Replicate r draws from its own stream, PCG64 of
+    SeedSequence(seed).spawn(n_boot)[r], so runs with different seeds
+    share no replicate and partial runs are reproducible.  Replicates are
+    refit in groups of 32 (the last group may be smaller), and `workers`
+    processes share out whole groups; a replicate's refit does not
+    depend on its group, so neither the grouping nor `workers` changes
+    the p-value.
     """
     if n_boot < MIN_BOOTSTRAP:
         raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAP}")
     x = np.asarray(counts)
     x = x[x > 0].astype(np.int64)
-    body = x[x < fit.xmin]
-    n = x.size
-    p_tail = fit.n_tail / n
+    body_values, body_counts = np.unique(x[x < fit.xmin], return_counts=True)
+    body_shares = body_counts / body_counts.sum()
     tasks = [
-        (range(seed + r, seed + min(r + _GROUP, n_boot)), fit.alpha, fit.xmin, p_tail, body, n,
-         fit.ks_statistic)
+        (range(r, min(r + _GROUP, n_boot)), seed, x.size, fit.n_tail / x.size, fit.alpha,
+         fit.xmin, body_values, body_shares, fit.ks_statistic)
         for r in range(0, n_boot, _GROUP)
     ]
     if workers > 1:

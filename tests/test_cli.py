@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -96,9 +97,10 @@ class TestConcentrate:
         assert 0.0 <= fit["gof_p"] <= 1.0
         assert fit["lr_exponential"]["favored"] == "power_law"
         assert set(fit) == {
-            "alpha", "xmin", "ks", "n_tail", "gini", "gof_p",
+            "alpha", "xmin", "ks", "n_tail", "gini", "gof_p", "gof_p_se",
             "lr_exponential", "lr_lognormal",
         }
+        assert fit["gof_p_se"] == np.sqrt(fit["gof_p"] * (1.0 - fit["gof_p"]) / 100)
 
     def test_lorenz_points_are_exported(self, wave_pipeline):
         header, rows = read_csv(wave_pipeline / "lorenz.csv")
@@ -250,10 +252,12 @@ class TestReport:
         assert 0.0 < report["c_b_cv"] <= 0.25
         assert 0 < report["median_dt"] <= 260
 
-    def test_rerun_report_is_byte_identical(self, wave_pipeline):
-        before = (wave_pipeline / "report.json").read_bytes()
-        assert run("report", "--out", wave_pipeline) == 0
-        assert (wave_pipeline / "report.json").read_bytes() == before
+    def test_rerun_report_is_byte_identical(self, wave_pipeline, tmp_path):
+        # a copy, so the shared directory's manifest keeps the fixture's records
+        out = shutil.copytree(wave_pipeline, tmp_path / "artifacts")
+        before = (out / "report.json").read_bytes()
+        assert run("report", "--out", out) == 0
+        assert (out / "report.json").read_bytes() == before
 
     def test_empty_directory_is_an_error_listing_missing_files(self, tmp_path, capsys):
         assert run("report", "--out", tmp_path) == 1
@@ -285,7 +289,7 @@ class TestReport:
         manifest = json.loads((wave_pipeline / "manifest.json").read_text())
         steps = [r["subcommand"] for r in manifest["runs"]]
         assert steps == ["simulate", "simulate", "concentrate", "ranks", "rhythms",
-                         "composed", "independence", "report", "report"]
+                         "composed", "independence", "report"]
         concentrate = manifest["runs"][2]
         assert concentrate["parameters"]["boot"] == 100
         assert concentrate["parameters"]["seed"] == 7

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr, ndtr, zeta
+from scipy.stats import chisquare
 
 from crimepatterns import (
     concentration,
@@ -517,21 +518,50 @@ class TestGofBootstrap:
             fit_power_law(sample_power_law(fit.alpha, 1, 600, np.random.default_rng(4)))
         assert gof_bootstrap(x, fit, n_boot=100, seed=4) == 0.0
 
+    def test_free_cutoff_bootstrap_is_calibrated(self):
+        """The CLI's procedure, cutoff searched and then bootstrapped, on
+        200 datasets from the model (about 4.5 s).  Under the model p is
+        close to uniform: the mean of 200 has a standard error of about
+        0.02, and the number below 0.05 is about binomial(200, 0.05),
+        10 +- 3."""
+        ps = []
+        for r in range(200):
+            x = gen_powerlaw_counts(2.5, 1, 200, 70_000 + r)
+            ps.append(gof_bootstrap(x, fit_power_law(x), n_boot=100, seed=71_000 + r))
+        ps = np.array(ps)
+        assert 0.42 <= ps.mean() <= 0.58
+        assert 1 <= (ps < 0.05).sum() <= 20
+
+    def test_seeds_share_no_replicates(self):
+        x = gen_powerlaw_counts(2.5, 1, 3000, 4)
+        fit = fit_power_law(x)
+        exceed = [round(200 * gof_bootstrap(x, fit, n_boot=200, seed=s)) for s in range(6)]
+        # seeds s and s + 1 sharing all but one replicate would differ by at most one
+        assert np.abs(np.diff(exceed)).max() > 1
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_grouped_replicates_equal_the_per_replicate_loop(self, workers):
         # A body below the cutoff is resampled; 101 replicates do not fill
-        # the last group.
+        # the last group.  Each replicate is materialised and fit alone.
         x = np.concatenate([gen_powerlaw_counts(2.5, 4, 400, 2),
                             np.random.default_rng(2).integers(1, 4, 200)])
         fit = fit_power_law(x)
-        body = x[x < fit.xmin]
-        assert fit.xmin == 4 and body.size == 200
+        body_values, body_counts = np.unique(x[x < fit.xmin], return_counts=True)
+        assert fit.xmin == 4 and body_counts.sum() == 200
+        cdf = concentration._cdf_table(fit.alpha, fit.xmin)[0]
+        tail_shares = np.append(np.diff(cdf[:256], prepend=0.0), 1.0 - cdf[255])
         exceed = 0
-        for r in range(101):
-            rng = np.random.Generator(np.random.PCG64(4 + r))
+        for stream in np.random.SeedSequence(4).spawn(101):
+            rng = np.random.Generator(np.random.PCG64(stream))
             m = int(rng.binomial(x.size, fit.n_tail / x.size))
-            synthetic = np.concatenate([sample_power_law(fit.alpha, fit.xmin, m, rng),
-                                        rng.choice(body, size=x.size - m, replace=True)])
+            tail = rng.multinomial(m, tail_shares)
+            u = cdf[255] + (1.0 - cdf[255]) * rng.random(tail[-1])
+            past = np.searchsorted(cdf, u, side="left")
+            assert np.all((past >= 256) & (past < cdf.size))
+            synthetic = np.concatenate([
+                np.repeat(fit.xmin + np.arange(256), tail[:-1]), fit.xmin + past,
+                np.repeat(body_values, rng.multinomial(x.size - m, body_counts / 200)),
+            ])
             try:
                 exceed += fit_power_law(synthetic).ks_statistic > fit.ks_statistic
             except ValueError:
@@ -545,6 +575,83 @@ class TestGofBootstrap:
         serial = gof_bootstrap(x, fit, n_boot=100, seed=4, workers=1)
         parallel = gof_bootstrap(x, fit, n_boot=100, seed=4, workers=2)
         assert serial == parallel
+
+
+class FixedReplicateDraws:
+    """A stand-in generator for one replicate: the tail and body
+    multiplicities given, and every uniform 0."""
+
+    def __init__(self, tail, body):
+        self.tail, self.body = np.array(tail), np.array(body)
+
+    def binomial(self, n, p):
+        return self.tail.sum()
+
+    def multinomial(self, n, shares):
+        draw = self.tail if len(shares) == self.tail.size else self.body
+        assert draw.sum() == n
+        return draw
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+class TestReplicateMultiplicities:
+    def test_tail_multiplicities_follow_the_fitted_law(self):
+        # 100 replicates of 10,000 counts, all in the tail: a million draws,
+        # about 11,600 past the 256-point head and 30 past the table.
+        alpha, xmin, n = 2.0, 3, 10_000
+        empty = np.zeros(0, np.int64)
+        edges = np.array([*range(3, 41), 60, 100, 259, 500, 2000, 100_003])
+        observed = np.zeros(edges.size)
+        for r in range(100):
+            values, mult = concentration._draw_replicate(
+                np.random.default_rng(r), n, 1.0, alpha, xmin, empty, empty / 1.0)
+            assert np.all(np.diff(values) > 0) and mult.min() > 0 and mult.sum() == n
+            observed += np.bincount(np.searchsorted(edges, values, side="right") - 1,
+                                    weights=mult, minlength=edges.size)
+        survival = zeta(alpha, np.append(edges, np.inf).astype(float)) / zeta(alpha, float(xmin))
+        expected = 100 * n * -np.diff(survival)
+        assert observed[-1] > 0  # draws past the table
+        assert chisquare(observed, expected).pvalue > 1e-3
+
+    def test_body_multiplicities_follow_the_empirical_shares(self):
+        body_values = np.array([1, 2, 3, 5, 8])
+        body_counts = np.array([50, 30, 10, 7, 3])
+        shares = body_counts / body_counts.sum()
+        observed = np.zeros(body_values.size)
+        for r in range(200):
+            values, mult = concentration._draw_replicate(
+                np.random.default_rng(r), 1000, 0.3, 2.5, 9, body_values, shares)
+            assert np.all(np.diff(values) > 0) and mult.min() > 0 and mult.sum() == 1000
+            below = values < 9
+            observed[np.searchsorted(body_values, values[below])] += mult[below]
+        assert chisquare(observed, observed.sum() * shares).pvalue > 1e-3
+
+    def test_draws_past_the_head_at_fixed_uniforms(self):
+        alpha, xmin = 1.5, 2
+        cdf = concentration._cdf_table(alpha, xmin)[0]
+        c = cdf[255]
+        inside = (0.5 * (cdf[999] + cdf[1000]) - c) / (1.0 - c)  # midway in the cell of xmin + 1000
+        beyond = 0.99  # survival 0.01 (1 - c), past the table's last entry
+        draws = concentration._past_head(np.array([inside, beyond, 0.0]), alpha, xmin)
+        assert draws[0] == xmin + 1000
+        u = c + (1.0 - c) * beyond
+        assert u > cdf[-1] and draws[1] > xmin + 100_000
+        norm = zeta(alpha, float(xmin))
+        assert zeta(alpha, float(draws[1] + 1)) / norm <= 1.0 - u < zeta(alpha, float(draws[1])) / norm
+        # u = c exactly still lies past the head
+        assert draws[2] == xmin + 256
+        with pytest.raises(ValueError, match="exceeds the int64 range"):
+            concentration._past_head(np.array([0.999]), 1.125, 1)
+
+    def test_last_head_point_and_the_first_past_it_stay_distinct(self):
+        tail = np.zeros(257, np.int64)
+        tail[[0, 255, 256]] = 4, 3, 2  # two draws past the head, both at v = 0
+        values, mult = concentration._draw_replicate(
+            FixedReplicateDraws(tail, [5, 1]), 15, 0.5, 2.5, 3, np.array([1, 2]), np.array([0.5, 0.5]))
+        assert values.tolist() == [1, 2, 3, 3 + 255, 3 + 256]
+        assert mult.tolist() == [5, 1, 4, 3, 2]
 
 
 class TestDistinctValueOracles:
