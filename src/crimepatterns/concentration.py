@@ -29,7 +29,6 @@ _NEWTON_MAX_STEPS = 100  # guard against a search that stalls
 _KS_BLOCK = 1 << 20  # (cutoff, value) pairs per zeta call of the KS scan
 _KS_PROBE = 8  # leading tail values whose gaps bound a tail's KS distance
 _TABLE_SIZE = 100_000  # support points of the sampler's inverse-CDF table
-_GUIDE = 1024  # buckets of the sampler's guide table
 _GROUP = 32  # bootstrap replicates refit together
 _TAIL_HEAD = 256  # leading support points of a bootstrap tail drawn by one multinomial
 _ZETA_CHUNK = 1 << 14  # elements per pass of _zeta, which keeps its temporaries small
@@ -497,87 +496,68 @@ def likelihood_ratio(
 
 @functools.lru_cache(maxsize=8)
 def _cdf_table(alpha: float, xmin: int):
-    """Inverse-CDF table of the first _TABLE_SIZE support points; its
-    guide: the table index of each bucket's lower edge k / _GUIDE, and
-    whether the upper edge's index differs; and the normalizer
-    zeta(alpha, xmin).  Read-only, shared by every draw."""
+    """The CDF at the first _TABLE_SIZE support points and the normalizer
+    zeta(alpha, xmin); read-only, shared by every draw."""
     support = np.arange(xmin, xmin + _TABLE_SIZE, dtype=float)
     normalizer = float(_zeta(alpha, float(xmin)))
     cdf = np.cumsum(support**-alpha) / normalizer
-    edges = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE, side="left")
-    first, spread = edges[:-1], edges[1:] != edges[:-1]
-    for table in (cdf, first, spread):
-        table.flags.writeable = False
-    return cdf, first, spread, normalizer
+    cdf.flags.writeable = False
+    return cdf, normalizer
 
 
 def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw from the discrete power law by inverse-CDF lookup.
-
-    A cumulative table covers the first 100000 support points.  A guide
-    table (Chen & Asau, 1974) splits [0, 1) into 1024 equal buckets and
-    holds the table index of each bucket's edges; a draw whose bucket
-    edges share an index takes it, and only the others are searched in
-    the whole table.  Since the table is nondecreasing, this gives the
-    index one search of the whole table would.  Draws falling
-    beyond the table (rare for any alpha > 1 of interest) are resolved
-    exactly by bisection on the zeta tail.  The table is built once per
-    (alpha, xmin) and reused across calls.
-    """
+    """Draw from the discrete power law by inverse-CDF lookup: each
+    uniform is searched in the CDF of the first 100000 support points,
+    built once per (alpha, xmin), and one past it (rare for any alpha > 1
+    of interest) is solved exactly by bisection on the zeta tail."""
     if not 1 < alpha < np.inf:
         raise ValueError("alpha must exceed 1 and be finite")
     if xmin < 1:
         raise ValueError("xmin must be at least 1")
-    cdf, first, spread, normalizer = _cdf_table(alpha, xmin)
-    u = rng.random(size)
-    bucket = (u * _GUIDE).astype(np.intp)  # exact: _GUIDE is a power of two
-    draws = first[bucket]
-    search = np.flatnonzero(spread[bucket])
-    draws[search] = np.searchsorted(cdf, u[search], side="left")
-    draws += xmin
-    for i in np.flatnonzero(draws == xmin + _TABLE_SIZE):
-        draws[i] = _past_table(u[i], alpha, normalizer, xmin)
-    return draws.astype(np.int64, copy=False)
+    return _quantile(rng.random(size), alpha, xmin)
 
 
-def _past_table(u, alpha, normalizer, xmin) -> int:
-    """The draw of a uniform u beyond the table's last entry."""
-    draw = _tail_quantile(u, alpha, normalizer, xmin + _TABLE_SIZE)
-    if draw > np.iinfo(np.int64).max:
-        raise ValueError(f"power-law draw exceeds the int64 range; alpha {alpha} is too close to 1")
-    return draw
+def _quantile(u, alpha, xmin, floor=0) -> np.ndarray:
+    """The power-law draw of each uniform u: its index in the table, at
+    least `floor`, plus xmin, or past the table its tail quantile."""
+    cdf, normalizer = _cdf_table(alpha, xmin)
+    draws = np.maximum(np.searchsorted(cdf, u, side="left"), floor) + xmin
+    past = draws == xmin + _TABLE_SIZE
+    draws[past] = _tail_quantile(u[past], alpha, normalizer, xmin + _TABLE_SIZE)
+    return draws
 
 
-def _tail_quantile(u, alpha, normalizer, lo):
-    """Smallest x >= lo with survival zeta(alpha, x+1)/normalizer <= 1-u."""
+def _tail_quantile(u, alpha, normalizer, lo) -> np.ndarray:
+    """Smallest x >= lo with survival zeta(alpha, x+1)/normalizer <= 1-u,
+    for every u at once: each doubles its own bracket from lo, then is
+    bisected in it.  A bracket stops at the int64 maximum."""
     target = (1.0 - u) * normalizer
-    hi = lo
-    while _zeta(alpha, float(hi + 1)) > target:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _zeta(alpha, float(mid + 1)) <= target:
-            hi = mid
-        else:
-            lo = mid + 1
+    top = np.iinfo(np.int64).max - 1  # the largest x whose x + 1 is an int64
+    lo, hi = np.full((2, target.size), lo, np.int64)
+    rows = np.arange(target.size)
+    while rows.size:
+        rows = rows[_zeta(alpha, (hi[rows] + 1).astype(float)) > target[rows]]
+        if np.any(hi[rows] == top):
+            raise ValueError("power-law draw exceeds the int64 range; "
+                             f"alpha {alpha} is too close to 1")
+        hi[rows] = np.minimum(hi[rows], top // 2) * 2
+    rows = np.flatnonzero(lo < hi)
+    while rows.size:
+        mid = lo[rows] + (hi[rows] - lo[rows]) // 2
+        below = _zeta(alpha, (mid + 1).astype(float)) <= target[rows]
+        hi[rows[below]], lo[rows[~below]] = mid[below], mid[~below] + 1
+        rows = rows[lo[rows] < hi[rows]]
     return lo
 
 
 def _past_head(v, alpha, xmin) -> np.ndarray:
-    """Power-law draws conditioned on lying past the first _TAIL_HEAD
-    support points, one per uniform v in [0, 1).
-
-    u = c + (1 - c) v, with c the CDF at the head's last point, is
-    uniform on the rest of the CDF's range; it is looked up in the table
-    and, beyond it, solved on the zeta tail.  A u that rounds down to c
-    still maps past the head, as every u above c does."""
-    cdf, _, _, normalizer = _cdf_table(alpha, xmin)
-    c = cdf[_TAIL_HEAD - 1]
+    """Power-law draws past the first _TAIL_HEAD support points, one per
+    uniform v in [0, 1): u = c + (1 - c) v, c the CDF at the head's last
+    point, is uniform on the rest of the CDF's range, and a u that rounds
+    down to c still draws the first point past the head."""
+    c = _cdf_table(alpha, xmin)[0][_TAIL_HEAD - 1]
     u = np.minimum(c + (1.0 - c) * v, np.nextafter(1.0, 0.0))  # rounding must not reach 1
-    draws = np.maximum(np.searchsorted(cdf, u, side="left"), _TAIL_HEAD) + xmin
-    for i in np.flatnonzero(draws == xmin + _TABLE_SIZE):
-        draws[i] = _past_table(u[i], alpha, normalizer, xmin)
-    return draws
+    return _quantile(u, alpha, xmin, floor=_TAIL_HEAD)
 
 
 def _draw_replicate(rng, n, p_tail, alpha, xmin, body_values, body_shares):

@@ -1,5 +1,7 @@
 """Lorenz/Gini, discrete power-law fitting and model comparison."""
 
+import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -368,16 +370,23 @@ class FixedDraws:
 
 class TestSamplePowerLaw:
     def test_draws_past_the_table_solve_the_tail_quantile(self):
-        alpha, xmin = 1.3, 1
-        u = np.random.default_rng(1).random(3000)
-        draws = sample_power_law(alpha, xmin, 3000, np.random.default_rng(1))
-        tail = draws > xmin + 100_000
-        assert draws.dtype == np.int64 and tail.sum() > 10
-        norm = zeta(alpha, float(xmin))
-        for x, ui in zip(draws[tail], u[tail]):
-            survival_at = zeta(alpha, float(x)) / norm  # P(X >= x)
-            survival_after = zeta(alpha, float(x + 1)) / norm  # P(X > x)
-            assert survival_after <= 1.0 - ui < survival_at
+        for alpha, xmin in itertools.product([1.2, 1.3, 1.5], [1, 7]):
+            norm = zeta(alpha, float(xmin))
+            # Uniforms below the quantile of 2**40, so that no draw leaves
+            # the int64 range.
+            u = np.random.default_rng(1).random(20_000) * (1.0 - zeta(alpha, 2.0**40) / norm)
+            draws = sample_power_law(alpha, xmin, u.size, FixedDraws(u))
+            tail = draws > xmin + 100_000
+            assert draws.dtype == np.int64 and tail.sum() > 10
+            for x, ui in zip(draws[tail], u[tail]):
+                survival_at = zeta(alpha, float(x)) / norm  # P(X >= x)
+                survival_after = zeta(alpha, float(x + 1)) / norm  # P(X > x)
+                assert survival_after <= 1.0 - ui < survival_at
+            # The batch is bisected together; each draw equals its
+            # uniform's draw alone (checked on the first 30 past the table).
+            picked = np.flatnonzero(tail)[:30]
+            alone = [sample_power_law(alpha, xmin, 1, FixedDraws(u[i:i + 1]))[0] for i in picked]
+            assert np.array_equal(draws[picked], alone)
 
     @pytest.mark.parametrize("alpha", [1.3, 2.5, 4.0])
     @pytest.mark.parametrize("xmin", [1, 3])
@@ -385,8 +394,8 @@ class TestSamplePowerLaw:
         support = np.arange(xmin, xmin + 100_000, dtype=float)
         cdf = np.cumsum(support**-alpha) / zeta(alpha, float(xmin))
         # Uniforms on, just under and just over the table's first entries
-        # and the guide's bucket edges k / 1024, random ones, and ones past
-        # the table's last entry.
+        # and the evenly spaced k / 1024, random ones, and ones past the
+        # table's last entry.
         edges = np.concatenate([cdf[:200], np.arange(1024) / 1024])
         u = np.concatenate([
             edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
@@ -407,6 +416,14 @@ class TestSamplePowerLaw:
     def test_draw_past_the_int64_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="exceeds the int64 range"):
             gen_powerlaw_counts(1.125, 1, 27, 0)
+
+    def test_bracket_stops_at_the_int64_range(self):
+        # Near alpha = 1 the last uniform below 1 draws past 2**63; the
+        # bracket must stop there, not overflow a float on its way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds the int64 range"):
+                sample_power_law(1.05, 1, 1, FixedDraws(np.array([1 - 2**-53])))
 
 
 class TestLikelihoodRatio:

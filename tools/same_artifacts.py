@@ -31,9 +31,15 @@ Each SRC is the `src` directory of a checkout (the directory holding the
   `concentrate --boot 500 --workers 2`, the bootstrap's parallel path.
   Its `fit.json` must also equal the `powerlaw_counts-<seed>` one under
   the same tree, so that `--workers` moves no result.
+* `heavy_tail-<seed>`: 12,000 power-law counts with alpha 1.5 and xmin 1
+  through `simulate` and `concentrate --boot 100`.  About 0.2 % of the
+  draws of `simulate` and of the bootstrap's tails fall past the
+  sampler's 100,000-point table and are solved on the zeta tail, a route
+  the alpha 2.5 counts almost never take.
 
-The scenarios, pairs, sizes and events come from `bench/run.py` and
-`bench/gen_events.py`, so these pipelines run the benchmark's inputs.
+Apart from `heavy_tail`, the scenarios, pairs, sizes and events come from
+`bench/run.py` and `bench/gen_events.py`, so these pipelines run the
+benchmark's inputs.
 
 Both trees read the same input files and run one step at a time.  The
 `--help` text of the top level and of every subcommand is compared too,
@@ -71,6 +77,7 @@ import gen_events  # noqa: E402
 import run as bench  # noqa: E402
 
 POWERLAW_PARAMETERS = {"alpha": bench.POWERLAW_ALPHA, "xmin": 1, "n": bench.POWERLAW_SIZE["n"]}
+HEAVY_TAIL_PARAMETERS = {"alpha": 1.5, "xmin": 1, "n": 12_000}
 SUBCOMMANDS = ("tessellate", "concentrate", "ranks", "rhythms", "composed", "independence",
                "simulate", "report")
 
@@ -162,6 +169,12 @@ def write_inputs(d, seeds):
         pipelines[f"powerlaw_counts_workers2-{seed}"] = [
             ["simulate", "--scenario", scenario],
             [*concentrate, "--workers", "2"],
+        ]
+        scenario = write_scenario(d, f"heavy_tail-{seed}.json", "powerlaw_counts", seed,
+                                  HEAVY_TAIL_PARAMETERS)
+        pipelines[f"heavy_tail-{seed}"] = [
+            ["simulate", "--scenario", scenario],
+            ["concentrate", "--counts", "{out}/counts.csv", "--boot", "100", "--seed", str(seed)],
         ]
     return pipelines
 
@@ -276,7 +289,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0],
-                        help="seeds of the events_city, wave_city and powerlaw_counts pipelines")
+                        help="seeds of the events_city, wave_city, powerlaw_counts and heavy_tail "
+                        "pipelines")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent_src, "change": args.change_src}
     for label, src in trees.items():
