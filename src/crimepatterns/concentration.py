@@ -78,13 +78,16 @@ class LikelihoodRatioResult:
 def lorenz(counts) -> LorenzCurve:
     """Lorenz curve and Gini coefficient of a count vector.
 
-    Zeros are legitimate here (empty regions count toward the region
-    share); negative entries or an all-zero vector are errors.  The
-    Gini value equals the normalized mean absolute pairwise difference.
+    Zeros and non-integer values are legitimate here (empty regions
+    count toward the region share); negative or non-finite entries or an
+    all-zero vector are errors.  The Gini value equals the normalized
+    mean absolute pairwise difference.
     """
     x = np.asarray(counts, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("counts must be a non-empty vector")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("counts must be finite")
     if np.any(x < 0):
         raise ValueError("counts must be non-negative")
     total = x.sum()
@@ -248,6 +251,25 @@ def _best_ks(values, multiplicity, tail_n, starts, ends, alphas, qs):
     return best, distance
 
 
+def _positive_counts(counts) -> np.ndarray:
+    """The positive entries of a count vector as int64: the one input
+    check of fit_power_law, likelihood_ratio and gof_bootstrap.  Counts
+    must be non-negative integers in the int64 range, integral floats
+    included; anything else is a ValueError."""
+    x = np.asarray(counts)
+    if x.ndim != 1:
+        raise ValueError("counts must be a vector")
+    if x.dtype.kind not in "biu":
+        x = x.astype(float)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("counts must be finite")
+        if np.any((x != np.round(x)) | (x >= 2.0**63)):
+            raise ValueError("counts must be integers in the int64 range")
+    if np.any(x < 0):
+        raise ValueError("counts must be non-negative")
+    return x[x > 0].astype(np.int64)
+
+
 def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
     """Fit a discrete power law p(x) proportional to x**-alpha for x >= xmin.
 
@@ -259,12 +281,7 @@ def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
     smallest cutoff).  Zero counts are ignored; at least
     MIN_OBSERVATIONS positive counts are required.
     """
-    x = np.asarray(counts)
-    if x.ndim != 1:
-        raise ValueError("counts must be a vector")
-    if np.any(x < 0):
-        raise ValueError("counts must be non-negative")
-    (fit,) = _fit_group([np.unique(x[x > 0].astype(np.int64), return_counts=True)], xmin)
+    (fit,) = _fit_group([np.unique(_positive_counts(counts), return_counts=True)], xmin)
     if isinstance(fit, ValueError):
         raise fit
     return fit
@@ -465,7 +482,7 @@ def likelihood_ratio(
     (statistic 0, p 1) when the lognormal MLE has no interior optimum;
     its outcome is `mle_outcome`.
     """
-    x = np.asarray(counts)
+    x = _positive_counts(counts)
     x = x[x >= fit.xmin].astype(float)
     if x.size != fit.n_tail:
         raise ValueError("counts do not match the fitted tail")
@@ -509,7 +526,8 @@ def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generato
     """Draw from the discrete power law by inverse-CDF lookup: each
     uniform is searched in the CDF of the first 100000 support points,
     built once per (alpha, xmin), and one past it (rare for any alpha > 1
-    of interest) is solved exactly by bisection on the zeta tail."""
+    of interest) is solved by bisection on the zeta tail: exactly below
+    2**53, and above it only onto integers x with float(x) != float(x + 1)."""
     if not 1 < alpha < np.inf:
         raise ValueError("alpha must exceed 1 and be finite")
     if xmin < 1:
@@ -530,7 +548,9 @@ def _quantile(u, alpha, xmin, floor=0) -> np.ndarray:
 def _tail_quantile(u, alpha, normalizer, lo) -> np.ndarray:
     """Smallest x >= lo with survival zeta(alpha, x+1)/normalizer <= 1-u,
     for every u at once: each doubles its own bracket from lo, then is
-    bisected in it.  A bracket stops at the int64 maximum."""
+    bisected in it.  A bracket stops at the int64 maximum.  Exact below
+    2**53; above it neighbouring integers share a float survival, so the
+    result is always an x with float(x) != float(x + 1)."""
     target = (1.0 - u) * normalizer
     top = np.iinfo(np.int64).max - 1  # the largest x whose x + 1 is an int64
     lo, hi = np.full((2, target.size), lo, np.int64)
@@ -612,15 +632,14 @@ def gof_bootstrap(
     Replicate r draws from its own stream, PCG64 of
     SeedSequence(seed).spawn(n_boot)[r], so runs with different seeds
     share no replicate and partial runs are reproducible.  Replicates are
-    refit in groups of 32 (the last group may be smaller), and `workers`
-    processes share out whole groups; a replicate's refit does not
-    depend on its group, so neither the grouping nor `workers` changes
-    the p-value.
+    refit in groups of 32 (the last group may be smaller), and up to
+    `workers` processes, never more than there are groups, share them
+    out; a replicate's refit does not depend on its group, so neither the
+    grouping nor `workers` changes the p-value.
     """
     if n_boot < MIN_BOOTSTRAP:
         raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAP}")
-    x = np.asarray(counts)
-    x = x[x > 0].astype(np.int64)
+    x = _positive_counts(counts)
     body_values, body_counts = np.unique(x[x < fit.xmin], return_counts=True)
     body_shares = body_counts / body_counts.sum()
     tasks = [
@@ -628,6 +647,7 @@ def gof_bootstrap(
          fit.xmin, body_values, body_shares, fit.ks_statistic)
         for r in range(0, n_boot, _GROUP)
     ]
+    workers = min(workers, len(tasks))  # a pool starts all its processes at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 

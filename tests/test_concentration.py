@@ -1,5 +1,6 @@
 """Lorenz/Gini, discrete power-law fitting and model comparison."""
 
+import concurrent.futures
 import itertools
 import warnings
 from unittest import mock
@@ -151,6 +152,15 @@ class TestLorenz:
         y = np.array([45, 30, 20, 5])  # mean-preserving transfer upward
         assert lorenz(y).gini > lorenz(x).gini
 
+    @pytest.mark.parametrize("x", [[np.nan, 1, 2], [np.inf, 1], [3, -np.inf]])
+    def test_non_finite_counts_are_an_error(self, x):
+        with pytest.raises(ValueError, match="counts must be finite"):
+            lorenz(x)
+
+    def test_non_integer_counts_are_legal(self):
+        x = [0.5, 2.25, 0.0, 7.0]
+        assert lorenz(x).gini == pytest.approx(gini_pairwise(x), abs=1e-12)
+
 
 class TestFitPowerLaw:
     def test_recovers_alpha_on_large_sample(self):
@@ -281,6 +291,40 @@ class TestFitPowerLaw:
             for a in (2.1, 2.5, 3.0, 4.0)
         ]
         assert all(a > b for a, b in zip(ginis, ginis[1:]))
+
+
+class TestCountsCheck:
+    """fit_power_law, likelihood_ratio and gof_bootstrap take counts that
+    are finite, non-negative integers, integral floats included."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        x = gen_powerlaw_counts(2.5, 1, 2000, 5)
+        return x, fit_power_law(x)
+
+    @staticmethod
+    def call(entry, counts, fit):
+        if entry == "fit_power_law":
+            return fit_power_law(counts)
+        if entry == "likelihood_ratio":
+            return likelihood_ratio(counts, fit, "lognormal")
+        return gof_bootstrap(counts, fit, n_boot=100, seed=3)
+
+    @pytest.mark.parametrize("entry", ["fit_power_law", "likelihood_ratio", "gof_bootstrap"])
+    @pytest.mark.parametrize("bad, match", [
+        (0.5, "integers"), (np.nan, "finite"), (np.inf, "finite"), (2.0**63, "int64 range"),
+    ])
+    def test_each_entry_rejects_a_count_that_is_not_a_finite_integer(self, data, entry, bad, match):
+        x, fit = data
+        counts = x.astype(float)
+        counts[7] = counts[7] + bad if bad == 0.5 else bad
+        with pytest.raises(ValueError, match=match):
+            self.call(entry, counts, fit)
+
+    @pytest.mark.parametrize("entry", ["fit_power_law", "likelihood_ratio", "gof_bootstrap"])
+    def test_integral_floats_give_the_same_result(self, data, entry):
+        x, fit = data
+        assert self.call(entry, x.astype(float), fit) == self.call(entry, x, fit)
 
 
 class TestExponentSearch:
@@ -585,6 +629,29 @@ class TestGofBootstrap:
                 pass
         assert 0 < exceed < 101
         assert gof_bootstrap(x, fit, n_boot=101, seed=4, workers=workers) == exceed / 101
+
+    def test_pool_starts_no_more_processes_than_groups(self, monkeypatch):
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks):
+                return map(func, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        x = gen_powerlaw_counts(2.5, 1, 600, 9)
+        fit = fit_power_law(x, xmin=1)
+        serial = gof_bootstrap(x, fit, n_boot=100, seed=4)
+        assert gof_bootstrap(x, fit, n_boot=100, seed=4, workers=64) == serial
+        assert asked == [4]  # 100 replicates make 4 groups
 
     def test_parallel_run_matches_serial(self):
         x = gen_powerlaw_counts(2.5, 1, 600, 9)
