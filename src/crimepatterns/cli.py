@@ -265,8 +265,8 @@ def _read_region_series(path) -> tuple[RegionSeriesSet, np.ndarray]:
 
     header, (weeks, *values) = read_csv(path, columns, ["date", "float"])
     try:
-        region_ids = np.array([int(c[len("region_"):]) for c in header[1:-1]])
-    except ValueError:
+        region_ids = np.array([int(c[len("region_"):]) for c in header[1:-1]], dtype=np.int64)
+    except (ValueError, OverflowError):  # not an integer, or one outside int64
         raise ValueError(f"{path}: malformed region column name") from None
     return RegionSeriesSet(_week_grid(path, weeks), np.array(values[:-1]), region_ids), values[-1]
 

@@ -340,12 +340,15 @@ def _powerlaw_pointwise_loglik(x, alpha, xmin):
 def _geometric_tail_loglik(x, weights, xmin):
     """Log-likelihood at each distinct tail value x (observed `weights`
     times) of the discrete exponential (geometric) MLE on the tail:
-    p(x) = (1-q) q**(x-xmin)."""
+    p(x) = (1-q) q**(x-xmin); None when q rounds to 1, a mean shift past
+    about 2**53 that leaves no geometric law to evaluate."""
     shifted = x - xmin
     m = (weights * shifted).sum() / weights.sum()
     if m == 0:
         return np.zeros(x.size)  # degenerate: all mass at xmin
     q = m / (1.0 + m)
+    if q == 1.0:
+        return None
     return np.log1p(-q) + shifted * np.log(q)
 
 
@@ -419,7 +422,8 @@ def _lognormal_tail_loglik(x, weights, xmin):
     log x: damped Newton steps on central differences (a step that does
     not lower the objective is halved; where the Hessian is not positive
     definite the step goes downhill instead), until a step is at most
-    1e-10 ("interior"), or _LOGNORMAL_MAX_STEPS steps ("not converged").
+    1e-10 ("interior"), or for _LOGNORMAL_MAX_STEPS steps or until a
+    stencil point cannot be evaluated ("not converged").
     A fit that does not beat the lognormal's power-law limit is
     "boundary": the MLE runs off to that limit (mu -> -inf,
     sigma -> inf) and no interior lognormal is there to compare with."""
@@ -439,14 +443,14 @@ def _lognormal_tail_loglik(x, weights, xmin):
     theta, h, converged = np.array([mean, np.log(max(sd, 0.1))]), _LOGNORMAL_H, False
     for _ in range(_LOGNORMAL_MAX_STEPS):
         f = objective(theta + h * _STENCIL)
+        if not np.isfinite(f).all():  # every stencil point enters the differences
+            break
         axes = f[1:9].reshape(2, 4)  # per axis: -2h, -h, +h, +2h
         # fourth-order central differences along each axis
         gradient = (8.0 * (axes[:, 2] - axes[:, 1]) - (axes[:, 3] - axes[:, 0])) / (12.0 * h)
         curvature = (16.0 * (axes[:, 1] + axes[:, 2]) - (axes[:, 0] + axes[:, 3]) - 30.0 * f[0])
         cross = (f[12] - f[10] - f[11] + f[9]) / 4.0
         hessian = np.array([[curvature[0] / 12.0, cross], [cross, curvature[1] / 12.0]]) / h**2
-        if not np.isfinite(hessian).all():  # every stencil point enters the Hessian
-            break
         if hessian[0, 0] > 0 and np.linalg.det(hessian) > 0:
             step = -np.linalg.solve(hessian, gradient)
         else:
@@ -479,8 +483,8 @@ def likelihood_ratio(
     A positive statistic favors the power law.  The verdict is
     "inconclusive" when the two-sided normal p-value exceeds
     `significance`, which keeps sign noise from being over-read, and
-    (statistic 0, p 1) when the lognormal MLE has no interior optimum;
-    its outcome is `mle_outcome`.
+    (statistic 0, p 1) when the lognormal MLE has no interior optimum
+    (its outcome is `mle_outcome`) or the geometric MLE's q rounds to 1.
     """
     x = _positive_counts(counts)
     x = x[x >= fit.xmin].astype(float)

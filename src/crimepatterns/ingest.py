@@ -118,7 +118,7 @@ def _blocks(path, ragged_ok: bool = False):
     is split on commas in one pass.  From the first block that does not,
     csv.reader reads the rest of the file, that block's lines included.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         header = next(csv.reader(fh), [])
         yield header
         width = len(header)
@@ -288,7 +288,7 @@ def read_csv(path, columns, kinds, header_only_ok: bool = False):
 
 def read_json(path):
     """The JSON value in a file, or a ValueError that names the file."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         try:
             return json.load(fh)
         except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep

@@ -37,8 +37,8 @@ TREND_WINDOW = 53  # weeks, about one year and odd
 MIN_DETREND_LENGTH = 104  # two years of weekly data
 DEFAULT_ALPHA_LEVEL = 0.05
 DEFAULT_S0 = 2 * WEEK_STEP_YEARS  # two weeks
-DEFAULT_DJ = 0.1
-DEFAULT_MAX_SCALE_YEARS = 4.0
+DJ = 0.1  # scale grid step, in octaves
+MAX_SCALE_YEARS = 4.0  # the grid's last scale is the first at or above it
 MAX_FILL_GAP = 2
 COMPOSED_BLOCK_ROWS = 64  # regions per batched transform; bounds its memory
 FLAT_SERIES = "series has no variance after trend removal"
@@ -58,7 +58,6 @@ class WaveletField:
     coefficients: np.ndarray
     scales: np.ndarray
     coi_scale: np.ndarray
-    dj: float
     series_variance: float | np.ndarray
     lag1: float | np.ndarray
     t0: np.datetime64 | None = None
@@ -186,15 +185,15 @@ def lag1_autocorrelation(values):
     return np.clip(a, 0.0, 0.999999)
 
 
-def _scale_grid(s0, dj, max_scale_years, required_band) -> np.ndarray:
-    """The dyadic scale grid s0 * 2**(j*dj) up to `max_scale_years`.
+def _scale_grid(s0, required_band) -> np.ndarray:
+    """The dyadic scale grid s0 * 2**(j * DJ) up to MAX_SCALE_YEARS.
     `required_band` asserts that the grid brackets a band of interest."""
-    if not (s0 > 0 and dj > 0):
-        raise ValueError("s0 and dj must be positive")
-    n_scales = int(np.ceil(np.log2(max_scale_years / s0) / dj))
+    if not s0 > 0:  # before the logarithm, which warns on s0 <= 0
+        raise ValueError("s0 must be positive")
+    n_scales = int(np.ceil(np.log2(MAX_SCALE_YEARS / s0) / DJ))
     if n_scales < 1:
         raise ValueError("max scale must exceed the smallest scale")
-    scales = s0 * 2.0 ** (dj * np.arange(n_scales + 1))
+    scales = s0 * 2.0 ** (DJ * np.arange(n_scales + 1))
     if required_band is not None:
         if scales[0] > required_band[0] or scales[-1] < required_band[1]:
             raise ValueError(
@@ -204,7 +203,7 @@ def _scale_grid(s0, dj, max_scale_years, required_band) -> np.ndarray:
     return scales
 
 
-def _wavelet_field(y, scales, dj=DEFAULT_DJ, t0=None) -> WaveletField:
+def _wavelet_field(y, scales, t0=None) -> WaveletField:
     """Morlet (omega0 = 6) transform of each series along the last axis
     of `y`, at `scales`.  The transform is computed in the frequency
     domain with zero padding to the next power of two, which both speeds
@@ -231,7 +230,6 @@ def _wavelet_field(y, scales, dj=DEFAULT_DJ, t0=None) -> WaveletField:
         coefficients=coefficients,
         scales=scales,
         coi_scale=WEEK_STEP_YEARS * steps_from_edge / np.sqrt(2.0),
-        dj=dj,
         series_variance=y.var(axis=-1),
         lag1=lag1_autocorrelation(y),
         t0=t0,
@@ -241,16 +239,14 @@ def _wavelet_field(y, scales, dj=DEFAULT_DJ, t0=None) -> WaveletField:
 def cwt(
     series: TimeSeries,
     s0: float = DEFAULT_S0,
-    dj: float = DEFAULT_DJ,
-    max_scale_years: float = DEFAULT_MAX_SCALE_YEARS,
     required_band: tuple | None = CIRCANNUAL_BAND,
 ) -> WaveletField:
     """Continuous Morlet (omega0 = 6) wavelet transform on the dyadic
-    scale grid, which is checked before any work is done."""
+    scale grid from `s0`, which is checked before any work is done."""
     if np.isnan(series.values).any():
         raise ValueError("series has missing values; fill gaps first")
-    scales = _scale_grid(s0, dj, max_scale_years, required_band)
-    return _wavelet_field(series.values, scales, dj, series.t0)
+    scales = _scale_grid(s0, required_band)
+    return _wavelet_field(series.values, scales, series.t0)
 
 
 def _red_noise_spectrum(lag1: float | np.ndarray, periods: np.ndarray) -> np.ndarray:
@@ -314,6 +310,8 @@ def _chi2_quantile(dof, alpha_level: float):
     the default scale grid is 2.03), which is the domain this solver
     serves.  Below dof 1 with alpha_level near 1 it returns NaN.
     """
+    if not 0 < alpha_level < 1:
+        raise ValueError("alpha_level must be inside (0, 1)")
     from statistics import NormalDist  # its 5 ms import only where it is used
 
     a = np.asarray(dof, dtype=float).ravel() / 2.0
@@ -345,8 +343,6 @@ def global_spectrum(
     scales, and only the points inside the cone of influence should be
     counted (approximated by n - scale / WEEK_STEP_YEARS).
     """
-    if not 0 < alpha_level < 1:
-        raise ValueError("alpha_level must be inside (0, 1)")
     n = field.n_times
     power = field.power().mean(axis=-1)
     background = field.series_variance * _red_noise_spectrum(field.lag1, field.periods)
@@ -356,10 +352,8 @@ def global_spectrum(
     return GlobalSpectrum(scales=field.scales.copy(), power=power, significance=significance)
 
 
-def _band_scales(scales: np.ndarray, band: tuple, alpha_level: float) -> np.ndarray:
-    """Check `band` and `alpha_level`; the mask of `scales` in the band."""
-    if not 0 < alpha_level < 1:
-        raise ValueError("alpha_level must be inside (0, 1)")
+def _band_scales(scales: np.ndarray, band: tuple) -> np.ndarray:
+    """Check `band`; the mask of `scales` in the band."""
     lo, hi = band
     if not 0 < lo < hi:
         raise ValueError("band must satisfy 0 < low < high")
@@ -378,26 +372,26 @@ def band_power(
     per series of `field`.
 
     The average is the scale-weighted sum
-    (dj * WEEK_STEP_YEARS / Cdelta) * sum of power / scale, tested as a
+    (DJ * WEEK_STEP_YEARS / Cdelta) * sum of power / scale, tested as a
     chi-squared variable whose degrees of freedom account for the number
     of scales averaged and their decorrelation.  Time steps whose cone of
     influence excludes any scale in the band are reported in `coi_valid`
     and masked out of `significant`.
     """
-    selected = _band_scales(field.scales, band, alpha_level)
+    selected = _band_scales(field.scales, band)
     s = field.scales[selected]
     power = field.power()[..., selected, :]
-    averaged = (field.dj * WEEK_STEP_YEARS / CDELTA) * (power / s[:, None]).sum(axis=-2)
+    averaged = (DJ * WEEK_STEP_YEARS / CDELTA) * (power / s[:, None]).sum(axis=-2)
 
     n_avg = int(selected.sum())
     s_avg = 1.0 / (1.0 / s).sum()
     s_mid = float(np.exp(0.5 * (np.log(s[0]) + np.log(s[-1]))))
-    dof = DOFMIN * (n_avg * s_avg / s_mid) * np.sqrt(1.0 + (n_avg * field.dj / DJ0) ** 2)
+    dof = DOFMIN * (n_avg * s_avg / s_mid) * np.sqrt(1.0 + (n_avg * DJ / DJ0) ** 2)
     lag1 = np.asarray(field.lag1)[..., None]  # one row of scales per series
     background = _red_noise_spectrum(lag1, s * FOURIER_FACTOR)
     p_avg = s_avg * (background / s).sum(axis=-1)
     threshold = (
-        (field.dj * WEEK_STEP_YEARS / (CDELTA * s_avg))
+        (DJ * WEEK_STEP_YEARS / (CDELTA * s_avg))
         * field.series_variance
         * p_avg
         * _chi2_quantile(dof, alpha_level)
@@ -418,20 +412,14 @@ def reconstruct_band(field: WaveletField, band: tuple | None = None) -> TimeSeri
     """Invert the transform over a scale band (all scales when None).
 
     Uses the delta-function reconstruction: sum of Re(W)/sqrt(scale)
-    rescaled by dj * sqrt(WEEK_STEP_YEARS) / (Cdelta * psi0(0)).  With
+    rescaled by DJ * sqrt(WEEK_STEP_YEARS) / (Cdelta * psi0(0)).  With
     the full grid this recovers the anomaly series up to small
     discretization and edge errors.
     """
-    if band is None:
-        selected = np.ones(field.scales.size, dtype=bool)
-    else:
-        lo, hi = band
-        selected = (field.scales >= lo) & (field.scales <= hi)
-        if not selected.any():
-            raise ValueError(f"band {band} does not intersect the scale grid")
+    selected = slice(None) if band is None else _band_scales(field.scales, band)
     s = field.scales[selected]
     parts = field.coefficients[selected].real / np.sqrt(s)[:, None]
-    values = (field.dj * np.sqrt(WEEK_STEP_YEARS) / (CDELTA * PSI0)) * parts.sum(axis=0)
+    values = (DJ * np.sqrt(WEEK_STEP_YEARS) / (CDELTA * PSI0)) * parts.sum(axis=0)
     return TimeSeries(values, field.t0)
 
 
@@ -446,16 +434,16 @@ def composed_power(
     `band_power` test one series, but transformed at the band's scales
     only, COMPOSED_BLOCK_ROWS regions at a time.  c_b[t] is the number of
     regions significant at week t, regions_valid[t] how many had a
-    COI-valid band there.  A bad band or alpha level fails before any
-    region is read; regions that are too gappy or flat after detrending
-    are listed in `rejected`; fewer than two analyzable regions is an
-    error.
+    COI-valid band there.  A bad band fails before any region is read and
+    a bad alpha level at the first block's band power; regions that are
+    too gappy or flat after detrending are listed in `rejected`; fewer
+    than two analyzable regions is an error.
     """
     n_regions, n_weeks = series_set.counts.shape
     if n_weeks < MIN_DETREND_LENGTH:
         raise ValueError(f"composed power needs at least {MIN_DETREND_LENGTH} weeks")
-    scales = _scale_grid(DEFAULT_S0, DEFAULT_DJ, DEFAULT_MAX_SCALE_YEARS, band)
-    scales = scales[_band_scales(scales, band, alpha_level)]
+    scales = _scale_grid(DEFAULT_S0, band)
+    scales = scales[_band_scales(scales, band)]
     values = series_set.counts.astype(float)
     reasons: dict[int, str] = {}
     for i in range(n_regions):

@@ -737,6 +737,19 @@ class TestRegionSeriesValues:
             f"error: rankdyn: {series}: malformed region column name\n"
         )
 
+    @pytest.mark.parametrize("subcommand, module", [
+        ("ranks", "rankdyn"), ("rhythms", "rhythms"), ("composed", "rhythms"),
+    ])
+    @pytest.mark.parametrize("name", ["region_99999999999999999999",
+                                      "region_9223372036854775808"])
+    def test_region_id_outside_int64_is_a_malformed_name(self, series, tmp_path, capsys,
+                                                         subcommand, module, name):
+        self.edit(series, 0, 6, name)
+        assert run(subcommand, "--region-series", series, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: {module}: {series}: malformed region column name\n"
+        )
+
     def test_negative_values_are_valid(self, series, tmp_path):
         self.edit(series, 40, 3, "-3.5")
         assert run("ranks", "--region-series", series, "--out", tmp_path / "o") == 0

@@ -532,6 +532,22 @@ class TestLikelihoodRatio:
         assert (res.statistic, res.p_value, res.favored) == (0.0, 1.0, "inconclusive")
         assert res.mle_outcome == "not converged"
 
+    def test_lognormal_search_stops_where_the_objective_is_inf(self):
+        # At alpha 1.3 the search reaches stencil points it cannot
+        # evaluate; differencing their inf would warn, and the suite makes
+        # a RuntimeWarning an error.
+        x = gen_powerlaw_counts(1.3, 1, 20_000, 0)
+        res = likelihood_ratio(x, fit_power_law(x), "lognormal")
+        assert (res.statistic, res.p_value, res.favored) == (0.0, 1.0, "inconclusive")
+        assert res.mle_outcome == "not converged"
+
+    @pytest.mark.parametrize("alternative", ["exponential", "lognormal"])
+    def test_tail_mean_past_double_precision_is_inconclusive(self, alternative):
+        # The geometric MLE's q = m / (1 + m) rounds to 1 for these counts.
+        x = np.array([2**62] * 60 + list(range(1, 61)), dtype=np.int64)
+        res = likelihood_ratio(x, fit_power_law(x), alternative)
+        assert (res.statistic, res.p_value, res.favored) == (0.0, 1.0, "inconclusive")
+
     def test_exponential_alternative_names_no_search(self):
         x = gen_powerlaw_counts(2.5, 1, 1000, 1)
         fit = fit_power_law(x, xmin=1)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import re
 import tracemalloc
@@ -20,6 +21,7 @@ from crimepatterns import (
 )
 from crimepatterns import cli, ingest
 from crimepatterns.ingest import cast, parse_timestamp, read_csv
+from crimepatterns.synth import load_scenario
 
 
 def write_csv(path, rows, header="timestamp,lon,lat,category"):
@@ -231,7 +233,7 @@ def _reference_float(text):
 def reference_parse_events(path):
     """One DictReader row and one parse_timestamp call at a time."""
     cols = {name: name for name in ("timestamp", "lon", "lat", "category")}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [v for v in cols.values() if v not in header]
@@ -276,7 +278,7 @@ def reference_parse_events(path):
 def reference_parse_population(path):
     """One DictReader row at a time, one cell tuple per row."""
     cells, seen = [], set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in ("lon", "lat", "population") if c not in header]
@@ -307,7 +309,7 @@ def reference_read_csv(path, columns, kinds, block_rows=None):
     or `block_rows` rows at a time: then of several rejected cells the
     one named is the first column's in the first of those blocks that
     holds one, as in read_csv."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
     step = block_rows or max(len(rows), 1)
     blocks = [list(filter(None, rows[i:i + step])) for i in range(0, len(rows), step)]
@@ -604,6 +606,39 @@ class TestBlockReaderOracle:
         path.write_text("")
         with pytest.raises(ValueError, match="lacks required columns"):
             parse_events(path)
+
+
+def plain_values(value):
+    """A read result as dicts and lists, so that two of them compare with ==."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return {f.name: plain_values(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+# One small file of each input kind, read by the function that reads it.
+BOM_INPUTS = {
+    "events": (parse_events, "timestamp,lon,lat,category\n2015-01-05T10:00:00,12.5,41.9,theft\n"
+                             "2015-01-06T11:30:00,12.6,95.0,theft\n"
+                             "2015-01-07T09:15:00,12.4,42,robbery\n"),
+    "population": (parse_population, "lon,lat,population\n0.5,0.5,10\n1.5,0.5,20\n"),
+    "pairs": (cli._read_pairs, "x,y\n1,2\n3,5\n4,4\n2,1\n5,3\n"),
+    "scenario": (load_scenario, '{"kind": "ar1", "seed": 3, "parameters": {"a": 0.5, "n": 104}}'),
+}
+
+
+class TestByteOrderMark:
+    """Excel's "CSV UTF-8" starts a file with a UTF-8 byte-order mark (BOM)."""
+
+    @pytest.mark.parametrize("kind", sorted(BOM_INPUTS))
+    def test_input_with_a_bom_reads_as_without(self, tmp_path, kind):
+        read, text = BOM_INPUTS[kind]
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert plain_values(read(marked)) == plain_values(read(plain))
 
 
 class TestCast:

@@ -21,7 +21,7 @@ from crimepatterns import (
     significant_durations,
     week_starts_from,
 )
-from crimepatterns.rhythms import CDELTA, COMPOSED_BLOCK_ROWS, ComposedPower, _chi2_quantile
+from crimepatterns.rhythms import CDELTA, COMPOSED_BLOCK_ROWS, DJ, ComposedPower, _chi2_quantile
 
 DT = 1.0 / 52
 
@@ -118,17 +118,18 @@ class TestCwt:
 
     def test_white_noise_power_is_flat_across_scales(self):
         # 1000 replicates; per-scale mean power inside the cone of
-        # influence should be scale-independent for white noise.  The
-        # grid stops at two years so every scale keeps some COI-valid
-        # samples.
-        probe = cwt(TimeSeries(np.zeros(520)),
-                    s0=4 * DT, max_scale_years=2.0, required_band=None)
-        valid = probe.coi_scale[None, :] >= probe.scales[:, None]
-        total = np.zeros(probe.scales.size)
+        # influence should be scale-independent for white noise.  Only
+        # the 49 scales up to two years are compared, so every scale
+        # keeps some COI-valid samples; a row of the transform does not
+        # depend on the other scales.
+        rows = slice(49)
+        probe = cwt(TimeSeries(np.zeros(520)), s0=4 * DT, required_band=None)
+        valid = probe.coi_scale[None, :] >= probe.scales[rows, None]
+        assert probe.scales[47] < 2.0 <= probe.scales[48]
+        total = np.zeros(valid.shape[0])
         for r in range(1000):
-            field = cwt(white_series(40_000 + r), s0=4 * DT,
-                        max_scale_years=2.0, required_band=None)
-            total += np.where(valid, field.power(), 0.0).sum(axis=1) / valid.sum(axis=1)
+            field = cwt(white_series(40_000 + r), s0=4 * DT, required_band=None)
+            total += np.where(valid, field.power()[rows], 0.0).sum(axis=1) / valid.sum(axis=1)
         mean = total / 1000
         assert np.abs(mean / mean.mean() - 1.0).max() <= 0.10
 
@@ -145,23 +146,23 @@ class TestCwt:
     def test_time_shift_moves_coefficients(self):
         # Two windows of one long realization, offset by 10 weeks: away
         # from the edges the coefficients must agree at the shifted
-        # positions.  Small scales only, so edge leakage decays well
-        # inside the 160-week margin.
+        # positions.  Small scales only (the first 29, up to half a
+        # year), so edge leakage decays well inside the 160-week margin.
         z = np.random.default_rng(2).normal(0.0, 1.0, 540)
-        kw = dict(s0=4 * DT, max_scale_years=0.5, required_band=None)
-        fx = cwt(TimeSeries(z[:520]), **kw)
-        fy = cwt(TimeSeries(z[10:530]), **kw)
-        diff = fy.coefficients[:, 160:350] - fx.coefficients[:, 170:360]
+        fx = cwt(TimeSeries(z[:520]), s0=4 * DT, required_band=None)
+        fy = cwt(TimeSeries(z[10:530]), s0=4 * DT, required_band=None)
+        assert fx.scales[27] < 0.5 <= fx.scales[28]
+        diff = fy.coefficients[:29, 160:350] - fx.coefficients[:29, 170:360]
         assert np.abs(diff).max() <= 1e-6
 
     def test_scales_are_dyadic_from_s0(self):
-        field = cwt(white_series(3), s0=DT, dj=0.25)
-        assert np.allclose(field.scales, DT * 2.0 ** (0.25 * np.arange(field.scales.size)))
+        field = cwt(white_series(3), s0=DT)
+        assert np.allclose(field.scales, DT * 2.0 ** (DJ * np.arange(field.scales.size)))
         assert field.scales[-1] >= 4.0
         assert np.all(np.diff(field.scales) > 0)
 
     def test_coi_is_zero_at_edges_and_peaks_in_the_middle(self):
-        field = cwt(white_series(4, n=200), required_band=None, max_scale_years=1.0)
+        field = cwt(white_series(4, n=200), required_band=None)
         coi = field.coi_scale
         assert coi[0] == 0.0 and coi[-1] == 0.0
         assert coi.argmax() in (99, 100)
@@ -181,14 +182,12 @@ class TestCwt:
     def test_bad_scale_parameters_are_errors(self):
         with pytest.raises(ValueError, match="positive"):
             cwt(white_series(5), s0=-1.0)
-        with pytest.raises(ValueError, match="positive"):
-            cwt(white_series(5), dj=0.0)
         with pytest.raises(ValueError, match="max scale"):
-            cwt(white_series(5), s0=1.0, max_scale_years=0.5, required_band=None)
+            cwt(white_series(5), s0=5.0, required_band=None)
 
     def test_grid_must_cover_the_required_band(self):
         with pytest.raises(ValueError, match="does not cover"):
-            cwt(white_series(6), max_scale_years=0.9)
+            cwt(white_series(6), s0=1.0)
 
 
 class TestGlobalSpectrum:
@@ -320,7 +319,7 @@ class TestReconstructBand:
         for seed in (9, 10):
             ts = white_series(seed)
             field = cwt(ts, s0=DT)
-            energy = (field.dj * DT / (CDELTA * len(ts))) * (
+            energy = (DJ * DT / (CDELTA * len(ts))) * (
                 field.power() / field.scales[:, None]
             ).sum()
             assert 0.9 <= energy / ts.values.var() <= 1.1
@@ -328,6 +327,11 @@ class TestReconstructBand:
     def test_band_outside_grid_is_an_error(self):
         with pytest.raises(ValueError, match="does not intersect"):
             reconstruct_band(cwt(white_series(8)), (5.0, 6.0))
+
+    @pytest.mark.parametrize("band", [(-1.0, 0.9), (1.1, 0.8)])
+    def test_degenerate_band_is_an_error(self, band):
+        with pytest.raises(ValueError, match="0 < low < high"):
+            reconstruct_band(cwt(white_series(8)), band)
 
 
 class TestComposedPower:

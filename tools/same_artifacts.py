@@ -52,10 +52,12 @@ read as numbers is printed too, and for a JSON file, the manifest
 included, every key that differs or that only one file holds: the
 absolute difference of a numeric one and the parent and change values of
 any other, so that a stated tolerance, or the keys a change means to
-add, can be checked against it.  The exit status is 0 when every help text and file is
-identical and every step exited 0 under both trees; otherwise it is 1,
-and the inputs and outputs are kept in the temporary directory named on
-the last line.
+add, can be checked against it.  A step that exits 0 but writes to
+stderr (a warning, say) has each of those lines printed under either
+tree.  The exit status is 0 when every help text and file is identical,
+every step exited 0 under both trees and no step of the change tree
+wrote to stderr; otherwise it is 1, and the inputs and outputs are kept
+in the temporary directory named on the last line.
 """
 
 from __future__ import annotations
@@ -181,17 +183,20 @@ def write_inputs(d, seeds):
 
 def run_pipeline(src, steps, out):
     """Run the steps into `out` with the package loaded from `src`; return
-    the failures, one line each."""
+    the failures and the stderr lines of the steps that exited 0, one line
+    each."""
     os.makedirs(out)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    failures = []
+    failures, stderr = [], []
     for step in steps:
         argv = [a.replace("{out}", out) for a in step] + ["--out", out]
         proc = subprocess.run([sys.executable, "-m", "crimepatterns.cli", *argv], env=env,
                               capture_output=True, text=True)
         if proc.returncode:
             failures.append(f"{step[0]} exited {proc.returncode}: {proc.stderr.strip()}")
-    return failures
+        else:
+            stderr += [f"{step[0]} wrote to stderr: {line}" for line in proc.stderr.splitlines()]
+    return failures, stderr
 
 
 def help_texts(src):
@@ -311,9 +316,10 @@ def main(argv=None) -> int:
     for name, steps in pipelines.items():
         outs = {label: os.path.join(work, label, name) for label in trees}
         for label, src in trees.items():
-            for failure in run_pipeline(src, steps, outs[label]):
-                print(f"{name}: {label}: {failure}")
-                bad += 1
+            failures, stderr = run_pipeline(src, steps, outs[label])
+            for line in failures + stderr:
+                print(f"{name}: {label}: {line}")
+            bad += len(failures) + (len(stderr) if label == "change" else 0)
         differ = differences(outs["parent"], outs["change"])
         compared += len(os.listdir(outs["parent"]))
         for file_name in differ:
