@@ -29,7 +29,7 @@ _NEWTON_MAX_STEPS = 100  # guard against a search that stalls
 _KS_BLOCK = 1 << 20  # (cutoff, value) pairs per zeta call of the KS scan
 _KS_PROBE = 8  # leading tail values whose gaps bound a tail's KS distance
 _TABLE_SIZE = 100_000  # support points of the sampler's inverse-CDF table
-_GROUP = 32  # bootstrap replicates refit together
+_GROUP = 32  # bootstrap replicates decided together
 _TAIL_HEAD = 256  # leading support points of a bootstrap tail drawn by one multinomial
 _ZETA_CHUNK = 1 << 14  # elements per pass of _zeta, which keeps its temporaries small
 # Euler-Maclaurin denominators (2j)! / B_2j of the Hurwitz zeta sum (Cephes zeta.c)
@@ -137,7 +137,7 @@ def _zeta(x, q) -> np.ndarray:
             b /= a
             k += 1.0
         far = qs > 1e8
-        s[far] = (1.0 / (xs[far] - 1.0) + 1.0 / (2.0 * qs[far])) * qs[far] ** (1.0 - xs[far])
+        s[far] = (1.0 / (xs[far] - 1.0) + 0.5 / qs[far]) * qs[far] ** (1.0 - xs[far])
         out[part] = s
     return out.reshape(shape)
 
@@ -287,14 +287,13 @@ def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
     return fit
 
 
-def _fit_group(replicates, xmin: int | None = None) -> list:
-    """fit_power_law of each replicate, given as its (distinct values,
-    multiplicity), or the ValueError that fit_power_law raises for it.
-
-    The replicates' values are laid end to end, so one exponent search
-    and one KS scan of each kind serve every replicate's candidate
-    cutoffs.  Each step works elementwise or within one replicate, so a
-    replicate's fit does not depend on the rest of its group."""
+def _layout(replicates, xmin=None):
+    """The replicates, each its (distinct values, multiplicity), laid end
+    to end with their candidate cutoffs, as _fit_group and _exceeds read
+    them: the tails (values as floats, multiplicity, and the tail size
+    from each position on), each replicate's count of observations, and
+    per candidate its position, replicate, that replicate's end, its
+    cutoff q and the mean log of its tail."""
     sizes = np.array([v.size for v, _ in replicates])
     ends = np.cumsum(sizes)
     owner = np.repeat(np.arange(sizes.size), sizes)
@@ -309,28 +308,78 @@ def _fit_group(replicates, xmin: int | None = None) -> list:
     )
     if xmin is None:  # every value whose tail is long enough and holds two distinct values
         cutoffs = (tail_n >= MIN_TAIL_SIZE) & (np.arange(values.size) < ends[owner] - 1)
-        problem = f"no cutoff leaves a tail of at least {MIN_TAIL_SIZE} observations"
     else:  # the first value from xmin on, if its tail is long enough
         first = (np.diff(owner, prepend=-1) != 0) | (np.roll(values, 1) < xmin)
         cutoffs = (tail_n >= MIN_TAIL_SIZE) & (values >= xmin) & first & (xmin >= 1)
-        problem = (f"tail above xmin={xmin} holds fewer than {MIN_TAIL_SIZE} observations"
-                   if xmin >= 1 else "xmin must be a positive integer")
     n = cum[ends] - cum[ends - sizes]
-    fits = [ValueError(f"need at least {MIN_OBSERVATIONS} positive counts, got {k}")
-            if k < MIN_OBSERVATIONS else ValueError(problem) for k in n]
     candidates = np.flatnonzero(cutoffs & (n >= MIN_OBSERVATIONS)[owner])
     qs = values[candidates] if xmin is None else np.full(candidates.size, float(xmin))
-    log_means = tail_logsum[candidates] / tail_n[candidates]
-    alphas = _newton_min(
+    return ((values, multiplicity, tail_n), n, candidates, owner[candidates],
+            ends[owner[candidates]], qs, tail_logsum[candidates] / tail_n[candidates])
+
+
+def _exponents(log_means, qs) -> np.ndarray:
+    """The MLE exponent of each tail with these mean logs and cutoffs."""
+    return _newton_min(
         lambda a, rows: _zeta_log_likelihood(a, log_means[rows], qs[rows]), log_means, qs
     )
-    tails = (values, multiplicity, tail_n)
-    best, ks = _best_ks(*tails, candidates, ends[owner[candidates]], alphas, qs)
-    for r, b, d in zip(np.unique(owner[candidates]), best, ks):
-        fits[r] = (PowerLawFit(float(alphas[b]), int(qs[b]), float(d), int(tail_n[candidates[b]]))
+
+
+def _fit_group(replicates, xmin: int | None = None) -> list:
+    """fit_power_law of each replicate, given as its (distinct values,
+    multiplicity), or the ValueError that fit_power_law raises for it.
+
+    The replicates' values are laid end to end (_layout), so one exponent
+    search and one KS scan of each kind serve every replicate's candidate
+    cutoffs.  Each step works elementwise or within one replicate, so a
+    replicate's fit does not depend on the rest of its group."""
+    tails, n, starts, owner, ends, qs, log_means = _layout(replicates, xmin)
+    problem = (f"no cutoff leaves a tail of at least {MIN_TAIL_SIZE} observations" if xmin is None
+               else f"tail above xmin={xmin} holds fewer than {MIN_TAIL_SIZE} observations"
+               if xmin >= 1 else "xmin must be a positive integer")
+    fits = [ValueError(f"need at least {MIN_OBSERVATIONS} positive counts, got {k}")
+            if k < MIN_OBSERVATIONS else ValueError(problem) for k in n]
+    alphas = _exponents(log_means, qs)
+    best, ks = _best_ks(*tails, starts, ends, alphas, qs)
+    for r, b, d in zip(np.unique(owner), best, ks):
+        fits[r] = (PowerLawFit(float(alphas[b]), int(qs[b]), float(d), int(tails[2][starts[b]]))
                    if b >= 0 else
                    ValueError("no cutoff leaves a tail whose fitted law can be evaluated"))
     return fits
+
+
+def _exceeds(replicates, threshold, xmin) -> np.ndarray:
+    """Per replicate, whether _fit_group would fit it with a KS distance
+    above `threshold`, decided without finding its best cutoff.
+
+    A replicate that cannot be fit never exceeds.  One that can exceeds
+    when every candidate cutoff's KS distance is above the threshold, so a
+    single candidate at or below it settles the replicate.  The first one
+    tried is the candidate at or next above `xmin`, where the law that
+    drew the replicate starts.  For the replicates left, every other
+    candidate then faces bounds that only grow: its gap at its tail's
+    first value, over its first _KS_PROBE values, and in full.  Each bound
+    is a max over some of the gaps that the full scan takes, so a
+    candidate above the threshold on a bound is above it in full, and the
+    decision is the refit's."""
+    tails, _, starts, owner, ends, qs, log_means = _layout(replicates)
+    first = np.flatnonzero(tails[0][starts] >= xmin)
+    first = first[np.diff(owner[first], prepend=-1) != 0]  # each replicate's first from xmin on
+    ks = _ks_rows(*tails, starts[first], ends[first], _exponents(log_means[first], qs[first]),
+                  qs[first])
+    settled, evaluable = np.zeros((2, len(replicates)), bool)
+    settled[owner[first[ks <= threshold]]] = True
+    evaluable[owner[first[~np.isinf(ks)]]] = True  # a fitted law whose normalizer is positive
+    left = ~settled[owner]
+    left[first] = False  # scanned in full already
+    rows = np.flatnonzero(left)
+    alphas = _exponents(log_means[rows], qs[rows])
+    for width in (1, _KS_PROBE, None):
+        gaps = _ks_rows(*tails, starts[rows], ends[rows], alphas, qs[rows], width)
+        evaluable[owner[rows[~np.isinf(gaps)]]] = True
+        rows, alphas = rows[gaps <= threshold], alphas[gaps <= threshold]
+    settled[owner[rows]] = True
+    return evaluable & ~settled
 
 
 def _powerlaw_pointwise_loglik(x, alpha, xmin):
@@ -531,21 +580,29 @@ def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generato
     uniform is searched in the CDF of the first 100000 support points,
     built once per (alpha, xmin), and one past it (rare for any alpha > 1
     of interest) is solved by bisection on the zeta tail: exactly below
-    2**53, and above it only onto integers x with float(x) != float(x + 1)."""
+    2**53, and above it only onto integers x with float(x) != float(x + 1).
+    A draw past the int64 range is a ValueError."""
     if not 1 < alpha < np.inf:
         raise ValueError("alpha must exceed 1 and be finite")
     if xmin < 1:
         raise ValueError("xmin must be at least 1")
-    return _quantile(rng.random(size), alpha, xmin)
+    draws = _quantile(rng.random(size), alpha, xmin)
+    if draws.dtype != np.int64:
+        raise ValueError("power-law draw exceeds the int64 range; "
+                         f"alpha {alpha} is too close to 1")
+    return draws
 
 
 def _quantile(u, alpha, xmin, floor=0) -> np.ndarray:
     """The power-law draw of each uniform u: its index in the table, at
-    least `floor`, plus xmin, or past the table its tail quantile."""
+    least `floor`, plus xmin, or past the table its tail quantile; float64
+    when a draw passes the int64 range."""
     cdf, normalizer = _cdf_table(alpha, xmin)
     draws = np.maximum(np.searchsorted(cdf, u, side="left"), floor) + xmin
     past = draws == xmin + _TABLE_SIZE
-    draws[past] = _tail_quantile(u[past], alpha, normalizer, xmin + _TABLE_SIZE)
+    tail = _tail_quantile(u[past], alpha, normalizer, xmin + _TABLE_SIZE)
+    draws = draws.astype(tail.dtype, copy=False)
+    draws[past] = tail
     return draws
 
 
@@ -554,16 +611,21 @@ def _tail_quantile(u, alpha, normalizer, lo) -> np.ndarray:
     for every u at once: each doubles its own bracket from lo, then is
     bisected in it.  A bracket stops at the int64 maximum.  Exact below
     2**53; above it neighbouring integers share a float survival, so the
-    result is always an x with float(x) != float(x + 1)."""
+    result is always an x with float(x) != float(x + 1).
+
+    A u whose bracket the int64 range cannot hold is solved as a float
+    instead, and the result is float64: the smallest float x above 2**63
+    with zeta(alpha, x)/normalizer <= 1-u (x + 1 rounds to x there), found
+    by bisecting the bit patterns of the positive floats, which order them
+    as their values; the largest float when no float is that far out."""
     target = (1.0 - u) * normalizer
     top = np.iinfo(np.int64).max - 1  # the largest x whose x + 1 is an int64
     lo, hi = np.full((2, target.size), lo, np.int64)
     rows = np.arange(target.size)
     while rows.size:
         rows = rows[_zeta(alpha, (hi[rows] + 1).astype(float)) > target[rows]]
-        if np.any(hi[rows] == top):
-            raise ValueError("power-law draw exceeds the int64 range; "
-                             f"alpha {alpha} is too close to 1")
+        lo[rows[hi[rows] == top]] = top + 1  # past the int64 range; solved as floats below
+        rows = rows[hi[rows] < top]
         hi[rows] = np.minimum(hi[rows], top // 2) * 2
     rows = np.flatnonzero(lo < hi)
     while rows.size:
@@ -571,52 +633,74 @@ def _tail_quantile(u, alpha, normalizer, lo) -> np.ndarray:
         below = _zeta(alpha, (mid + 1).astype(float)) <= target[rows]
         hi[rows[below]], lo[rows[~below]] = mid[below], mid[~below] + 1
         rows = rows[lo[rows] < hi[rows]]
-    return lo
+    beyond = np.flatnonzero(lo > top)
+    if not beyond.size:
+        return lo
+    bits = np.array([2.0**63, np.finfo(float).max]).view(np.int64)
+    low, high = np.repeat(bits[:, None], beyond.size, axis=1)
+    rows = np.arange(beyond.size)
+    while rows.size:
+        mid = low[rows] + (high[rows] - low[rows]) // 2
+        below = _zeta(alpha, mid.view(float)) <= target[beyond[rows]]
+        high[rows[below]], low[rows[~below]] = mid[below], mid[~below] + 1
+        rows = rows[low[rows] < high[rows]]
+    draws = lo.astype(float)
+    draws[beyond] = low.view(float)
+    return draws
 
 
 def _past_head(v, alpha, xmin) -> np.ndarray:
     """Power-law draws past the first _TAIL_HEAD support points, one per
     uniform v in [0, 1): u = c + (1 - c) v, c the CDF at the head's last
     point, is uniform on the rest of the CDF's range, and a u that rounds
-    down to c still draws the first point past the head."""
+    down to c still draws the first point past the head.  Past the int64
+    range the draws are floats (see _tail_quantile)."""
     c = _cdf_table(alpha, xmin)[0][_TAIL_HEAD - 1]
     u = np.minimum(c + (1.0 - c) * v, np.nextafter(1.0, 0.0))  # rounding must not reach 1
     return _quantile(u, alpha, xmin, floor=_TAIL_HEAD)
 
 
-def _draw_replicate(rng, n, p_tail, alpha, xmin, body_values, body_shares):
-    """One bootstrap replicate of n counts as its (distinct values,
-    multiplicity), ascending.
+def _draw_group(rngs, n, p_tail, alpha, xmin, body_values, body_shares) -> list:
+    """One bootstrap replicate of n counts per generator, each as its
+    (distinct values, multiplicity), ascending.
 
     Its tail size is binomial(n, p_tail).  The tail's multiplicities at
     the first _TAIL_HEAD support points and past them are one multinomial
     draw over the fitted law's probabilities; each draw past the head then
-    takes its own uniform (_past_head).  The body's multiplicities are one
-    multinomial draw over its distinct values with their empirical
-    shares, which is resampling the body with replacement."""
+    takes its own uniform.  The body's multiplicities are one multinomial
+    draw over its distinct values with their empirical shares, which is
+    resampling the body with replacement.  The uniforms of every replicate
+    are mapped to draws past the head in one _past_head call, which works
+    on each uniform alone."""
     cdf = _cdf_table(alpha, xmin)[0]
     shares = np.append(np.diff(cdf[:_TAIL_HEAD], prepend=0.0), max(0.0, 1.0 - cdf[_TAIL_HEAD - 1]))
-    m = int(rng.binomial(n, p_tail))
-    tail = rng.multinomial(m, shares)
-    past, past_counts = np.unique(_past_head(rng.random(tail[-1]), alpha, xmin), return_counts=True)
-    head = np.flatnonzero(tail[:-1])
-    body = rng.multinomial(n - m, body_shares) if body_values.size else body_values
-    kept = np.flatnonzero(body)
-    return (np.concatenate([body_values[kept], head + xmin, past]),
-            np.concatenate([body[kept], tail[head], past_counts]))
+    tails, uniforms, bodies = [], [], []
+    for rng in rngs:
+        m = int(rng.binomial(n, p_tail))
+        tails.append(rng.multinomial(m, shares))
+        uniforms.append(rng.random(tails[-1][-1]))
+        bodies.append(rng.multinomial(n - m, body_shares) if body_values.size else body_values)
+    pasts = np.split(_past_head(np.concatenate(uniforms), alpha, xmin),
+                     np.cumsum([v.size for v in uniforms])[:-1])
+    drawn = []
+    for tail, body, past in zip(tails, bodies, pasts):
+        past, past_counts = np.unique(past, return_counts=True)
+        head = np.flatnonzero(tail[:-1])
+        kept = np.flatnonzero(body)
+        drawn.append((np.concatenate([body_values[kept], head + xmin, past]),
+                      np.concatenate([body[kept], tail[head], past_counts])))
+    return drawn
 
 
 def _gof_group(args) -> int:
     """How many replicates of one group have a KS distance beyond the
-    observed one."""
+    observed one; a replicate that cannot be refit counts against the
+    model."""
     (replicates, seed, n, p_tail, alpha, xmin, body_values, body_shares, observed_ks) = args
-    drawn = []
-    for r in replicates:  # the stream of SeedSequence(seed).spawn(n_boot)[r]
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))))
-        drawn.append(_draw_replicate(rng, n, p_tail, alpha, xmin, body_values, body_shares))
-    # a replicate that cannot be refit counts against the model
-    return sum(isinstance(fit, PowerLawFit) and fit.ks_statistic > observed_ks
-               for fit in _fit_group(drawn))
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))))
+            for r in replicates]  # the streams of SeedSequence(seed).spawn(n_boot)[r]
+    drawn = _draw_group(rngs, n, p_tail, alpha, xmin, body_values, body_shares)
+    return int(_exceeds(drawn, observed_ks, xmin).sum())
 
 
 def gof_bootstrap(
@@ -629,17 +713,28 @@ def gof_bootstrap(
     """Semiparametric bootstrap p-value for the power-law fit.
 
     Each replicate redraws the data (body resampled, tail drawn from
-    the fitted law), refits cutoff and exponent from scratch, and the
-    p-value is the share of replicates whose KS distance beats the
-    observed one.  A replicate is drawn as its distinct values and their
-    multiplicities (see _draw_replicate), never as n single draws.
+    the fitted law), and the p-value is the share of replicates whose
+    refit, cutoff and exponent searched from scratch, has a KS distance
+    above the observed one; a replicate that cannot be refit counts
+    against the model.  A replicate is drawn as its distinct values and
+    their multiplicities (see _draw_group), never as n single draws, and
+    every replicate is drawn.  Near alpha = 1 a draw can pass 2**63; the
+    bootstrap's draws then go on as floats (sample_power_law raises).
+
+    A replicate is decided, not refit (see _exceeds): it exceeds when it
+    can be fit and every candidate cutoff's KS distance is above the
+    observed one, so it is settled by the first candidate found at or
+    below it, tried first at the observed cutoff and then through lower
+    bounds of each candidate's KS distance.  That is the refit's answer,
+    so the p-value is the one a full refit of every replicate gives.
+
     Replicate r draws from its own stream, PCG64 of
     SeedSequence(seed).spawn(n_boot)[r], so runs with different seeds
     share no replicate and partial runs are reproducible.  Replicates are
-    refit in groups of 32 (the last group may be smaller), and up to
+    decided in groups of 32 (the last group may be smaller), and up to
     `workers` processes, never more than there are groups, share them
-    out; a replicate's refit does not depend on its group, so neither the
-    grouping nor `workers` changes the p-value.
+    out; a replicate's decision does not depend on its group, so neither
+    the grouping nor `workers` changes the p-value.
     """
     if n_boot < MIN_BOOTSTRAP:
         raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAP}")

@@ -190,9 +190,12 @@ def _scale_grid(s0, required_band) -> np.ndarray:
     `required_band` asserts that the grid brackets a band of interest."""
     if not s0 > 0:  # before the logarithm, which warns on s0 <= 0
         raise ValueError("s0 must be positive")
-    n_scales = int(np.ceil(np.log2(MAX_SCALE_YEARS / s0) / DJ))
-    if n_scales < 1:
+    ratio = MAX_SCALE_YEARS / float(s0)  # Python floats: inf, with no warning, on overflow
+    if not ratio > 1:  # s0 = inf included
         raise ValueError("max scale must exceed the smallest scale")
+    if not 2.0 * ratio < np.inf:  # the grid's last step 2**(n_scales * DJ) lies below 2 * ratio
+        raise ValueError(f"s0 {s0} is too small: its scale grid overflows")
+    n_scales = int(np.ceil(np.log2(ratio) / DJ))
     scales = s0 * 2.0 ** (DJ * np.arange(n_scales + 1))
     if required_band is not None:
         if scales[0] > required_band[0] or scales[-1] < required_band[1]:

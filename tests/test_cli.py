@@ -134,6 +134,20 @@ class TestConcentrate:
         fit = json.loads((out / "fit.json").read_text())
         assert fit["lr_lognormal"] == {"stat": 0.0, "p": 1.0, "favored": "inconclusive"}
 
+    def test_bootstrap_draws_past_the_int64_range_still_write_the_fit(self, tmp_path):
+        # At alpha 1.2 a draw passes 2**63 with probability 1.4e-4, so most
+        # bootstrap replicates of 2,000 draws hold such a draw; the counts
+        # themselves stay in the int64 range.
+        scenario = write_scenario(
+            tmp_path / "pl.json", "powerlaw_counts", 0, alpha=1.2, xmin=1, n=2000
+        )
+        out = tmp_path / "out"
+        assert run("simulate", "--scenario", scenario, "--out", out) == 0
+        assert run("concentrate", "--counts", out / "counts.csv", "--boot", 100,
+                   "--out", out) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert 1.1 < fit["alpha"] < 1.3 and 0.0 <= fit["gof_p"] <= 1.0
+
 
 class TestRhythms:
     def test_seasonal_scenario_is_significant_nearly_everywhere(self, tmp_path):

@@ -13,6 +13,7 @@ from scipy.special import log_ndtr, ndtr, zeta
 from scipy.stats import chisquare
 
 from crimepatterns import (
+    PowerLawFit,
     concentration,
     fit_power_law,
     gen_powerlaw_counts,
@@ -100,6 +101,35 @@ def reference_fit(x, xmin=None):
         if best is None or ks < best[2]:
             best = (float(alpha), int(q), ks, int(tail_n[c]))
     return best
+
+
+def bootstrap_replicates(x, fit, n_boot, seed):
+    """The (distinct values, multiplicity) of each replicate that
+    gof_bootstrap(x, fit, n_boot, seed) draws."""
+    body_values, body_counts = np.unique(x[x < fit.xmin], return_counts=True)
+    return [
+        concentration._draw_group([np.random.Generator(np.random.PCG64(stream))], x.size,
+                                  fit.n_tail / x.size, fit.alpha, fit.xmin, body_values,
+                                  body_counts / max(body_counts.sum(), 1))[0]
+        for stream in np.random.SeedSequence(seed).spawn(n_boot)
+    ]
+
+
+def mixed_group(x, size, seed):
+    """x and size - 1 more samples, in which ones that fit sit beside ones
+    that cannot be fit: a single distinct value, too few observations, a
+    tail too short above a pinned cutoff, and a tail whose fitted law
+    cannot be evaluated."""
+    rng = np.random.default_rng(seed)
+    makers = [
+        lambda: rng.choice([6, 60, 3000]) ** rng.random(rng.integers(50, 400)),
+        lambda: np.full(rng.integers(50, 100), rng.integers(1, 3000)),
+        lambda: rng.integers(1, 3000, size=rng.integers(1, 50)),
+        lambda: np.concatenate([np.ones(rng.integers(50, 100)), rng.integers(2, 9, size=9)]),
+        lambda: np.array([10**13] * 40 + [10**13 + 1] * 20),
+    ]
+    group = [x] + [makers[rng.integers(len(makers))]() for _ in range(size - 1)]
+    return [np.ceil(g).astype(np.int64) for g in group]
 
 
 # Positive-integer multisets with a long right tail and many ties.
@@ -261,19 +291,7 @@ class TestFitPowerLaw:
     @given(count_multisets, st.sampled_from([1, 2, 7, 33]), st.sampled_from([None, 1, 2, 5]),
            st.integers(0, 2**32 - 1))
     def test_grouped_refit_equals_one_fit_per_replicate(self, x, size, xmin, seed):
-        # Replicates that fit sit beside ones that cannot be fit: a single
-        # distinct value, too few observations, a tail too short above a
-        # pinned cutoff, and a tail whose fitted law cannot be evaluated.
-        rng = np.random.default_rng(seed)
-        makers = [
-            lambda: rng.choice([6, 60, 3000]) ** rng.random(rng.integers(50, 400)),
-            lambda: np.full(rng.integers(50, 100), rng.integers(1, 3000)),
-            lambda: rng.integers(1, 3000, size=rng.integers(1, 50)),
-            lambda: np.concatenate([np.ones(rng.integers(50, 100)), rng.integers(2, 9, size=9)]),
-            lambda: np.array([10**13] * 40 + [10**13 + 1] * 20),
-        ]
-        group = [x] + [makers[rng.integers(len(makers))]() for _ in range(size - 1)]
-        group = [np.ceil(g).astype(np.int64) for g in group]
+        group = mixed_group(x, size, seed)
         fits = concentration._fit_group([np.unique(g, return_counts=True) for g in group], xmin)
         assert len(fits) == size
         for g, fit in zip(group, fits):
@@ -646,6 +664,70 @@ class TestGofBootstrap:
         assert 0 < exceed < 101
         assert gof_bootstrap(x, fit, n_boot=101, seed=4, workers=workers) == exceed / 101
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sample", ["low p", "high p", "body below xmin", "all ones"])
+    def test_decision_equals_a_refit_of_each_replicate(self, sample, workers):
+        # Under a low p most replicates are settled at the observed cutoff;
+        # under a high p most go through the bounds.  The 600 ones leave no
+        # replicate a cutoff to refit, so their fit pins xmin.
+        x, xmin = {
+            "low p": lambda: (np.random.default_rng(13).integers(1, 51, size=1000), None),
+            "high p": lambda: (gen_powerlaw_counts(2.5, 1, 2000, 8), None),
+            "body below xmin": lambda: (np.concatenate([
+                gen_powerlaw_counts(2.5, 4, 400, 2), np.random.default_rng(2).integers(1, 4, 200)]),
+                None),
+            "all ones": lambda: (np.ones(600, dtype=np.int64), 1),
+        }[sample]()
+        fit = fit_power_law(x, xmin)
+        exceed = 0
+        for values, mult in bootstrap_replicates(x, fit, 100, seed=5):
+            try:
+                exceed += fit_power_law(np.repeat(values, mult)).ks_statistic > fit.ks_statistic
+            except ValueError:
+                pass
+        assert gof_bootstrap(x, fit, n_boot=100, seed=5, workers=workers) == exceed / 100
+        assert {"low p": exceed < 10, "high p": exceed > 50, "body below xmin": fit.xmin > 1,
+                "all ones": exceed == 0}[sample]
+
+    @settings(max_examples=60, deadline=None)
+    @given(count_multisets, st.sampled_from([1, 2, 7, 33]), st.integers(1, 40),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_decision_equals_the_grouped_refit(self, x, size, xmin, seed, data):
+        # Replicates that cannot be fit never exceed; the threshold is a
+        # refit's own KS distance (a tie, which does not exceed) or any
+        # number in [0, 1].
+        group = [np.unique(g, return_counts=True) for g in mixed_group(x, size, seed)]
+        fits = concentration._fit_group(group)
+        ties = [fit.ks_statistic for fit in fits if isinstance(fit, PowerLawFit)]
+        threshold = data.draw(st.sampled_from(ties) | st.floats(0.0, 1.0) if ties
+                              else st.floats(0.0, 1.0))
+        expected = [isinstance(fit, PowerLawFit) and fit.ks_statistic > threshold for fit in fits]
+        assert concentration._exceeds(group, threshold, xmin).tolist() == expected
+
+    def test_a_replicate_at_the_threshold_does_not_exceed(self):
+        # The refit exceeds only when its KS distance is strictly above the
+        # observed one.
+        x = gen_powerlaw_counts(2.5, 1, 2000, 3)
+        fit = fit_power_law(x)
+        drawn = bootstrap_replicates(x, fit, 32, seed=6)
+        for r, (values, mult) in enumerate(drawn):
+            ks = fit_power_law(np.repeat(values, mult)).ks_statistic
+            assert not concentration._exceeds(drawn, ks, fit.xmin)[r]
+            assert concentration._exceeds(drawn, np.nextafter(ks, 0.0), fit.xmin)[r]
+
+    def test_draws_past_the_int64_range_go_on_as_floats(self):
+        # At alpha 1.2 a draw passes 2**63 with probability 1.4e-4, so some
+        # of these replicates of 500 draws hold one; each is refit alone.
+        x = gen_powerlaw_counts(1.2, 1, 500, 1)
+        fit = fit_power_law(x)
+        drawn = bootstrap_replicates(x, fit, 100, seed=1)
+        assert sum(values.max() > 2.0**63 for values, _ in drawn) > 0
+        exceed = 0
+        for replicate in drawn:
+            (refit,) = concentration._fit_group([replicate])
+            exceed += isinstance(refit, PowerLawFit) and refit.ks_statistic > fit.ks_statistic
+        assert gof_bootstrap(x, fit, n_boot=100, seed=1) == exceed / 100
+
     def test_pool_starts_no_more_processes_than_groups(self, monkeypatch):
         asked = []
 
@@ -705,8 +787,8 @@ class TestReplicateMultiplicities:
         edges = np.array([*range(3, 41), 60, 100, 259, 500, 2000, 100_003])
         observed = np.zeros(edges.size)
         for r in range(100):
-            values, mult = concentration._draw_replicate(
-                np.random.default_rng(r), n, 1.0, alpha, xmin, empty, empty / 1.0)
+            ((values, mult),) = concentration._draw_group(
+                [np.random.default_rng(r)], n, 1.0, alpha, xmin, empty, empty / 1.0)
             assert np.all(np.diff(values) > 0) and mult.min() > 0 and mult.sum() == n
             observed += np.bincount(np.searchsorted(edges, values, side="right") - 1,
                                     weights=mult, minlength=edges.size)
@@ -721,8 +803,8 @@ class TestReplicateMultiplicities:
         shares = body_counts / body_counts.sum()
         observed = np.zeros(body_values.size)
         for r in range(200):
-            values, mult = concentration._draw_replicate(
-                np.random.default_rng(r), 1000, 0.3, 2.5, 9, body_values, shares)
+            ((values, mult),) = concentration._draw_group(
+                [np.random.default_rng(r)], 1000, 0.3, 2.5, 9, body_values, shares)
             assert np.all(np.diff(values) > 0) and mult.min() > 0 and mult.sum() == 1000
             below = values < 9
             observed[np.searchsorted(body_values, values[below])] += mult[below]
@@ -742,14 +824,22 @@ class TestReplicateMultiplicities:
         assert zeta(alpha, float(draws[1] + 1)) / norm <= 1.0 - u < zeta(alpha, float(draws[1])) / norm
         # u = c exactly still lies past the head
         assert draws[2] == xmin + 256
-        with pytest.raises(ValueError, match="exceeds the int64 range"):
-            concentration._past_head(np.array([0.999]), 1.125, 1)
+        # Past the int64 range the bootstrap's draws go on as floats: the
+        # smallest float x above 2**63 whose survival zeta(alpha, x) / norm
+        # is at most 1 - u (x + 1 rounds to x there).
+        alpha, c = 1.125, concentration._cdf_table(1.125, 1)[0][255]
+        draws = concentration._past_head(np.array([0.999]), alpha, 1)
+        target = (1.0 - (c + (1.0 - c) * 0.999)) * zeta(alpha, 1.0)
+        assert draws.dtype == float and draws[0] > 2.0**63
+        assert zeta(alpha, draws[0]) == pytest.approx(target, rel=1e-12)
+        survival = [concentration._zeta(alpha, x) for x in (draws[0], np.nextafter(draws[0], 0.0))]
+        assert survival[0] <= target < survival[1]
 
     def test_last_head_point_and_the_first_past_it_stay_distinct(self):
         tail = np.zeros(257, np.int64)
         tail[[0, 255, 256]] = 4, 3, 2  # two draws past the head, both at v = 0
-        values, mult = concentration._draw_replicate(
-            FixedReplicateDraws(tail, [5, 1]), 15, 0.5, 2.5, 3, np.array([1, 2]), np.array([0.5, 0.5]))
+        ((values, mult),) = concentration._draw_group(
+            [FixedReplicateDraws(tail, [5, 1])], 15, 0.5, 2.5, 3, np.array([1, 2]), np.array([0.5, 0.5]))
         assert values.tolist() == [1, 2, 3, 3 + 255, 3 + 256]
         assert mult.tolist() == [5, 1, 4, 3, 2]
 

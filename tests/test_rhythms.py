@@ -185,6 +185,22 @@ class TestCwt:
         with pytest.raises(ValueError, match="max scale"):
             cwt(white_series(5), s0=5.0, required_band=None)
 
+    @pytest.mark.parametrize("s0, message", [
+        (4.0, "max scale must exceed the smallest scale"),
+        (np.nextafter(4.0, 5.0), "max scale must exceed the smallest scale"),
+        (float("inf"), "max scale must exceed the smallest scale"),
+        (4e-308, "too small"),
+        (1e-310, "too small"),
+        (np.float64(5e-324), "too small"),
+    ])
+    def test_smallest_scale_the_grid_cannot_start_from_is_an_error(self, s0, message):
+        # the top scale is MAX_SCALE_YEARS = 4 years; an infinite s0 and a
+        # subnormal one, for which 4 / s0 overflows, must not reach the
+        # logarithm, which would warn and then overflow, and at 4e-308 the
+        # grid's steps 2**(j / 10) would overflow
+        with pytest.raises(ValueError, match=message):
+            cwt(white_series(5), s0=s0, required_band=None)
+
     def test_grid_must_cover_the_required_band(self):
         with pytest.raises(ValueError, match="does not cover"):
             cwt(white_series(6), s0=1.0)

@@ -2,7 +2,7 @@
 """Run the same CLI pipelines under two source trees and report every
 artifact that differs between them.
 
-    python3 tools/same_artifacts.py PARENT_SRC CHANGE_SRC [--seeds 0 1 2]
+    python3 tools/same_artifacts.py PARENT_SRC CHANGE_SRC [--seeds 0 1 2] [--only NAME...]
 
 Each SRC is the `src` directory of a checkout (the directory holding the
 `crimepatterns` package).  The pipelines:
@@ -37,7 +37,9 @@ Each SRC is the `src` directory of a checkout (the directory holding the
   sampler's 100,000-point table and are solved on the zeta tail, a route
   the alpha 2.5 counts almost never take.
 
-Apart from `heavy_tail`, the scenarios, pairs, sizes and events come from
+`--only` runs only the named pipelines (for example `--only
+powerlaw_counts heavy_tail readme`), each on every seed; by default all
+of them run.  Apart from `heavy_tail`, the scenarios, pairs, sizes and events come from
 `bench/run.py` and `bench/gen_events.py`, so these pipelines run the
 benchmark's inputs.
 
@@ -80,6 +82,8 @@ import run as bench  # noqa: E402
 
 POWERLAW_PARAMETERS = {"alpha": bench.POWERLAW_ALPHA, "xmin": 1, "n": bench.POWERLAW_SIZE["n"]}
 HEAVY_TAIL_PARAMETERS = {"alpha": 1.5, "xmin": 1, "n": 12_000}
+PIPELINES = ("readme", "series", "events_city", "events_offpath", "wave_city", "powerlaw_counts",
+             "powerlaw_counts_workers2", "heavy_tail")
 SUBCOMMANDS = ("tessellate", "concentrate", "ranks", "rhythms", "composed", "independence",
                "simulate", "report")
 
@@ -101,10 +105,10 @@ def write_off_the_fast_path(events, path):
         fh.writelines(f'{row[:i]}"{row[i:]}"\r\n' for row, i in zip(rows, cut))
 
 
-def write_inputs(d, seeds):
-    """Write every pipeline's inputs under `d`; return {pipeline: steps},
-    each step a CLI argument list in which "{out}" stands for the output
-    directory."""
+def write_inputs(d, seeds, only=PIPELINES):
+    """Write the inputs of the pipelines named in `only` under `d`; return
+    {pipeline: steps}, each step a CLI argument list in which "{out}"
+    stands for the output directory."""
     pipelines = {}
     wave = write_scenario(d, "wave.json", "traveling_wave_city", 2024,
                           {"n_regions": 40, **bench.WAVE})
@@ -126,26 +130,28 @@ def write_inputs(d, seeds):
         step for scenario in (seasonal, ar1)
         for step in (["simulate", "--scenario", scenario],
                      ["rhythms", "--series", "{out}/series.csv"])]
+    events_wanted = not {"events_city", "events_offpath"}.isdisjoint(only)  # events take seconds
     for seed in seeds:
-        events = os.path.join(d, f"events-{seed}.csv")
-        population = os.path.join(d, f"population-{seed}.csv")
-        gen_events.write(seed, events, population)
-        city = ["--events", events, "--population", population, "--target-pop", "5000"]
-        pipelines[f"events_city-{seed}"] = [
-            ["tessellate", *city],
-            ["composed", *series],
-            ["rhythms", *series],
-            ["ranks", *series],
-            ["report"],
-            ["concentrate", *city, "--category", "theft", "--boot", "100"],
-        ]
-        offpath = os.path.join(d, f"events-offpath-{seed}.csv")
-        write_off_the_fast_path(events, offpath)
-        city = ["--events", offpath, *city[2:]]
-        pipelines[f"events_offpath-{seed}"] = [
-            ["tessellate", *city],
-            ["concentrate", *city, "--category", "theft", "--boot", "100"],
-        ]
+        if events_wanted:
+            events = os.path.join(d, f"events-{seed}.csv")
+            population = os.path.join(d, f"population-{seed}.csv")
+            gen_events.write(seed, events, population)
+            city = ["--events", events, "--population", population, "--target-pop", "5000"]
+            pipelines[f"events_city-{seed}"] = [
+                ["tessellate", *city],
+                ["composed", *series],
+                ["rhythms", *series],
+                ["ranks", *series],
+                ["report"],
+                ["concentrate", *city, "--category", "theft", "--boot", "100"],
+            ]
+            offpath = os.path.join(d, f"events-offpath-{seed}.csv")
+            write_off_the_fast_path(events, offpath)
+            city = ["--events", offpath, *city[2:]]
+            pipelines[f"events_offpath-{seed}"] = [
+                ["tessellate", *city],
+                ["concentrate", *city, "--category", "theft", "--boot", "100"],
+            ]
         scenario = write_scenario(d, f"wave_city-{seed}.json", "traveling_wave_city", seed,
                                   {"n_regions": bench.WAVE_SIZE["n_regions"], **bench.WAVE})
         pairs = os.path.join(d, f"pairs-{seed}.csv")
@@ -178,7 +184,7 @@ def write_inputs(d, seeds):
             ["simulate", "--scenario", scenario],
             ["concentrate", "--counts", "{out}/counts.csv", "--boot", "100", "--seed", str(seed)],
         ]
-    return pipelines
+    return {name: steps for name, steps in pipelines.items() if name.split("-")[0] in only}
 
 
 def run_pipeline(src, steps, out):
@@ -296,6 +302,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0],
                         help="seeds of the events_city, wave_city, powerlaw_counts and heavy_tail "
                         "pipelines")
+    parser.add_argument("--only", nargs="+", choices=PIPELINES, default=PIPELINES,
+                        metavar="NAME", help="run only these pipelines: " + ", ".join(PIPELINES))
     args = parser.parse_args(argv)
     trees = {"parent": args.parent_src, "change": args.change_src}
     for label, src in trees.items():
@@ -305,7 +313,7 @@ def main(argv=None) -> int:
     work = tempfile.mkdtemp(prefix="same_artifacts-")
     inputs = os.path.join(work, "inputs")
     os.makedirs(inputs)
-    pipelines = write_inputs(inputs, args.seeds)
+    pipelines = write_inputs(inputs, args.seeds, args.only)
     helps = {label: help_texts(src) for label, src in trees.items()}
     differ = [command for command in helps["parent"]
               if helps["parent"][command] != helps["change"][command]]
@@ -341,6 +349,8 @@ def main(argv=None) -> int:
         if not name.startswith("powerlaw_counts_workers2-"):
             continue
         serial = name.replace("_workers2", "")
+        if serial not in pipelines:
+            continue
         for label in trees:
             paths = [os.path.join(work, label, run, "fit.json") for run in (serial, name)]
             if not all(map(os.path.isfile, paths)) or comparable(paths[0]) != comparable(paths[1]):
