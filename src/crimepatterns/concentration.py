@@ -220,35 +220,21 @@ def _ks_rows(values, multiplicity, tail_n, starts, ends, alphas, qs, width=None)
     return np.where(norms > 0, gaps, np.inf)
 
 
-def _first_min(v, owner):
-    """Per run of equal `owner` labels (ascending), the index of its
-    smallest v, the first on ties as np.argmin picks it."""
-    return np.lexsort((v, owner))[np.flatnonzero(np.diff(owner, prepend=-1))]
+def _within(tails, starts, ends, alphas, qs, limit):
+    """The rows (ascending) whose tail's KS distance is at most `limit`,
+    those distances, and which rows' fitted law can be evaluated (its
+    normalizer does not underflow; if it does, every gap is infinite).
 
-
-def _best_ks(values, multiplicity, tail_n, starts, ends, alphas, qs):
-    """Per replicate (a run of rows with one tail end), the row whose tail
-    has the smallest KS distance (the first on ties) and that distance;
-    row -1 where no row's fitted law can be evaluated.
-
-    A tail's gap over its first _KS_PROBE values bounds its KS distance
-    from below, so only tails whose bound does not exceed the KS distance
-    of their replicate's tail with the smallest bound can win; only those
-    are scanned in full.  The result is each replicate's argmin of its
-    tails' KS distances."""
-    tails, rows = (values, multiplicity, tail_n), (starts, ends, alphas, qs)
-    owner = np.cumsum(np.diff(ends, prepend=-1) != 0) - 1
-    lower = _ks_rows(*tails, *rows, width=_KS_PROBE)
-    first = _first_min(lower, owner)
-    evaluable = ~np.isinf(lower[first])
-    upper = np.full(first.size, -np.inf)  # keeps no row of a replicate that cannot be evaluated
-    upper[evaluable] = _ks_rows(*tails, *(a[first[evaluable]] for a in rows))
-    kept = np.flatnonzero(lower <= upper[owner])
-    ks = _ks_rows(*tails, *(a[kept] for a in rows))
-    best, distance = np.full(first.size, -1), np.full(first.size, np.inf)
-    chosen = _first_min(ks, owner[kept])
-    best[evaluable], distance[evaluable] = kept[chosen], ks[chosen]
-    return best, distance
+    A row is dropped at the first of its growing lower bounds above the
+    limit: its gap at its first value, over its first _KS_PROBE values,
+    and in full.  Each is a max over some of the gaps that the next takes."""
+    rows, evaluable = np.arange(starts.size), None
+    for width in (1, _KS_PROBE, None):
+        gaps = _ks_rows(*tails, starts[rows], ends[rows], alphas[rows], qs[rows], width)
+        if evaluable is None:
+            evaluable = ~np.isinf(gaps)
+        rows, gaps = rows[gaps <= limit], gaps[gaps <= limit]
+    return rows, gaps, evaluable
 
 
 def _positive_counts(counts) -> np.ndarray:
@@ -278,22 +264,20 @@ def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
     most 1e-9 (see _newton_min).  When `xmin` is None every distinct value
     whose tail keeps at least MIN_TAIL_SIZE observations is tried and
     the cutoff with the smallest KS distance wins (ties go to the
-    smallest cutoff).  Zero counts are ignored; at least
+    smallest cutoff); a given `xmin` must be a positive integer, an
+    integral float included.  Zero counts are ignored; at least
     MIN_OBSERVATIONS positive counts are required.
     """
-    (fit,) = _fit_group([np.unique(_positive_counts(counts), return_counts=True)], xmin)
-    if isinstance(fit, ValueError):
-        raise fit
-    return fit
+    return _fit(*np.unique(_positive_counts(counts), return_counts=True), xmin)
 
 
 def _layout(replicates, xmin=None):
     """The replicates, each its (distinct values, multiplicity), laid end
-    to end with their candidate cutoffs, as _fit_group and _exceeds read
-    them: the tails (values as floats, multiplicity, and the tail size
-    from each position on), each replicate's count of observations, and
-    per candidate its position, replicate, that replicate's end, its
-    cutoff q and the mean log of its tail."""
+    to end with their candidate cutoffs, as _fit and _exceeds read them:
+    the tails (values as floats, multiplicity, and the tail size from
+    each position on), each replicate's count of observations, and per
+    candidate its position, replicate, that replicate's end, its cutoff q
+    and the mean log of its tail."""
     sizes = np.array([v.size for v, _ in replicates])
     ends = np.cumsum(sizes)
     owner = np.repeat(np.arange(sizes.size), sizes)
@@ -310,7 +294,7 @@ def _layout(replicates, xmin=None):
         cutoffs = (tail_n >= MIN_TAIL_SIZE) & (np.arange(values.size) < ends[owner] - 1)
     else:  # the first value from xmin on, if its tail is long enough
         first = (np.diff(owner, prepend=-1) != 0) | (np.roll(values, 1) < xmin)
-        cutoffs = (tail_n >= MIN_TAIL_SIZE) & (values >= xmin) & first & (xmin >= 1)
+        cutoffs = (tail_n >= MIN_TAIL_SIZE) & (values >= xmin) & first
     n = cum[ends] - cum[ends - sizes]
     candidates = np.flatnonzero(cutoffs & (n >= MIN_OBSERVATIONS)[owner])
     qs = values[candidates] if xmin is None else np.full(candidates.size, float(xmin))
@@ -325,60 +309,57 @@ def _exponents(log_means, qs) -> np.ndarray:
     )
 
 
-def _fit_group(replicates, xmin: int | None = None) -> list:
-    """fit_power_law of each replicate, given as its (distinct values,
-    multiplicity), or the ValueError that fit_power_law raises for it.
+def _fit(values, multiplicity, xmin=None) -> PowerLawFit:
+    """fit_power_law of a sample given as its distinct values, ascending,
+    and their multiplicities; the values may be floats past 2**63.
 
-    The replicates' values are laid end to end (_layout), so one exponent
-    search and one KS scan of each kind serve every replicate's candidate
-    cutoffs.  Each step works elementwise or within one replicate, so a
-    replicate's fit does not depend on the rest of its group."""
-    tails, n, starts, owner, ends, qs, log_means = _layout(replicates, xmin)
-    problem = (f"no cutoff leaves a tail of at least {MIN_TAIL_SIZE} observations" if xmin is None
-               else f"tail above xmin={xmin} holds fewer than {MIN_TAIL_SIZE} observations"
-               if xmin >= 1 else "xmin must be a positive integer")
-    fits = [ValueError(f"need at least {MIN_OBSERVATIONS} positive counts, got {k}")
-            if k < MIN_OBSERVATIONS else ValueError(problem) for k in n]
+    One exponent search serves every candidate cutoff.  The candidate
+    with the smallest gap over its first _KS_PROBE values is scanned in
+    full, and its KS distance is the limit under which _within finds the
+    others that can win."""
+    if xmin is not None and not (xmin >= 1 and float(xmin).is_integer()):
+        raise ValueError("xmin must be a positive integer")
+    tails, (n,), starts, _, ends, qs, log_means = _layout([(values, multiplicity)], xmin)
+    if n < MIN_OBSERVATIONS:
+        raise ValueError(f"need at least {MIN_OBSERVATIONS} positive counts, got {n}")
+    if not starts.size:
+        raise ValueError(
+            f"no cutoff leaves a tail of at least {MIN_TAIL_SIZE} observations" if xmin is None
+            else f"tail above xmin={xmin} holds fewer than {MIN_TAIL_SIZE} observations")
     alphas = _exponents(log_means, qs)
-    best, ks = _best_ks(*tails, starts, ends, alphas, qs)
-    for r, b, d in zip(np.unique(owner), best, ks):
-        fits[r] = (PowerLawFit(float(alphas[b]), int(qs[b]), float(d), int(tails[2][starts[b]]))
-                   if b >= 0 else
-                   ValueError("no cutoff leaves a tail whose fitted law can be evaluated"))
-    return fits
+    rows = (starts, ends, alphas, qs)
+    probed = np.argmin(_ks_rows(*tails, *rows, width=_KS_PROBE))
+    limit = _ks_rows(*tails, *(a[[probed]] for a in rows))[0]
+    kept, ks, evaluable = _within(tails, *rows, limit)
+    if not evaluable.any():
+        raise ValueError("no cutoff leaves a tail whose fitted law can be evaluated")
+    best = np.argmin(ks)  # the first of the smallest, as kept ascends
+    r = kept[best]
+    return PowerLawFit(float(alphas[r]), int(qs[r]), float(ks[best]), int(tails[2][starts[r]]))
 
 
 def _exceeds(replicates, threshold, xmin) -> np.ndarray:
-    """Per replicate, whether _fit_group would fit it with a KS distance
-    above `threshold`, decided without finding its best cutoff.
+    """Per replicate, whether _fit would fit it with a KS distance above
+    `threshold`, decided without finding its best cutoff.
 
     A replicate that cannot be fit never exceeds.  One that can exceeds
     when every candidate cutoff's KS distance is above the threshold, so a
-    single candidate at or below it settles the replicate.  The first one
-    tried is the candidate at or next above `xmin`, where the law that
-    drew the replicate starts.  For the replicates left, every other
-    candidate then faces bounds that only grow: its gap at its tail's
-    first value, over its first _KS_PROBE values, and in full.  Each bound
-    is a max over some of the gaps that the full scan takes, so a
-    candidate above the threshold on a bound is above it in full, and the
-    decision is the refit's."""
+    single candidate _within the threshold settles the replicate.  The
+    first one tried is the candidate at or next above `xmin`, where the
+    law that drew the replicate starts; then the other candidates of the
+    replicates left.  _within drops a candidate only when its KS distance
+    is above the threshold, so the decision is the refit's."""
     tails, _, starts, owner, ends, qs, log_means = _layout(replicates)
-    first = np.flatnonzero(tails[0][starts] >= xmin)
-    first = first[np.diff(owner[first], prepend=-1) != 0]  # each replicate's first from xmin on
-    ks = _ks_rows(*tails, starts[first], ends[first], _exponents(log_means[first], qs[first]),
-                  qs[first])
+    at = np.flatnonzero(tails[0][starts] >= xmin)
+    first = np.zeros(starts.size, bool)
+    first[at[np.diff(owner[at], prepend=-1) != 0]] = True  # each replicate's first from xmin on
     settled, evaluable = np.zeros((2, len(replicates)), bool)
-    settled[owner[first[ks <= threshold]]] = True
-    evaluable[owner[first[~np.isinf(ks)]]] = True  # a fitted law whose normalizer is positive
-    left = ~settled[owner]
-    left[first] = False  # scanned in full already
-    rows = np.flatnonzero(left)
-    alphas = _exponents(log_means[rows], qs[rows])
-    for width in (1, _KS_PROBE, None):
-        gaps = _ks_rows(*tails, starts[rows], ends[rows], alphas, qs[rows], width)
-        evaluable[owner[rows[~np.isinf(gaps)]]] = True
-        rows, alphas = rows[gaps <= threshold], alphas[gaps <= threshold]
-    settled[owner[rows]] = True
+    for stage in (first, ~first):
+        rows = np.flatnonzero(stage & ~settled[owner])
+        kept, _, fitted = _within(tails, starts[rows], ends[rows],
+                                  _exponents(log_means[rows], qs[rows]), qs[rows], threshold)
+        settled[owner[rows[kept]]] = True
+        evaluable[owner[rows[fitted]]] = True
     return evaluable & ~settled
 
 
@@ -535,6 +516,8 @@ def likelihood_ratio(
     (statistic 0, p 1) when the lognormal MLE has no interior optimum
     (its outcome is `mle_outcome`) or the geometric MLE's q rounds to 1.
     """
+    if not 0 < significance < 1:
+        raise ValueError("significance must be inside (0, 1)")
     x = _positive_counts(counts)
     x = x[x >= fit.xmin].astype(float)
     if x.size != fit.n_tail:
@@ -723,9 +706,9 @@ def gof_bootstrap(
 
     A replicate is decided, not refit (see _exceeds): it exceeds when it
     can be fit and every candidate cutoff's KS distance is above the
-    observed one, so it is settled by the first candidate found at or
-    below it, tried first at the observed cutoff and then through lower
-    bounds of each candidate's KS distance.  That is the refit's answer,
+    observed one, so a candidate at or below it settles it: looked for at
+    the observed cutoff first, then among the others, through the lower
+    bounds of _within that the fit uses too.  That is the refit's answer,
     so the p-value is the one a full refit of every replicate gives.
 
     Replicate r draws from its own stream, PCG64 of

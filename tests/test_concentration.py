@@ -13,7 +13,6 @@ from scipy.special import log_ndtr, ndtr, zeta
 from scipy.stats import chisquare
 
 from crimepatterns import (
-    PowerLawFit,
     concentration,
     fit_power_law,
     gen_powerlaw_counts,
@@ -222,6 +221,16 @@ class TestFitPowerLaw:
         assert fit.xmin == 3
         assert fit.n_tail == int((x >= 3).sum())
 
+    @pytest.mark.parametrize("xmin", [1.5, 2.5, 3 + 1e-9])
+    def test_a_cutoff_that_is_not_an_integer_is_an_error(self, xmin):
+        # A cutoff of 2.5 used to fit the tail from 3 with the normalizer
+        # zeta(alpha, 2.5) and report xmin 2.
+        x = gen_powerlaw_counts(2.5, 1, 5000, 0)
+        with pytest.raises(ValueError, match="xmin must be a positive integer"):
+            fit_power_law(x, xmin=xmin)
+        pinned = fit_power_law(x, xmin=3)
+        assert fit_power_law(x, xmin=3.0) == fit_power_law(x, xmin=np.int64(3)) == pinned
+
     def test_refit_on_own_model_within_three_standard_errors(self):
         x = gen_powerlaw_counts(2.5, 1, 20_000, 50)
         fit = fit_power_law(x, xmin=1)
@@ -286,22 +295,6 @@ class TestFitPowerLaw:
         x = np.array([10**13] * 40 + [10**13 + 1] * 20)
         with pytest.raises(ValueError, match="can be evaluated"):
             fit_power_law(x)
-
-    @settings(max_examples=60, deadline=None)
-    @given(count_multisets, st.sampled_from([1, 2, 7, 33]), st.sampled_from([None, 1, 2, 5]),
-           st.integers(0, 2**32 - 1))
-    def test_grouped_refit_equals_one_fit_per_replicate(self, x, size, xmin, seed):
-        group = mixed_group(x, size, seed)
-        fits = concentration._fit_group([np.unique(g, return_counts=True) for g in group], xmin)
-        assert len(fits) == size
-        for g, fit in zip(group, fits):
-            try:
-                single = fit_power_law(g, xmin=xmin)
-            except ValueError as error:
-                assert isinstance(fit, ValueError) and str(fit) == str(error)
-                continue
-            assert (fit.alpha, fit.xmin, fit.ks_statistic, fit.n_tail) == (
-                single.alpha, single.xmin, single.ks_statistic, single.n_tail)
 
     def test_gini_decreases_as_alpha_grows(self):
         ginis = [
@@ -577,6 +570,13 @@ class TestLikelihoodRatio:
         with pytest.raises(ValueError):
             likelihood_ratio(x, fit, "weibull")
 
+    @pytest.mark.parametrize("significance", [np.nan, 2.0, 1.0, 0.0, -1.0])
+    def test_significance_outside_the_unit_interval_is_an_error(self, significance):
+        x = gen_powerlaw_counts(2.5, 1, 1000, 1)
+        fit = fit_power_law(x, xmin=1)
+        with pytest.raises(ValueError, match="significance must be inside"):
+            likelihood_ratio(x, fit, "exponential", significance)
+
     def test_tail_mismatch_is_an_error(self):
         x = gen_powerlaw_counts(2.5, 1, 1000, 1)
         fit = fit_power_law(x, xmin=1)
@@ -693,16 +693,25 @@ class TestGofBootstrap:
     @given(count_multisets, st.sampled_from([1, 2, 7, 33]), st.integers(1, 40),
            st.integers(0, 2**32 - 1), st.data())
     def test_decision_equals_the_grouped_refit(self, x, size, xmin, seed, data):
-        # Replicates that cannot be fit never exceed; the threshold is a
-        # refit's own KS distance (a tie, which does not exceed) or any
-        # number in [0, 1].
+        # Each replicate of the group is refit alone; one that cannot be fit
+        # never exceeds.  The threshold is a refit's own KS distance (a tie,
+        # which does not exceed) or any number in [0, 1].  As in the KS scan
+        # test, the bounds run with their defaults and at both extremes.
         group = [np.unique(g, return_counts=True) for g in mixed_group(x, size, seed)]
-        fits = concentration._fit_group(group)
-        ties = [fit.ks_statistic for fit in fits if isinstance(fit, PowerLawFit)]
+        ks = []
+        for replicate in group:
+            try:
+                ks.append(concentration._fit(*replicate).ks_statistic)
+            except ValueError:
+                ks.append(None)
+        ties = [k for k in ks if k is not None]
         threshold = data.draw(st.sampled_from(ties) | st.floats(0.0, 1.0) if ties
                               else st.floats(0.0, 1.0))
-        expected = [isinstance(fit, PowerLawFit) and fit.ks_statistic > threshold for fit in fits]
-        assert concentration._exceeds(group, threshold, xmin).tolist() == expected
+        expected = [k is not None and k > threshold for k in ks]
+        for block, probe in ((concentration._KS_BLOCK, concentration._KS_PROBE),
+                             (7, 1), (7, 10**6)):
+            with mock.patch.multiple(concentration, _KS_BLOCK=block, _KS_PROBE=probe):
+                assert concentration._exceeds(group, threshold, xmin).tolist() == expected
 
     def test_a_replicate_at_the_threshold_does_not_exceed(self):
         # The refit exceeds only when its KS distance is strictly above the
@@ -724,8 +733,10 @@ class TestGofBootstrap:
         assert sum(values.max() > 2.0**63 for values, _ in drawn) > 0
         exceed = 0
         for replicate in drawn:
-            (refit,) = concentration._fit_group([replicate])
-            exceed += isinstance(refit, PowerLawFit) and refit.ks_statistic > fit.ks_statistic
+            try:
+                exceed += concentration._fit(*replicate).ks_statistic > fit.ks_statistic
+            except ValueError:
+                pass
         assert gof_bootstrap(x, fit, n_boot=100, seed=1) == exceed / 100
 
     def test_pool_starts_no_more_processes_than_groups(self, monkeypatch):
