@@ -26,12 +26,11 @@ _ALPHA_HI = 30.0
 _NEWTON_H = 1e-4  # central-difference half-width, scaled down near alpha = 1
 _NEWTON_TOL = 1e-9  # an element stops once its step is at most this
 _NEWTON_MAX_STEPS = 100  # guard against a search that stalls
-_KS_BLOCK = 1 << 20  # (cutoff, value) pairs per zeta call of the KS scan
 _KS_PROBE = 8  # leading tail values whose gaps bound a tail's KS distance
 _TABLE_SIZE = 100_000  # support points of the sampler's inverse-CDF table
 _GROUP = 32  # bootstrap replicates decided together
 _TAIL_HEAD = 256  # leading support points of a bootstrap tail drawn by one multinomial
-_ZETA_CHUNK = 1 << 14  # elements per pass of _zeta, which keeps its temporaries small
+_CHUNK = 1 << 14  # elements per batched pass, of _zeta and of the KS scan's row blocks
 # Euler-Maclaurin denominators (2j)! / B_2j of the Hurwitz zeta sum (Cephes zeta.c)
 _ZETA_EM = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
             7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
@@ -113,12 +112,12 @@ def _zeta(x, q) -> np.ndarray:
     term of the asymptotic expansion (DLMF 25.11.43).  Cephes stops a sum
     early once a term falls below 2**-53 of it; adding every term moves a
     result by at most one ulp.  It underflows to 0 where Cephes does, as
-    zeta(30, q) does above q = 4e10."""
+    zeta(30, q) does above q = 4e10; it runs in passes of _CHUNK elements."""
     x, q = np.broadcast_arrays(np.asarray(x, float), np.asarray(q, float))
     shape, x, q = x.shape, x.ravel(), q.ravel()
     out = np.empty(x.size)
-    for first in range(0, x.size, _ZETA_CHUNK):
-        part = slice(first, first + _ZETA_CHUNK)
+    for first in range(0, x.size, _CHUNK):
+        part = slice(first, first + _CHUNK)
         xs, qs = x[part], q[part]
         a, s = qs.copy(), qs**-xs
         for _ in range(9):
@@ -193,7 +192,8 @@ def _ks_rows(values, multiplicity, tail_n, starts, ends, alphas, qs, width=None)
     Between observed neighbours a < w the empirical CDF is flat while
     the model's rises, so the gap peaks at a or at w - 1, where the model
     CDF is F(w) - w**-alpha / zeta(alpha, q).  One zeta call covers the
-    (cutoff, tail value) pairs, in row blocks of about _KS_BLOCK pairs.
+    (cutoff, tail value) pairs of a block of rows, a block starting where a
+    row's first pair passes a multiple of _CHUNK: one pass plus at most a row.
     A tail whose normalizer zeta(alpha, q) underflows to 0 cannot be
     evaluated; its gap is infinite."""
     cum = np.cumsum(multiplicity)
@@ -202,7 +202,7 @@ def _ks_rows(values, multiplicity, tail_n, starts, ends, alphas, qs, width=None)
     lengths = ends - starts if width is None else np.minimum(ends - starts, width)
     firsts = np.cumsum(lengths) - lengths  # each row's first pair
     gaps = np.empty(starts.size)
-    for block in np.split(np.arange(starts.size), np.flatnonzero(np.diff(firsts // _KS_BLOCK)) + 1):
+    for block in np.split(np.arange(starts.size), np.flatnonzero(np.diff(firsts // _CHUNK)) + 1):
         heads = np.cumsum(lengths[block]) - lengths[block]
         rows = np.repeat(block, lengths[block])
         cols = np.arange(rows.size) + np.repeat(starts[block] - heads, lengths[block])
@@ -254,6 +254,35 @@ def _positive_counts(counts) -> np.ndarray:
     if np.any(x < 0):
         raise ValueError("counts must be non-negative")
     return x[x > 0].astype(np.int64)
+
+
+def _cutoff(xmin) -> int:
+    """`xmin` as an int, if it is a positive integer (an integral float
+    included): the one cutoff rule of fit_power_law, sample_power_law and
+    _fitted_counts.  Anything else is a ValueError."""
+    if not (xmin >= 1 and float(xmin).is_integer()):
+        raise ValueError("xmin must be a positive integer")
+    return int(xmin)
+
+
+def _law(alpha, xmin) -> int:
+    """The cutoff (see _cutoff) of a power law whose `alpha` must exceed 1
+    and be finite; anything else is a ValueError."""
+    if not 1 < alpha < np.inf:
+        raise ValueError("alpha must exceed 1 and be finite")
+    return _cutoff(xmin)
+
+
+def _fitted_counts(counts, fit: PowerLawFit):
+    """The positive counts (see _positive_counts) and the fit's cutoff:
+    the one check of likelihood_ratio and gof_bootstrap that `fit` is a
+    power law (see _law) whose tail holds fit.n_tail of the counts.
+    Anything else is a ValueError."""
+    x = _positive_counts(counts)
+    xmin = _law(fit.alpha, fit.xmin)
+    if np.count_nonzero(x >= xmin) != fit.n_tail:
+        raise ValueError("counts do not match the fitted tail")
+    return x, xmin
 
 
 def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
@@ -317,8 +346,7 @@ def _fit(values, multiplicity, xmin=None) -> PowerLawFit:
     with the smallest gap over its first _KS_PROBE values is scanned in
     full, and its KS distance is the limit under which _within finds the
     others that can win."""
-    if xmin is not None and not (xmin >= 1 and float(xmin).is_integer()):
-        raise ValueError("xmin must be a positive integer")
+    xmin = None if xmin is None else _cutoff(xmin)
     tails, (n,), starts, _, ends, qs, log_means = _layout([(values, multiplicity)], xmin)
     if n < MIN_OBSERVATIONS:
         raise ValueError(f"need at least {MIN_OBSERVATIONS} positive counts, got {n}")
@@ -515,25 +543,26 @@ def likelihood_ratio(
     `significance`, which keeps sign noise from being over-read, and
     (statistic 0, p 1) when the lognormal MLE has no interior optimum
     (its outcome is `mle_outcome`) or the geometric MLE's q rounds to 1.
+    `fit` must be a law of these counts: alpha finite and above 1, xmin a
+    positive integer, and fit.n_tail counts at or above xmin; anything
+    else is a ValueError (see _fitted_counts).
     """
     if not 0 < significance < 1:
         raise ValueError("significance must be inside (0, 1)")
-    x = _positive_counts(counts)
-    x = x[x >= fit.xmin].astype(float)
-    if x.size != fit.n_tail:
-        raise ValueError("counts do not match the fitted tail")
+    x, xmin = _fitted_counts(counts, fit)
+    x = x[x >= xmin].astype(float)
     values, weights = np.unique(x, return_counts=True)
     outcome = None
     if alternative == "exponential":
-        alt = _geometric_tail_loglik(values, weights, fit.xmin)
+        alt = _geometric_tail_loglik(values, weights, xmin)
     elif alternative == "lognormal":
-        outcome, alt = _lognormal_tail_loglik(values, weights, fit.xmin)
+        outcome, alt = _lognormal_tail_loglik(values, weights, xmin)
     else:
         raise ValueError(f"unknown alternative '{alternative}'")
     inconclusive = LikelihoodRatioResult(0.0, 1.0, "inconclusive", outcome)
     if alt is None or x.size < 2:
         return inconclusive
-    diff = _powerlaw_pointwise_loglik(values, fit.alpha, fit.xmin) - alt
+    diff = _powerlaw_pointwise_loglik(values, fit.alpha, xmin) - alt
     if diff.min() == diff.max():  # no spread to normalize by
         return inconclusive
     total = (weights * diff).sum()
@@ -565,10 +594,7 @@ def sample_power_law(alpha: float, xmin: int, size: int, rng: np.random.Generato
     of interest) is solved by bisection on the zeta tail: exactly below
     2**53, and above it only onto integers x with float(x) != float(x + 1).
     A draw past the int64 range is a ValueError."""
-    if not 1 < alpha < np.inf:
-        raise ValueError("alpha must exceed 1 and be finite")
-    if xmin < 1:
-        raise ValueError("xmin must be at least 1")
+    xmin = _law(alpha, xmin)
     draws = _quantile(rng.random(size), alpha, xmin)
     if draws.dtype != np.int64:
         raise ValueError("power-law draw exceeds the int64 range; "
@@ -693,7 +719,8 @@ def gof_bootstrap(
     seed: int = 0,
     workers: int = 1,
 ) -> float:
-    """Semiparametric bootstrap p-value for the power-law fit.
+    """Semiparametric bootstrap p-value for the power-law fit, which must
+    be a law of these counts, as likelihood_ratio requires.
 
     Each replicate redraws the data (body resampled, tail drawn from
     the fitted law), and the p-value is the share of replicates whose
@@ -721,12 +748,12 @@ def gof_bootstrap(
     """
     if n_boot < MIN_BOOTSTRAP:
         raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAP}")
-    x = _positive_counts(counts)
-    body_values, body_counts = np.unique(x[x < fit.xmin], return_counts=True)
+    x, xmin = _fitted_counts(counts, fit)
+    body_values, body_counts = np.unique(x[x < xmin], return_counts=True)
     body_shares = body_counts / body_counts.sum()
     tasks = [
         (range(r, min(r + _GROUP, n_boot)), seed, x.size, fit.n_tail / x.size, fit.alpha,
-         fit.xmin, body_values, body_shares, fit.ks_statistic)
+         xmin, body_values, body_shares, fit.ks_statistic)
         for r in range(0, n_boot, _GROUP)
     ]
     workers = min(workers, len(tasks))  # a pool starts all its processes at once

@@ -181,16 +181,17 @@ def build_region_series(table: EventTable, tess: Tessellation) -> RegionSeriesSe
     """Aggregate events into weekly counts per region.
 
     Weeks run Monday to Sunday, on the grid anchored at the Monday of the
-    earliest event.  Only weeks fully inside the observed time span are
-    kept; events in the clipped partial weeks, like events outside the
-    area, are tallied in `meta` rather than silently lost.  Raises
-    ValueError when fewer than two full weeks remain.
+    earliest event.  Only weeks fully inside the observed time span, from
+    the earliest to the latest event in any order, are kept; events in
+    the clipped partial weeks, like events outside the area, are tallied
+    in `meta` rather than silently lost.  Raises ValueError when fewer
+    than two full weeks remain.
     """
     if len(table) == 0:
         raise ValueError("no events to aggregate")
     ts = table.timestamps.astype(np.int64)  # seconds since epoch
-    t_min, t_max = int(ts[0]), int(ts[-1])
-    anchor = monday_on_or_before(table.timestamps[0])
+    t_min, t_max = int(ts.min()), int(ts.max())
+    anchor = monday_on_or_before(table.timestamps.min())
     anchor_s = anchor.astype("datetime64[s]").astype(np.int64)
 
     # First and last week indices fully covered by [t_min, t_max].

@@ -1,7 +1,9 @@
 """Lorenz/Gini, discrete power-law fitting and model comparison."""
 
 import concurrent.futures
+import dataclasses
 import itertools
+import sys
 import warnings
 from unittest import mock
 
@@ -251,9 +253,9 @@ class TestFitPowerLaw:
         assume(expected is not None)
         # Tiny blocks cover the scan's split into row blocks; a one-value
         # probe prunes least, a probe as long as any tail prunes most.
-        for block, probe in ((concentration._KS_BLOCK, concentration._KS_PROBE),
+        for block, probe in ((concentration._CHUNK, concentration._KS_PROBE),
                              (7, 1), (7, 10**6)):
-            with mock.patch.multiple(concentration, _KS_BLOCK=block, _KS_PROBE=probe):
+            with mock.patch.multiple(concentration, _CHUNK=block, _KS_PROBE=probe):
                 try:
                     fit = fit_power_law(x, xmin=xmin)
                 except ValueError:
@@ -262,6 +264,23 @@ class TestFitPowerLaw:
             # term where the oracle calls zeta, so the distances agree to rounding.
             assert (fit.alpha, fit.xmin, fit.n_tail) == expected[:2] + expected[3:]
             assert fit.ks_statistic == pytest.approx(expected[2], rel=1e-12, abs=1e-15)
+
+    def test_each_zeta_call_of_the_ks_scan_is_one_pass_plus_a_row(self):
+        # A heavy tail has long rows, and the scan's blocks used to reach
+        # 455,527 pairs in one zeta call here.  A block never splits a row.
+        x = gen_powerlaw_counts(1.3, 1, 5000, 0)
+        sizes, zeta_ = [], concentration._zeta
+
+        def spy(a, q):
+            if sys._getframe(1).f_code.co_name == "_ks_rows":
+                sizes.append(np.broadcast(a, q).size)
+            return zeta_(a, q)
+
+        with mock.patch.object(concentration, "_zeta", spy):
+            fit = fit_power_law(x)
+        assert fit == fit_power_law(x)
+        assert sum(sizes) > 10 * concentration._CHUNK  # the scan takes many passes
+        assert max(sizes) <= concentration._CHUNK + np.unique(x).size
 
     def test_ks_takes_the_integers_between_observed_values(self):
         # The largest gap lies at 3, which no observation takes: the model
@@ -423,7 +442,62 @@ class FixedDraws:
         return self.u.copy()
 
 
+class TestFitCheck:
+    """likelihood_ratio and gof_bootstrap take a fit only of the counts
+    given: a power law whose tail holds fit.n_tail of them."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        x = gen_powerlaw_counts(2.5, 1, 3000, 0)
+        y = gen_powerlaw_counts(2.0, 1, 600, 1)
+        return x, y, fit_power_law(x), fit_power_law(y)
+
+    @staticmethod
+    def call(entry, counts, fit):
+        if entry == "likelihood_ratio":
+            return likelihood_ratio(counts, fit, "exponential")
+        return gof_bootstrap(counts, fit, n_boot=100, seed=3)
+
+    def test_only_a_fit_of_these_counts_is_taken(self, data):
+        # The bootstrap used to score a fit of other counts (p 0.78), or to
+        # fail inside numpy's binomial draw when its tail was longer than
+        # the counts; likelihood_ratio already raised.  An integral float
+        # cutoff is the same cutoff.
+        x, y, fit_x, fit_y = data
+        pinned = fit_power_law(x, xmin=2)
+        for entry in ("likelihood_ratio", "gof_bootstrap"):
+            for counts, fit in ((x, fit_y), (y, fit_x)):
+                with pytest.raises(ValueError, match="do not match the fitted tail"):
+                    self.call(entry, counts, fit)
+            assert (self.call(entry, x, dataclasses.replace(pinned, xmin=2.0))
+                    == self.call(entry, x, pinned))
+
+    @pytest.mark.parametrize("entry", ["likelihood_ratio", "gof_bootstrap"])
+    @pytest.mark.parametrize("change, match", [
+        ({"xmin": 1.5}, "xmin must be a positive integer"),
+        ({"xmin": 0}, "xmin must be a positive integer"),
+        ({"alpha": np.nan}, "alpha must exceed 1"),
+        ({"alpha": 0.5}, "alpha must exceed 1"),
+        ({"alpha": np.inf}, "alpha must exceed 1"),
+    ])
+    def test_a_fit_that_is_no_power_law_is_an_error(self, data, entry, change, match):
+        # A NaN exponent used to favor the alternative with a NaN statistic,
+        # and a cutoff of 1.5 to give a bootstrap p of 0.96.
+        x, _, fit, _ = data
+        with pytest.raises(ValueError, match=match):
+            self.call(entry, x, dataclasses.replace(fit, **change))
+
+
 class TestSamplePowerLaw:
+    @pytest.mark.parametrize("xmin", [1.5, 0, -3, np.nan])
+    def test_a_cutoff_that_is_not_a_positive_integer_is_an_error(self, xmin):
+        # A cutoff of 1.5 used to draw [2 1 1], below it.
+        with pytest.raises(ValueError, match="xmin must be a positive integer"):
+            sample_power_law(2.5, xmin, 3, np.random.default_rng(0))
+        draws = sample_power_law(2.5, 3.0, 100, np.random.default_rng(0))
+        assert draws.dtype == np.int64
+        assert np.array_equal(draws, sample_power_law(2.5, 3, 100, np.random.default_rng(0)))
+
     def test_draws_past_the_table_solve_the_tail_quantile(self):
         for alpha, xmin in itertools.product([1.2, 1.3, 1.5], [1, 7]):
             norm = zeta(alpha, float(xmin))
@@ -708,9 +782,9 @@ class TestGofBootstrap:
         threshold = data.draw(st.sampled_from(ties) | st.floats(0.0, 1.0) if ties
                               else st.floats(0.0, 1.0))
         expected = [k is not None and k > threshold for k in ks]
-        for block, probe in ((concentration._KS_BLOCK, concentration._KS_PROBE),
+        for block, probe in ((concentration._CHUNK, concentration._KS_PROBE),
                              (7, 1), (7, 10**6)):
-            with mock.patch.multiple(concentration, _KS_BLOCK=block, _KS_PROBE=probe):
+            with mock.patch.multiple(concentration, _CHUNK=block, _KS_PROBE=probe):
                 assert concentration._exceeds(group, threshold, xmin).tolist() == expected
 
     def test_a_replicate_at_the_threshold_does_not_exceed(self):

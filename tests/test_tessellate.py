@@ -264,6 +264,21 @@ class TestBuildRegionSeries:
                 make_events(stamps, [lon, lon], [lat, lat]), self.tess
             )
 
+    def test_span_comes_from_the_earliest_and_latest_events_in_any_order(self):
+        # An EventTable built directly need not be sorted; the span used to
+        # be read from its first and last rows.
+        (lon0, lat0), (lon1, lat1) = self.region_center(0), self.region_center(3)
+        stamps = ["2020-03-02", "2020-01-06", "2020-02-03", "2020-01-20"]
+        lons, lats = [lon0, lon1, lon0, lon1], [lat0, lat1, lat0, lat1]
+        table = EventTable(np.array(stamps, dtype="datetime64[s]"), lons, lats,
+                           np.array(["theft"] * 4, dtype=object))
+        ss = build_region_series(table, self.tess)
+        expected = build_region_series(make_events(stamps, lons, lats), self.tess)
+        assert ss.n_weeks == expected.n_weeks == 8
+        assert np.array_equal(ss.week_starts, expected.week_starts)
+        assert np.array_equal(ss.counts, expected.counts)
+        assert ss.meta == expected.meta
+
     def test_partial_week_events_are_accounted_in_meta(self):
         lon, lat = self.region_center(0)
         stamps = [

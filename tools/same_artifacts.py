@@ -36,10 +36,15 @@ Each SRC is the `src` directory of a checkout (the directory holding the
   draws of `simulate` and of the bootstrap's tails fall past the
   sampler's 100,000-point table and are solved on the zeta tail, a route
   the alpha 2.5 counts almost never take.
+* `heavier_tail-<seed>`: 5,000 power-law counts with alpha 1.3 and xmin 1
+  through `simulate` and `concentrate --boot 100`.  Their tails hold
+  hundreds of distinct values, so the KS scan of the fit and of each
+  bootstrap group runs over millions of (cutoff, value) pairs, cut into
+  many blocks.
 
 `--only` runs only the named pipelines (for example `--only
 powerlaw_counts heavy_tail readme`), each on every seed; by default all
-of them run.  Apart from `heavy_tail`, the scenarios, pairs, sizes and events come from
+of them run.  Apart from `heavy_tail` and `heavier_tail`, the scenarios, pairs, sizes and events come from
 `bench/run.py` and `bench/gen_events.py`, so these pipelines run the
 benchmark's inputs.
 
@@ -82,8 +87,9 @@ import run as bench  # noqa: E402
 
 POWERLAW_PARAMETERS = {"alpha": bench.POWERLAW_ALPHA, "xmin": 1, "n": bench.POWERLAW_SIZE["n"]}
 HEAVY_TAIL_PARAMETERS = {"alpha": 1.5, "xmin": 1, "n": 12_000}
+HEAVIER_TAIL_PARAMETERS = {"alpha": 1.3, "xmin": 1, "n": 5_000}
 PIPELINES = ("readme", "series", "events_city", "events_offpath", "wave_city", "powerlaw_counts",
-             "powerlaw_counts_workers2", "heavy_tail")
+             "powerlaw_counts_workers2", "heavy_tail", "heavier_tail")
 SUBCOMMANDS = ("tessellate", "concentrate", "ranks", "rhythms", "composed", "independence",
                "simulate", "report")
 
@@ -178,12 +184,14 @@ def write_inputs(d, seeds, only=PIPELINES):
             ["simulate", "--scenario", scenario],
             [*concentrate, "--workers", "2"],
         ]
-        scenario = write_scenario(d, f"heavy_tail-{seed}.json", "powerlaw_counts", seed,
-                                  HEAVY_TAIL_PARAMETERS)
-        pipelines[f"heavy_tail-{seed}"] = [
-            ["simulate", "--scenario", scenario],
-            ["concentrate", "--counts", "{out}/counts.csv", "--boot", "100", "--seed", str(seed)],
-        ]
+        for name, parameters in (("heavy_tail", HEAVY_TAIL_PARAMETERS),
+                                 ("heavier_tail", HEAVIER_TAIL_PARAMETERS)):
+            scenario = write_scenario(d, f"{name}-{seed}.json", "powerlaw_counts", seed, parameters)
+            pipelines[f"{name}-{seed}"] = [
+                ["simulate", "--scenario", scenario],
+                ["concentrate", "--counts", "{out}/counts.csv", "--boot", "100",
+                 "--seed", str(seed)],
+            ]
     return {name: steps for name, steps in pipelines.items() if name.split("-")[0] in only}
 
 
