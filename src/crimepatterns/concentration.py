@@ -183,11 +183,11 @@ def _newton_min(objective, log_means, qs) -> np.ndarray:
     return x.reshape(log_means.shape)
 
 
-def _ks_rows(values, multiplicity, tail_n, starts, ends, alphas, qs, width=None) -> np.ndarray:
+def _ks_rows(values, cum, below, tail_n, starts, ends, alphas, qs, norms, width=None) -> np.ndarray:
     """Largest gap between the empirical CDF of the tail values[start:end]
     and the fitted zeta(alpha, q) CDF, over the integers from q to the
-    tail's `width`-th value (its last when None), for every (start, end,
-    alpha, q) at once; over the whole tail this is the KS distance.
+    tail's `width`-th value (its last when None), for every candidate row
+    (see _candidates) at once; over the whole tail this is the KS distance.
 
     Between observed neighbours a < w the empirical CDF is flat while
     the model's rises, so the gap peaks at a or at w - 1, where the model
@@ -196,9 +196,6 @@ def _ks_rows(values, multiplicity, tail_n, starts, ends, alphas, qs, width=None)
     row's first pair passes a multiple of _CHUNK: one pass plus at most a row.
     A tail whose normalizer zeta(alpha, q) underflows to 0 cannot be
     evaluated; its gap is infinite."""
-    cum = np.cumsum(multiplicity)
-    below = cum - multiplicity  # observations under each distinct value
-    norms = _zeta(alphas, qs)
     lengths = ends - starts if width is None else np.minimum(ends - starts, width)
     firsts = np.cumsum(lengths) - lengths  # each row's first pair
     gaps = np.empty(starts.size)
@@ -220,21 +217,19 @@ def _ks_rows(values, multiplicity, tail_n, starts, ends, alphas, qs, width=None)
     return np.where(norms > 0, gaps, np.inf)
 
 
-def _within(tails, starts, ends, alphas, qs, limit):
-    """The rows (ascending) whose tail's KS distance is at most `limit`,
-    those distances, and which rows' fitted law can be evaluated (its
-    normalizer does not underflow; if it does, every gap is infinite).
+def _within(tails, rows, limit):
+    """The candidate rows (indices, ascending) whose tail's KS distance is
+    at most `limit`, and those distances.
 
     A row is dropped at the first of its growing lower bounds above the
     limit: its gap at its first value, over its first _KS_PROBE values,
-    and in full.  Each is a max over some of the gaps that the next takes."""
-    rows, evaluable = np.arange(starts.size), None
+    and in full.  Each is a max over some of the gaps that the next takes,
+    so a rung scans only the pairs of the rows the last one kept."""
+    kept = np.arange(rows[0].size)
     for width in (1, _KS_PROBE, None):
-        gaps = _ks_rows(*tails, starts[rows], ends[rows], alphas[rows], qs[rows], width)
-        if evaluable is None:
-            evaluable = ~np.isinf(gaps)
-        rows, gaps = rows[gaps <= limit], gaps[gaps <= limit]
-    return rows, gaps, evaluable
+        gaps = _ks_rows(*tails, *(a[kept] for a in rows), width)
+        kept, gaps = kept[gaps <= limit], gaps[gaps <= limit]
+    return kept, gaps
 
 
 def _positive_counts(counts) -> np.ndarray:
@@ -303,10 +298,10 @@ def fit_power_law(counts, xmin: int | None = None) -> PowerLawFit:
 def _layout(replicates, xmin=None):
     """The replicates, each its (distinct values, multiplicity), laid end
     to end with their candidate cutoffs, as _fit and _exceeds read them:
-    the tails (values as floats, multiplicity, and the tail size from
-    each position on), each replicate's count of observations, and per
-    candidate its position, replicate, that replicate's end, its cutoff q
-    and the mean log of its tail."""
+    the tails (values as floats, the observations up to each value and
+    below it, and the tail size from each position on), each replicate's
+    count of observations, and per candidate its position, replicate,
+    that replicate's end, its cutoff q and the mean log of its tail."""
     sizes = np.array([v.size for v, _ in replicates])
     ends = np.cumsum(sizes)
     owner = np.repeat(np.arange(sizes.size), sizes)
@@ -327,15 +322,17 @@ def _layout(replicates, xmin=None):
     n = cum[ends] - cum[ends - sizes]
     candidates = np.flatnonzero(cutoffs & (n >= MIN_OBSERVATIONS)[owner])
     qs = values[candidates] if xmin is None else np.full(candidates.size, float(xmin))
-    return ((values, multiplicity, tail_n), n, candidates, owner[candidates],
+    return ((values, cum[1:], cum[:-1], tail_n), n, candidates, owner[candidates],
             ends[owner[candidates]], qs, tail_logsum[candidates] / tail_n[candidates])
 
 
-def _exponents(log_means, qs) -> np.ndarray:
-    """The MLE exponent of each tail with these mean logs and cutoffs."""
-    return _newton_min(
+def _candidates(starts, ends, qs, log_means):
+    """Each candidate row (start, end, alpha, q, norm): its tail's MLE exponent
+    and normalizer zeta(alpha, q), 0 where the fitted law cannot be evaluated."""
+    alphas = _newton_min(
         lambda a, rows: _zeta_log_likelihood(a, log_means[rows], qs[rows]), log_means, qs
     )
+    return starts, ends, alphas, qs, _zeta(alphas, qs)
 
 
 def _fit(values, multiplicity, xmin=None) -> PowerLawFit:
@@ -354,16 +351,15 @@ def _fit(values, multiplicity, xmin=None) -> PowerLawFit:
         raise ValueError(
             f"no cutoff leaves a tail of at least {MIN_TAIL_SIZE} observations" if xmin is None
             else f"tail above xmin={xmin} holds fewer than {MIN_TAIL_SIZE} observations")
-    alphas = _exponents(log_means, qs)
-    rows = (starts, ends, alphas, qs)
+    rows = starts, ends, alphas, qs, norms = _candidates(starts, ends, qs, log_means)
+    if not (norms > 0).any():
+        raise ValueError("no cutoff leaves a tail whose fitted law can be evaluated")
     probed = np.argmin(_ks_rows(*tails, *rows, width=_KS_PROBE))
     limit = _ks_rows(*tails, *(a[[probed]] for a in rows))[0]
-    kept, ks, evaluable = _within(tails, *rows, limit)
-    if not evaluable.any():
-        raise ValueError("no cutoff leaves a tail whose fitted law can be evaluated")
+    kept, ks = _within(tails, rows, limit)
     best = np.argmin(ks)  # the first of the smallest, as kept ascends
     r = kept[best]
-    return PowerLawFit(float(alphas[r]), int(qs[r]), float(ks[best]), int(tails[2][starts[r]]))
+    return PowerLawFit(float(alphas[r]), int(qs[r]), float(ks[best]), int(tails[3][starts[r]]))
 
 
 def _exceeds(replicates, threshold, xmin) -> np.ndarray:
@@ -384,10 +380,10 @@ def _exceeds(replicates, threshold, xmin) -> np.ndarray:
     settled, evaluable = np.zeros((2, len(replicates)), bool)
     for stage in (first, ~first):
         rows = np.flatnonzero(stage & ~settled[owner])
-        kept, _, fitted = _within(tails, starts[rows], ends[rows],
-                                  _exponents(log_means[rows], qs[rows]), qs[rows], threshold)
+        candidates = _candidates(starts[rows], ends[rows], qs[rows], log_means[rows])
+        kept, _ = _within(tails, candidates, threshold)
         settled[owner[rows[kept]]] = True
-        evaluable[owner[rows[fitted]]] = True
+        evaluable[owner[rows[candidates[-1] > 0]]] = True  # a normalizer that does not underflow
     return evaluable & ~settled
 
 
@@ -748,6 +744,8 @@ def gof_bootstrap(
     """
     if n_boot < MIN_BOOTSTRAP:
         raise ValueError(f"n_boot must be at least {MIN_BOOTSTRAP}")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     x, xmin = _fitted_counts(counts, fit)
     body_values, body_counts = np.unique(x[x < xmin], return_counts=True)
     body_shares = body_counts / body_counts.sum()

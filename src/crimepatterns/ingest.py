@@ -223,8 +223,10 @@ def cast(cells, kind: str) -> tuple[np.ndarray, np.ndarray]:
         rejected = np.isnat(values) | (np.datetime_as_string(values) != np.array(cells, object))
         values[rejected] = np.datetime64("NaT")
         return values, rejected
-    if kind == "str":
-        return np.array(cells, dtype=object), np.zeros(len(cells), dtype=bool)
+    if kind == "str":  # equal cells share one string: a text column mostly repeats its names
+        text = {cell: cell for cell in set(cells)}
+        values = np.array(list(map(text.__getitem__, cells)), dtype=object)
+        return values, np.zeros(len(cells), dtype=bool)
     if kind == "bool":
         text = np.array(cells, dtype=object)
         return text == "true", (text != "true") & (text != "false")
@@ -295,16 +297,21 @@ def read_json(path):
             raise ValueError(f"{path}: not valid JSON") from None
 
 
-def _input_blocks(path, names, what):
-    """The blocks of an input CSV, ragged rows allowed, and the index of
-    each named column (of equal names the last, as csv.DictReader has it)."""
+def _input_columns(path, names, kinds, what):
+    """The named columns of an input CSV, ragged rows allowed, of equal
+    names the last (as csv.DictReader has it): each cast block by block to
+    its kind and concatenated.  A cell its kind rejects holds NaN or NaT."""
     blocks = _blocks(path, ragged_ok=True)
     header = next(blocks)
     missing = [c for c in names if c not in header]
     if missing:
         raise ValueError(f"{what} file lacks required columns: {missing}")
     index = {name: i for i, name in enumerate(header)}
-    return blocks, [index[c] for c in names]
+    parts = [[cast((), kind)[0]] for kind in kinds]
+    for block in blocks:
+        for part, name, kind in zip(parts, names, kinds):
+            part.append(cast(block[index[name]], kind)[0])
+    return [np.concatenate(part) for part in parts]
 
 
 def parse_events(path) -> EventTable:
@@ -314,32 +321,22 @@ def parse_events(path) -> EventTable:
     Raises ValueError when a required column is absent or when more than
     half of the data rows are unusable; filter_events selects by category.
     """
-    blocks, (t, x, y, k) = _input_blocks(path, ["timestamp", "lon", "lat", "category"],
-                                         "event")
-    kept = [(np.zeros(0, "datetime64[s]"), np.zeros(0), np.zeros(0), np.zeros(0, object))]
-    rejections, n_rows = [], 0
-    for block in blocks:
-        ts = cast(block[t], "timestamp")[0]
-        lon, lat = (cast(block[i], "float")[0] for i in (x, y))
-        names = {name: name.strip() for name in set(block[k])}
-        cat = np.array(list(map(names.__getitem__, block[k])), dtype=object)
-        reason = np.select(  # 1 + the first of REJECTION_REASONS that applies
-            [np.isnat(ts), ~(np.isfinite(lon) & np.isfinite(lat)),
-             ~((np.abs(lon) <= 180.0) & (np.abs(lat) <= 90.0)), cat == ""],
-            [1, 2, 3, 4], 0)
-        good = reason == 0
-        kept.append((ts[good], lon[good], lat[good], cat[good]))
-        bad = np.flatnonzero(~good)
-        rejections += [RowRejection(n_rows + 1 + i, REJECTION_REASONS[r - 1])
-                       for i, r in zip(bad.tolist(), reason[bad].tolist())]
-        n_rows += ts.size
-
-    if n_rows and len(rejections) > MAX_REJECT_FRACTION * n_rows:
-        raise ValueError(
-            f"{len(rejections)} of {n_rows} rows rejected; input looks malformed"
-        )
-    table = EventTable(*map(np.concatenate, zip(*kept)), rejections)
-    return table.take(np.argsort(table.timestamps, kind="stable"))
+    ts, lon, lat, cat = _input_columns(path, ["timestamp", "lon", "lat", "category"],
+                                       ["timestamp", "float", "float", "str"], "event")
+    names = {name: name.strip() for name in set(cat)}
+    category = np.fromiter(map(names.__getitem__, cat), object, cat.size)
+    reason = np.select(  # 1 + the first of REJECTION_REASONS that applies
+        [np.isnat(ts), ~(np.isfinite(lon) & np.isfinite(lat)),
+         ~((lon >= -180.0) & (lon <= 180.0) & (lat >= -90.0) & (lat <= 90.0)), category == ""],
+        [1, 2, 3, 4], 0)
+    bad = np.flatnonzero(reason)
+    if bad.size > MAX_REJECT_FRACTION * ts.size:
+        raise ValueError(f"{bad.size} of {ts.size} rows rejected; input looks malformed")
+    rejections = [RowRejection(i + 1, REJECTION_REASONS[r - 1])
+                  for i, r in zip(bad.tolist(), reason[bad].tolist())]
+    order = np.argsort(ts, kind="stable")
+    keep = order[(reason == 0)[order]]
+    return EventTable(ts[keep], lon[keep], lat[keep], category[keep], rejections)
 
 
 def parse_population(path) -> np.ndarray:
@@ -350,11 +347,10 @@ def parse_population(path) -> np.ndarray:
     and, at the first row with one, an unparseable number, a negative
     population or a duplicated cell.
     """
-    blocks, index = _input_blocks(path, ["lon", "lat", "population"], "population")
-    parts = [[cast(block[i], "float")[0] for i in index] for block in blocks]
-    if not parts:
+    lon, lat, pop = cells = np.array(
+        _input_columns(path, ["lon", "lat", "population"], ["float"] * 3, "population"))
+    if not lon.size:
         raise ValueError("population file has no data rows")
-    lon, lat, pop = cells = np.concatenate(parts, axis=1)
     # Equal cells (-0.0 equals 0.0) sort together in file order; all but
     # the first of them are duplicates.
     order = np.lexsort((lat, lon))

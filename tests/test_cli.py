@@ -482,6 +482,14 @@ class TestFailureHandling:
             "parameters"]["stats"]
         assert stats["n_regions"] == stats["regions_over_target"] == 64
 
+    def test_pairs_without_a_y_column_are_an_error_naming_the_file(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("x,z\n" + "".join(f"{i},{i}\n" for i in range(8)))
+        assert run("independence", "--pairs", pairs, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            f"error: independence: {pairs}: expected a header with x and y columns\n"
+        )
+
     def test_unexpected_exception_is_one_internal_error_line(self, tmp_path, capsys,
                                                              monkeypatch):
         def fail(*args, **kwargs):
@@ -576,6 +584,24 @@ class TestFailureHandling:
         monkeypatch.undo()
         assert "disk full" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_replace_removes_the_new_files_it_placed(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        real_replace, calls = os.replace, []
+
+        def second_replace_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:  # the manifest, after a.csv is in place
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_replace_fails)
+        with pytest.raises(OSError, match="disk full"):
+            cli._emit(out, "simulate", {}, {}, {"a.csv": "count\n1\n"})
+        monkeypatch.undo()
+        assert [os.path.basename(dst) for dst in calls] == ["a.csv", "manifest.json"]
+        assert list(out.iterdir()) == []
 
     def test_concurrent_runs_into_one_directory_keep_every_record(self, tmp_path, monkeypatch):
         """Two writers meet at a barrier once each has read the manifest.  A

@@ -162,6 +162,14 @@ class TestLorenz:
         with pytest.raises(ValueError):
             lorenz([0, 0, 0])
 
+    @pytest.mark.parametrize("x, match", [
+        ([], "non-empty vector"), ([[1, 2], [3, 4]], "non-empty vector"),
+        ([3, -1, 2], "non-negative"),
+    ])
+    def test_counts_that_are_no_count_vector_are_an_error(self, x, match):
+        with pytest.raises(ValueError, match=match):
+            lorenz(x)
+
     def test_curve_shape_invariants(self):
         x = np.random.default_rng(5).integers(0, 50, size=40)
         pts = lorenz(x).points
@@ -222,6 +230,11 @@ class TestFitPowerLaw:
         fit = fit_power_law(x, xmin=3)
         assert fit.xmin == 3
         assert fit.n_tail == int((x >= 3).sum())
+
+    def test_pinned_xmin_above_all_but_a_few_counts_is_an_error(self):
+        x = gen_powerlaw_counts(2.5, 1, 5000, 77)
+        with pytest.raises(ValueError, match=r"tail above xmin=\d+ holds fewer than 10"):
+            fit_power_law(x, xmin=int(np.sort(x)[-5]))
 
     @pytest.mark.parametrize("xmin", [1.5, 2.5, 3 + 1e-9])
     def test_a_cutoff_that_is_not_an_integer_is_an_error(self, xmin):
@@ -343,6 +356,7 @@ class TestCountsCheck:
     @pytest.mark.parametrize("entry", ["fit_power_law", "likelihood_ratio", "gof_bootstrap"])
     @pytest.mark.parametrize("bad, match", [
         (0.5, "integers"), (np.nan, "finite"), (np.inf, "finite"), (2.0**63, "int64 range"),
+        (-1.0, "non-negative"),
     ])
     def test_each_entry_rejects_a_count_that_is_not_a_finite_integer(self, data, entry, bad, match):
         x, fit = data
@@ -350,6 +364,12 @@ class TestCountsCheck:
         counts[7] = counts[7] + bad if bad == 0.5 else bad
         with pytest.raises(ValueError, match=match):
             self.call(entry, counts, fit)
+
+    @pytest.mark.parametrize("entry", ["fit_power_law", "likelihood_ratio", "gof_bootstrap"])
+    def test_each_entry_rejects_counts_that_are_no_vector(self, data, entry):
+        x, fit = data
+        with pytest.raises(ValueError, match="counts must be a vector"):
+            self.call(entry, x.reshape(2, -1), fit)
 
     @pytest.mark.parametrize("entry", ["fit_power_law", "likelihood_ratio", "gof_bootstrap"])
     def test_integral_floats_give_the_same_result(self, data, entry):
@@ -677,6 +697,14 @@ class TestGofBootstrap:
         fit = fit_power_law(x, xmin=1)
         with pytest.raises(ValueError):
             gof_bootstrap(x, fit, n_boot=50)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_an_error(self, workers):
+        # Such a count used to run the replicates serially.
+        x = gen_powerlaw_counts(2.5, 1, 3000, 0)
+        fit = fit_power_law(x)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            gof_bootstrap(x, fit, n_boot=100, seed=1, workers=workers)
 
     def test_failed_refits_count_against_the_model(self):
         # All ones fit an exponent of about 30, so each replicate draws 600

@@ -180,6 +180,13 @@ class TestHoeffdingD:
         with pytest.raises(ValueError):
             PairedSample(np.arange(6.0), np.arange(5.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pair_is_an_error(self, bad):
+        y = np.arange(6.0)
+        y[2] = bad
+        with pytest.raises(ValueError, match="x and y must be finite"):
+            PairedSample(np.arange(6.0), y)
+
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(15)
         x = rng.normal(size=25)

@@ -207,6 +207,11 @@ class TestFilterEvents:
             cats=["theft", "robbery", "theft", "burglary"],
         )
 
+    def test_columns_of_unequal_length_are_an_error(self):
+        with pytest.raises(ValueError, match="mismatched lengths"):
+            EventTable(self.table.timestamps, self.table.lons[:3], self.table.lats,
+                       self.table.categories)
+
     def test_absent_category_gives_empty_table(self):
         out = filter_events(self.table, category="arson")
         assert len(out) == 0

@@ -42,6 +42,14 @@ class TestWeeklyRanks:
         with pytest.raises(ValueError):
             weekly_ranks(series_set(np.ones((3, 1))))
 
+    @pytest.mark.parametrize("region_ids, match", [
+        ([0, 1], "counts shape does not match"), ([0, 2, 1], "strictly increasing"),
+        ([0, 1, 1], "strictly increasing"),
+    ])
+    def test_region_ids_must_match_the_rows_and_increase(self, region_ids, match):
+        with pytest.raises(ValueError, match=match):
+            series_set(np.ones((3, 10)), region_ids)
+
 
 class TestPositionEntropy:
     def test_persistent_top_region_has_zero_entropy_at_rank_one(self):
@@ -63,6 +71,10 @@ class TestPositionEntropy:
                 counts[i, week] = ((i + week) % r) * 10
         prof = position_entropy(weekly_ranks(series_set(counts)))
         assert np.allclose(prof.h, 1.0, atol=1e-12)
+
+    def test_a_single_region_is_an_error(self):
+        with pytest.raises(ValueError, match="at least two regions"):
+            position_entropy(np.zeros((10, 1), dtype=np.int64))
 
     def test_iid_counts_give_high_mean_entropy(self):
         counts = np.random.default_rng(404).integers(0, 1000, size=(50, 260))

@@ -101,6 +101,19 @@ class TestDetrend:
             detrend(TimeSeries(v))
 
 
+class TestTimeSeries:
+    @pytest.mark.parametrize("values, match", [
+        (np.zeros((2, 104)), "one-dimensional"), ([], "series is empty"),
+    ])
+    def test_values_must_be_a_non_empty_vector(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            TimeSeries(values)
+
+    def test_week_starts_need_a_start_date(self):
+        with pytest.raises(ValueError, match="no start date"):
+            TimeSeries(np.zeros(10)).week_starts()
+
+
 class TestCwt:
     def test_impulse_response_is_symmetric(self):
         x = np.zeros(513)
@@ -154,6 +167,19 @@ class TestCwt:
         assert fx.scales[27] < 0.5 <= fx.scales[28]
         diff = fy.coefficients[:29, 160:350] - fx.coefficients[:29, 170:360]
         assert np.abs(diff).max() <= 1e-6
+
+    def test_power_of_two_length_is_still_padded(self):
+        # 512 weeks fill an FFT of 512 points exactly.  Unpadded, the
+        # transform is a circular convolution, and a change at the first two
+        # weeks moves the small scales at the last weeks by about 0.5.  The
+        # change keeps the mean, which the transform subtracts first.
+        z = np.random.default_rng(4).normal(0.0, 1.0, 512)
+        moved = z.copy()
+        moved[:2] += [1.0, -1.0]
+        fz = cwt(TimeSeries(z), s0=4 * DT, required_band=None)
+        fm = cwt(TimeSeries(moved), s0=4 * DT, required_band=None)
+        assert fz.scales[10] == pytest.approx(8 * DT)
+        assert np.abs(fm.coefficients[:11, 448:] - fz.coefficients[:11, 448:]).max() <= 1e-9
 
     def test_scales_are_dyadic_from_s0(self):
         field = cwt(white_series(3), s0=DT)

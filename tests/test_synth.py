@@ -74,6 +74,8 @@ class TestGenAr1:
             gen_ar1(1.0, 100, 0)
         with pytest.raises(ValueError):
             gen_ar1(-0.2, 100, 0)
+        with pytest.raises(ValueError, match="n must be positive"):
+            gen_ar1(0.5, 0, 0)
 
     @pytest.mark.parametrize("a", [0.0, 0.3, 0.7, 0.95, 0.999])
     @pytest.mark.parametrize("seed", [0, 1, 2, 17])
@@ -161,6 +163,8 @@ class TestGenTravelingWaveCity:
             gen_traveling_wave_city(3, 208, 52)
         with pytest.raises(ValueError):
             gen_traveling_wave_city(8, 208, 0)
+        with pytest.raises(ValueError, match="need at least 2 weeks"):
+            gen_traveling_wave_city(8, 1, 1)
         with pytest.raises(ValueError):
             gen_traveling_wave_city(8, 208, 209)
         with pytest.raises(ValueError):
@@ -211,6 +215,10 @@ class TestScenarioSpec:
     def test_non_integer_seed_is_an_error(self):
         with pytest.raises(ValueError):
             ScenarioSpec(kind="ar1", seed=True, parameters={"a": 0.5, "n": 100})
+
+    def test_parameters_that_are_no_object_are_an_error(self):
+        with pytest.raises(ValueError, match="parameters must be an object"):
+            ScenarioSpec(kind="ar1", seed=0, parameters=[0.5, 100])
 
     def test_missing_parameter_is_an_error(self):
         spec = ScenarioSpec(kind="seasonal", seed=0, parameters={"amplitude": 1.0})
@@ -270,3 +278,7 @@ class TestScenarioSpec:
         p2.write_text(json.dumps({"kind": "ar1"}))
         with pytest.raises(ValueError, match="required keys"):
             load_scenario(p2)
+        p3 = tmp_path / "list.json"
+        p3.write_text(json.dumps(["ar1", 0, {}]))
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            load_scenario(p3)

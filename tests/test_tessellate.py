@@ -87,6 +87,15 @@ class TestBuildTessellation:
         with pytest.raises(ValueError):
             build_tessellation([], 10.0)
 
+    @pytest.mark.parametrize("cells, match", [
+        (np.ones((4, 2)), r"an \(n, 3\) array"),
+        ([[0.0, 0.0, 1.0], [1.0, 1.0, -1.0]], "negative cell population"),
+        ([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]], "total population is zero"),
+    ])
+    def test_cells_that_hold_no_population_grid_are_an_error(self, cells, match):
+        with pytest.raises(ValueError, match=match):
+            build_tessellation(cells, 10.0)
+
     def test_nonpositive_target_is_an_error(self):
         with pytest.raises(ValueError):
             build_tessellation(grid_cells(4, 4), 0.0)
@@ -255,6 +264,10 @@ class TestBuildRegionSeries:
         total = ss.city_totals().sum()
         expected = lam * ss.n_weeks
         assert abs(total - expected) <= 3.0 * np.sqrt(expected)
+
+    def test_no_events_is_an_error(self):
+        with pytest.raises(ValueError, match="no events to aggregate"):
+            build_region_series(make_events([], [], []), self.tess)
 
     def test_short_span_is_an_error(self):
         stamps = ["2015-01-05T00:00:00", "2015-01-09T00:00:00"]

@@ -308,7 +308,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0],
-                        help="seeds of the events_city, wave_city, powerlaw_counts and heavy_tail "
+                        help="seeds of the events_city, events_offpath, wave_city, "
+                        "powerlaw_counts, powerlaw_counts_workers2, heavy_tail and heavier_tail "
                         "pipelines")
     parser.add_argument("--only", nargs="+", choices=PIPELINES, default=PIPELINES,
                         metavar="NAME", help="run only these pipelines: " + ", ".join(PIPELINES))
