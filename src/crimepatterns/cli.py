@@ -189,7 +189,7 @@ ARTIFACTS = {
 }
 
 # Artifacts that are complete with a header and no data rows.
-_HEADER_ONLY_OK = frozenset({"durations.csv"})
+_HEADER_ONLY_OK = frozenset({"durations.csv", "rejects.csv"})
 
 def _format(values) -> list[str]:
     """Cell texts of one column, chosen by its dtype: shortest round-trip
@@ -325,8 +325,8 @@ def _tessellate_events(args):
     """Parse and filter the events, tessellate the population grid.
 
     Returns the event table, the tessellation, and the record's inputs,
-    parameters (with the `stats` block) and payloads (`rejects.csv`, when
-    any row was rejected) so far."""
+    parameters (with the `stats` block) and payloads (`rejects.csv`, a
+    header alone when no row was rejected) so far."""
     table = parse_events(args.events)
     if args.category is not None:
         table = filter_events(table, category=args.category)
@@ -339,11 +339,9 @@ def _tessellate_events(args):
         "regions_over_target": int((tess.populations > args.target_pop).sum()),
     }
     parameters = {"target_pop": args.target_pop, "category": args.category, "stats": stats}
-    payloads = {}
-    if table.rejections:
-        payloads["rejects.csv"] = _artifact_text(
-            "rejects.csv", *zip(*((r.row, r.reason) for r in table.rejections))
-        )
+    rejected = table.rejections
+    payloads = {"rejects.csv": _artifact_text(
+        "rejects.csv", [r.row for r in rejected], [r.reason for r in rejected])}
     return table, tess, inputs, parameters, payloads
 
 

@@ -217,21 +217,6 @@ def _ks_rows(values, cum, below, tail_n, starts, ends, alphas, qs, norms, width=
     return np.where(norms > 0, gaps, np.inf)
 
 
-def _within(tails, rows, limit):
-    """The candidate rows (indices, ascending) whose tail's KS distance is
-    at most `limit`, and those distances.
-
-    A row is dropped at the first of its growing lower bounds above the
-    limit: its gap at its first value, over its first _KS_PROBE values,
-    and in full.  Each is a max over some of the gaps that the next takes,
-    so a rung scans only the pairs of the rows the last one kept."""
-    kept = np.arange(rows[0].size)
-    for width in (1, _KS_PROBE, None):
-        gaps = _ks_rows(*tails, *(a[kept] for a in rows), width)
-        kept, gaps = kept[gaps <= limit], gaps[gaps <= limit]
-    return kept, gaps
-
-
 def _positive_counts(counts) -> np.ndarray:
     """The positive entries of a count vector as int64: the one input
     check of fit_power_law, likelihood_ratio and gof_bootstrap.  Counts
@@ -339,10 +324,7 @@ def _fit(values, multiplicity, xmin=None) -> PowerLawFit:
     """fit_power_law of a sample given as its distinct values, ascending,
     and their multiplicities; the values may be floats past 2**63.
 
-    One exponent search serves every candidate cutoff.  The candidate
-    with the smallest gap over its first _KS_PROBE values is scanned in
-    full, and its KS distance is the limit under which _within finds the
-    others that can win."""
+    One exponent search and one KS scan serve every candidate cutoff."""
     xmin = None if xmin is None else _cutoff(xmin)
     tails, (n,), starts, _, ends, qs, log_means = _layout([(values, multiplicity)], xmin)
     if n < MIN_OBSERVATIONS:
@@ -354,12 +336,9 @@ def _fit(values, multiplicity, xmin=None) -> PowerLawFit:
     rows = starts, ends, alphas, qs, norms = _candidates(starts, ends, qs, log_means)
     if not (norms > 0).any():
         raise ValueError("no cutoff leaves a tail whose fitted law can be evaluated")
-    probed = np.argmin(_ks_rows(*tails, *rows, width=_KS_PROBE))
-    limit = _ks_rows(*tails, *(a[[probed]] for a in rows))[0]
-    kept, ks = _within(tails, rows, limit)
-    best = np.argmin(ks)  # the first of the smallest, as kept ascends
-    r = kept[best]
-    return PowerLawFit(float(alphas[r]), int(qs[r]), float(ks[best]), int(tails[3][starts[r]]))
+    ks = _ks_rows(*tails, *rows)
+    r = np.argmin(ks)  # the first of the smallest: ties go to the smallest cutoff
+    return PowerLawFit(float(alphas[r]), int(qs[r]), float(ks[r]), int(tails[3][starts[r]]))
 
 
 def _exceeds(replicates, threshold, xmin) -> np.ndarray:
@@ -368,11 +347,11 @@ def _exceeds(replicates, threshold, xmin) -> np.ndarray:
 
     A replicate that cannot be fit never exceeds.  One that can exceeds
     when every candidate cutoff's KS distance is above the threshold, so a
-    single candidate _within the threshold settles the replicate.  The
-    first one tried is the candidate at or next above `xmin`, where the
-    law that drew the replicate starts; then the other candidates of the
-    replicates left.  _within drops a candidate only when its KS distance
-    is above the threshold, so the decision is the refit's."""
+    single candidate at or below it settles the replicate.  The first one
+    tried is the candidate at or next above `xmin`, where the law that drew
+    the replicate starts; then the other candidates of the replicates left.
+    A candidate is dropped only when its KS distance is above the
+    threshold, so the decision is the refit's."""
     tails, _, starts, owner, ends, qs, log_means = _layout(replicates)
     at = np.flatnonzero(tails[0][starts] >= xmin)
     first = np.zeros(starts.size, bool)
@@ -381,7 +360,13 @@ def _exceeds(replicates, threshold, xmin) -> np.ndarray:
     for stage in (first, ~first):
         rows = np.flatnonzero(stage & ~settled[owner])
         candidates = _candidates(starts[rows], ends[rows], qs[rows], log_means[rows])
-        kept, _ = _within(tails, candidates, threshold)
+        # A candidate's gap at its tail's first value, over its first
+        # _KS_PROBE values and over all of them: each is a lower bound on
+        # its KS distance that the next only raises, so a rung scans only
+        # the pairs of the candidates the last one kept.
+        kept = np.arange(rows.size)
+        for width in (1, _KS_PROBE, None):
+            kept = kept[_ks_rows(*tails, *(a[kept] for a in candidates), width) <= threshold]
         settled[owner[rows[kept]]] = True
         evaluable[owner[rows[candidates[-1] > 0]]] = True  # a normalizer that does not underflow
     return evaluable & ~settled
@@ -727,12 +712,14 @@ def gof_bootstrap(
     every replicate is drawn.  Near alpha = 1 a draw can pass 2**63; the
     bootstrap's draws then go on as floats (sample_power_law raises).
 
-    A replicate is decided, not refit (see _exceeds): it exceeds when it
-    can be fit and every candidate cutoff's KS distance is above the
-    observed one, so a candidate at or below it settles it: looked for at
-    the observed cutoff first, then among the others, through the lower
-    bounds of _within that the fit uses too.  That is the refit's answer,
-    so the p-value is the one a full refit of every replicate gives.
+    The observed KS distance is computed from the counts, the fitted
+    law's at its cutoff; fit.ks_statistic is not read.  A replicate is
+    decided, not refit (see _exceeds): it exceeds when it can be fit and
+    every candidate cutoff's KS distance is above the observed one, so a
+    candidate at or below it settles it: looked for at the observed cutoff
+    first, then among the others, through growing lower bounds on each
+    candidate's KS distance.  That is the refit's answer, so the p-value is
+    the one a full refit of every replicate gives.
 
     Replicate r draws from its own stream, PCG64 of
     SeedSequence(seed).spawn(n_boot)[r], so runs with different seeds
@@ -747,11 +734,13 @@ def gof_bootstrap(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     x, xmin = _fitted_counts(counts, fit)
-    body_values, body_counts = np.unique(x[x < xmin], return_counts=True)
-    body_shares = body_counts / body_counts.sum()
+    values, multiplicity = np.unique(x, return_counts=True)
+    body = values < xmin
+    body_values, body_shares = values[body], multiplicity[body] / multiplicity[body].sum()
+    observed = _fit(values, multiplicity, xmin).ks_statistic
     tasks = [
         (range(r, min(r + _GROUP, n_boot)), seed, x.size, fit.n_tail / x.size, fit.alpha,
-         xmin, body_values, body_shares, fit.ks_statistic)
+         xmin, body_values, body_shares, observed)
         for r in range(0, n_boot, _GROUP)
     ]
     workers = min(workers, len(tasks))  # a pool starts all its processes at once

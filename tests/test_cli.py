@@ -366,6 +366,22 @@ class TestTessellateCommand:
             "row,reason", "7,bad timestamp",
         ]
 
+    def test_a_clean_run_replaces_the_rejects_of_an_earlier_one(self, tmp_path):
+        events, pop = self.make_inputs(tmp_path)
+        clean = events.read_text()
+        lines = clean.splitlines()
+        lines[7] = "not-a-time" + lines[7][lines[7].index(","):]
+        events.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = ("tessellate", "--events", events, "--population", pop,
+                "--target-pop", 4, "--out", out)
+        assert run(*argv) == 0
+        events.write_text(clean)
+        assert run(*argv) == 0
+        assert (out / "rejects.csv").read_text() == "row,reason\n"
+        record = json.loads((out / "manifest.json").read_text())["runs"][-1]
+        assert "rejects.csv" in record["artifacts"]
+
     def test_concentrate_via_events_route(self, tmp_path):
         events, pop = self.make_inputs(tmp_path)
         out = tmp_path / "out"
@@ -546,7 +562,7 @@ class TestFailureHandling:
         (out / "region_series.csv").unlink()
         (out / "region_series.csv").mkdir()
         before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
-        assert set(before) == {"tessellation.csv", "manifest.json"}
+        assert set(before) == {"tessellation.csv", "rejects.csv", "manifest.json"}
         assert run(*argv) == 1
         assert "error: tessellate:" in capsys.readouterr().err
         after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}

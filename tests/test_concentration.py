@@ -264,8 +264,8 @@ class TestFitPowerLaw:
         except ValueError:  # pinned cutoff beyond the data
             assume(False)
         assume(expected is not None)
-        # Tiny blocks cover the scan's split into row blocks; a one-value
-        # probe prunes least, a probe as long as any tail prunes most.
+        # Tiny blocks cover the scan's split into row blocks.  The fit scans
+        # every candidate in full, so the probe width does not reach it.
         for block, probe in ((concentration._CHUNK, concentration._KS_PROBE),
                              (7, 1), (7, 10**6)):
             with mock.patch.multiple(concentration, _CHUNK=block, _KS_PROBE=probe):
@@ -735,6 +735,23 @@ class TestGofBootstrap:
         exceed = [round(200 * gof_bootstrap(x, fit, n_boot=200, seed=s)) for s in range(6)]
         # seeds s and s + 1 sharing all but one replicate would differ by at most one
         assert np.abs(np.diff(exceed)).max() > 1
+
+    def test_observed_distance_comes_from_the_counts(self):
+        # The observed distance is computed from the counts, so a stored KS
+        # distance that is wrong or not a number leaves p where it is.
+        x = gen_powerlaw_counts(2.5, 1, 5000, 0)
+        fit = fit_power_law(x)
+        p = gof_bootstrap(x, fit, n_boot=100, seed=0)
+        assert 0 < p < 1
+        for ks in (np.nan, -1.0, 0.0, 2.0, np.inf):
+            stale = dataclasses.replace(fit, ks_statistic=ks)
+            assert gof_bootstrap(x, stale, n_boot=100, seed=0) == p
+
+    def test_two_workers_give_the_p_value_of_one(self):
+        x = gen_powerlaw_counts(2.5, 1, 5000, 0)
+        fit = fit_power_law(x)
+        assert (gof_bootstrap(x, fit, n_boot=100, seed=3, workers=2)
+                == gof_bootstrap(x, fit, n_boot=100, seed=3, workers=1))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_grouped_replicates_equal_the_per_replicate_loop(self, workers):
